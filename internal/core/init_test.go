@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -187,6 +189,68 @@ func TestDepGraphPinnedDetection(t *testing.T) {
 		}
 		if got := pinnedDepart(working, i); got != isObsTask {
 			t.Fatalf("event %d pinnedDepart=%v, want %v (task observation)", i, got, isObsTask)
+		}
+	}
+}
+
+// TestOrderInitializerGolden pins the exact latent times OrderInitializer
+// and LPInitializer construct on seeded simulator traces, at three observed
+// fractions and two target-rate vectors (the second pushes one rate past
+// rateCeil, which OrderInitializer must honour unclamped). Both
+// constructions depend only on each event's graph predecessors and
+// successors, so any refactor of the constraint graph — including a
+// different topological order — must reproduce these hashes bit for bit.
+func TestOrderInitializerGolden(t *testing.T) {
+	hashTimes := func(es *trace.EventSet) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for i := range es.Arr {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(es.Arr[i]))
+			h.Write(b[:])
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(es.Dep[i]))
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	orderNet := must(qnet.PaperSynthetic(10, 5, [3]int{1, 2, 4}))
+	lpNet := must(qnet.PaperSynthetic(8, 4, [3]int{1, 2, 1}))
+	targets := func(net *qnet.Network) []Params {
+		truth := append([]float64(nil), net.ServiceRates()...)
+		skew := append([]float64(nil), truth...)
+		skew[1] = 2 * rateCeil
+		skew[2] *= 0.25
+		return []Params{{Rates: truth}, {Rates: skew}}
+	}
+	type golden struct {
+		frac      float64
+		order, lp [2]uint64
+	}
+	want := []golden{
+		{0, [2]uint64{0xc6883286a1d45e6, 0xf5c510803579127e}, [2]uint64{0x50d872062ea6d4d3, 0xecfb45e04cbe7d34}},
+		{0.25, [2]uint64{0x32e08be7fbc480b6, 0x7f4d007b2b8ff2c}, [2]uint64{0x9248b66528c0507a, 0x136c05301a6d5280}},
+		{0.75, [2]uint64{0x386f31b5e971cce9, 0x37876b52f0d5b436}, [2]uint64{0x9bb4a1b20c6f20c7, 0x7572b10c598d83bf}},
+	}
+	for _, g := range want {
+		seed := uint64(700 + int(g.frac*100))
+		for k, params := range targets(orderNet) {
+			working, _, _ := simulateObserved(t, orderNet, 300, g.frac, seed)
+			scrambleLatent(working)
+			if err := (OrderInitializer{}).Initialize(working, params); err != nil {
+				t.Fatalf("order frac %v target %d: %v", g.frac, k, err)
+			}
+			if got := hashTimes(working); got != g.order[k] {
+				t.Errorf("order frac %v target %d: hash %#x, want %#x", g.frac, k, got, g.order[k])
+			}
+		}
+		for k, params := range targets(lpNet) {
+			working, _, _ := simulateObserved(t, lpNet, 25, g.frac, seed)
+			scrambleLatent(working)
+			if err := (LPInitializer{}).Initialize(working, params); err != nil {
+				t.Fatalf("LP frac %v target %d: %v", g.frac, k, err)
+			}
+			if got := hashTimes(working); got != g.lp[k] {
+				t.Errorf("LP frac %v target %d: hash %#x, want %#x", g.frac, k, got, g.lp[k])
+			}
 		}
 	}
 }
