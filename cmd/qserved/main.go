@@ -2,12 +2,13 @@
 // arrival/departure events as NDJSON over HTTP, maintains a bounded
 // sliding window of recent tasks per stream, and continuously serves
 // rolling queueing estimates (λ̂, per-queue µ̂ and mean wait, windowed
-// bottleneck stats) computed with warm-started stochastic EM.
+// bottleneck stats) computed with warm-started stochastic EM over an
+// incrementally sliding window, after an instant mean-field first answer.
 //
 // Usage:
 //
 //	qserved -addr :8645
-//	qserved -addr :8645 -window 1000 -interval 500ms -em-iters 500
+//	qserved -addr :8645 -window 1000 -em-iters 500
 //
 // Then, from a client (see cmd/qload for a trace replayer):
 //
@@ -87,12 +88,10 @@ func main() {
 	addr := flag.String("addr", ":8645", "listen address")
 	window := flag.Int("window", 500, "default sliding window size (sealed tasks per stream)")
 	minTasks := flag.Int("min-tasks", 40, "default minimum sealed tasks before estimating")
-	interval := flag.Duration("interval", 250*time.Millisecond, "legacy estimation cadence (kept for config compatibility; scheduling is demand-driven)")
 	emIters := flag.Int("em-iters", 300, "default StEM iterations per window")
 	postSweeps := flag.Int("post-sweeps", 40, "default posterior sweeps per window")
 	windows := flag.Int("windows", 6, "default windowed-stats buckets")
 	windowSweeps := flag.Int("window-sweeps", 30, "default windowed-stats sweeps")
-	workers := flag.Int("workers", 0, "default Gibbs sweep workers per stream (0 incremental sequential, -1 one per CPU)")
 	infWorkers := flag.Int("inference-workers", -1, "shared inference executor pool size (-1 = one per CPU)")
 	queueDepth := flag.Int("queue-depth", 0, "inference queue bound; excess streams are shed and re-admitted (0 = max(64, 4x pool))")
 	visitBudget := flag.Duration("visit-budget", 50*time.Millisecond, "wall-clock budget of one inference visit")
@@ -112,7 +111,7 @@ func main() {
 	traceRing := flag.Int("trace-ring", 4096, "span ring capacity behind GET /debug/trace (rounded up to a power of two)")
 	freshSLOms := flag.Int("freshness-slo-ms", 0, "seal-to-publish freshness objective in milliseconds (0 = no SLO accounting)")
 	meanField := flag.String("meanfield", serve.MeanFieldOn,
-		"deterministic mean-field fast path: on (instant first estimates + StEM warm starts), init-only (warm starts only), or off")
+		"deterministic mean-field fast path: on (instant first estimates before Gibbs refinement) or off")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat, *logLevel, *quiet)
@@ -124,10 +123,6 @@ func main() {
 
 	// Flag validation: catch nonsense at startup with a clear message
 	// instead of a confusing panic or a silently idle daemon.
-	if *workers < -1 {
-		fmt.Fprintf(os.Stderr, "qserved: -workers must be >= -1 (-1 = one per CPU), got %d\n", *workers)
-		os.Exit(2)
-	}
 	if *infWorkers == 0 || *infWorkers < -1 {
 		fmt.Fprintf(os.Stderr, "qserved: -inference-workers must be positive (or -1 for one per CPU), got %d\n", *infWorkers)
 		os.Exit(2)
@@ -152,8 +147,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qserved: -freshness-slo-ms must be >= 0 (0 = off), got %d\n", *freshSLOms)
 		os.Exit(2)
 	}
+	if *meanField == "init-only" {
+		fmt.Fprintf(os.Stderr, "qserved: -meanfield init-only was removed: it only warm-started the retired chromatic "+
+			"inference path, and every stream now runs the warm path, where it behaved like off (want on or off)\n")
+		os.Exit(2)
+	}
 	if !serve.ValidMeanFieldMode(*meanField) {
-		fmt.Fprintf(os.Stderr, "qserved: bad -meanfield %q (want on, init-only, or off)\n", *meanField)
+		fmt.Fprintf(os.Stderr, "qserved: bad -meanfield %q (want on or off)\n", *meanField)
 		os.Exit(2)
 	}
 	if *blockRate < 0 || *mutexFrac < 0 {
@@ -168,12 +168,10 @@ func main() {
 	defaults := serve.StreamConfig{
 		WindowTasks:  *window,
 		MinTasks:     *minTasks,
-		IntervalMS:   int(interval.Milliseconds()),
 		EMIters:      *emIters,
 		PostSweeps:   *postSweeps,
 		Windows:      *windows,
 		WindowSweeps: *windowSweeps,
-		Workers:      *workers,
 		SweepBatch:   *sweepBatch,
 		Seed:         *seed,
 	}

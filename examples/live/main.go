@@ -62,7 +62,7 @@ func main() {
 	client := serve.NewClient(baseURL)
 	streamCfg := serve.StreamConfig{
 		NumQueues: working.NumQueues, WindowTasks: working.NumTasks,
-		MinTasks: 50, IntervalMS: 50, EMIters: 600, PostSweeps: 40,
+		MinTasks: 50, EMIters: 600, PostSweeps: 40,
 	}
 	if err := client.CreateStream(ctx, "live", streamCfg); err != nil {
 		log.Fatal(err)

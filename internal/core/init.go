@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/lp"
 	"repro/internal/trace"
@@ -18,19 +17,10 @@ type Initializer interface {
 }
 
 // ---------------------------------------------------------------------------
-// Constraint graph shared by both initializers.
-
-// depGraph captures the difference constraints among event departure times.
-// Node i is event i's departure d_i; arrivals are their predecessors'
-// departures (or the constant 0 for initial events). Every edge (u → v)
-// encodes d_u ≤ d_v; all constraint right-hand sides are zero.
-type depGraph struct {
-	es     *trace.EventSet
-	out    [][]int32 // adjacency: edges u → v
-	indeg  []int
-	pinned []bool // d_i is fixed by an observation
-	topo   []int  // topological order of all events
-}
+// Constraint graph shared by both initializers: MeanFieldScratch.buildGraph
+// (meanfield.go) builds it in CSR form. Node i is event i's departure d_i;
+// arrivals are their predecessors' departures (or the constant 0 for
+// initial events). Every edge u → v encodes d_u ≤ d_v.
 
 // pinnedDepart reports whether event i's departure is observation-fixed:
 // either the next event's arrival is observed, or i is final with an
@@ -41,96 +31,6 @@ func pinnedDepart(es *trace.EventSet, i int) bool {
 		return es.Events[e.NextT].ObsArrival
 	}
 	return e.ObsDepart
-}
-
-// newDepGraph builds the constraint graph and its topological order,
-// returning an error if the constraints are cyclic (impossible for traces
-// produced by a real FIFO execution).
-func newDepGraph(es *trace.EventSet) (*depGraph, error) {
-	n := len(es.Events)
-	g := &depGraph{
-		es:     es,
-		out:    make([][]int32, n),
-		indeg:  make([]int, n),
-		pinned: make([]bool, n),
-	}
-	addEdge := func(u, v int) {
-		if u == trace.None || v == trace.None || u == v {
-			return
-		}
-		g.out[u] = append(g.out[u], int32(v))
-		g.indeg[v]++
-	}
-	for i := range es.Events {
-		e := &es.Events[i]
-		g.pinned[i] = pinnedDepart(es, i)
-		// d_{π(i)} ≤ d_i  (service after arrival).
-		addEdge(e.PrevT, i)
-		// d_{ρ(i)} ≤ d_i  (FIFO departure order).
-		addEdge(e.PrevQ, i)
-		// Arrival order: a_{ρ(i)} ≤ a_i, i.e. d_{π(ρ(i))} ≤ d_{π(i)}.
-		if e.PrevQ != trace.None {
-			pu := es.Events[e.PrevQ].PrevT
-			addEdge(pu, e.PrevT)
-		}
-	}
-	// Kahn's algorithm.
-	g.topo = make([]int, 0, n)
-	queue := make([]int, 0, n)
-	indeg := append([]int(nil), g.indeg...)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.topo = append(g.topo, u)
-		for _, v := range g.out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, int(v))
-			}
-		}
-	}
-	if len(g.topo) != n {
-		return nil, fmt.Errorf("core: event constraint graph has a cycle (%d of %d ordered)", len(g.topo), n)
-	}
-	return g, nil
-}
-
-// upperEnvelope returns, per event, the largest departure value compatible
-// with all pinned observations downstream (+Inf when unconstrained).
-func (g *depGraph) upperEnvelope() []float64 {
-	n := len(g.es.Events)
-	ub := make([]float64, n)
-	for i := range ub {
-		if g.pinned[i] {
-			ub[i] = g.es.Dep[i]
-		} else {
-			ub[i] = math.Inf(1)
-		}
-	}
-	for t := n - 1; t >= 0; t-- {
-		u := g.topo[t]
-		for _, v := range g.out[u] {
-			if ub[v] < ub[u] {
-				ub[u] = ub[v]
-			}
-		}
-	}
-	return ub
-}
-
-// entryFloor returns the structural lower bound of event i's departure that
-// does not come from graph edges: 0 for initial events (tasks cannot enter
-// before time zero).
-func entryFloor(es *trace.EventSet, i int) float64 {
-	if es.Events[i].Initial() {
-		return 0
-	}
-	return math.Inf(-1)
 }
 
 // applyDeparture writes d as event i's departure, propagating to the next
@@ -167,101 +67,18 @@ func applyDeparture(es *trace.EventSet, i int, d float64) {
 // over-compact state.
 type OrderInitializer struct{}
 
-// Initialize implements Initializer.
+// Initialize implements Initializer. The construction is
+// MeanFieldScratch.feasibleInit, steered by targetRates as given (no
+// clamping).
 func (OrderInitializer) Initialize(es *trace.EventSet, targetRates Params) error {
 	if len(targetRates.Rates) != es.NumQueues {
 		return fmt.Errorf("core: %d target rates for %d queues", len(targetRates.Rates), es.NumQueues)
 	}
-	g, err := newDepGraph(es)
-	if err != nil {
+	var sc MeanFieldScratch
+	if err := sc.buildGraph(es); err != nil {
 		return err
 	}
-	ub := g.upperEnvelope()
-	n := len(es.Events)
-	caps := compactScale(es, g)
-	assigned := make([]float64, n)
-	// lo[v] is the running lower bound of d_v; relaxed along every
-	// constraint edge as predecessors are assigned, so all three constraint
-	// families (task order, FIFO departure order, arrival order) are
-	// enforced uniformly.
-	lo := make([]float64, n)
-	for i := range lo {
-		lo[i] = entryFloor(es, i)
-		if math.IsInf(lo[i], -1) {
-			lo[i] = 0
-		}
-	}
-	for _, i := range g.topo {
-		e := &es.Events[i]
-		d := 0.0
-		if g.pinned[i] {
-			d = es.Dep[i]
-			if e.NextT != trace.None {
-				d = es.Arr[e.NextT]
-			}
-			if d < lo[i]-1e-6 {
-				return fmt.Errorf("core: observed departure %v of event %d below feasible bound %v", d, i, lo[i])
-			}
-			d = math.Max(d, lo[i])
-		} else {
-			target := math.Min(1/targetRates.Rates[e.Queue], caps[e.Queue])
-			d = lo[i] + target
-			if !math.IsInf(ub[i], 1) {
-				room := ub[i] - lo[i]
-				if room < 0 {
-					return fmt.Errorf("core: infeasible bounds for event %d: lo=%v > ub=%v", i, lo[i], ub[i])
-				}
-				if d > lo[i]+room/2 {
-					d = lo[i] + room/2
-				}
-			}
-		}
-		assigned[i] = d
-		for _, v := range g.out[i] {
-			if d > lo[v] {
-				lo[v] = d
-			}
-		}
-	}
-	// Write assignments in topological order so SetArrival invariants hold.
-	for _, i := range g.topo {
-		if !g.pinned[i] {
-			applyDeparture(es, i, assigned[i])
-		}
-	}
-	return es.Validate(1e-6)
-}
-
-// compactScale returns, per queue, the average per-event time budget
-// implied by the observed data: (latest pinned departure anywhere) divided
-// by the queue's event count, or +Inf everywhere when nothing is pinned.
-// It bounds initializer targets so the initial state stays within the
-// observed horizon.
-func compactScale(es *trace.EventSet, g *depGraph) []float64 {
-	var span float64
-	any := false
-	for i := range es.Events {
-		if !g.pinned[i] {
-			continue
-		}
-		d := es.Dep[i]
-		if e := &es.Events[i]; e.NextT != trace.None {
-			d = es.Arr[e.NextT]
-		}
-		if d > span {
-			span = d
-		}
-		any = true
-	}
-	caps := make([]float64, es.NumQueues)
-	for q := range caps {
-		if !any || span <= 0 || len(es.ByQueue[q]) == 0 {
-			caps[q] = math.Inf(1)
-			continue
-		}
-		caps[q] = span / float64(len(es.ByQueue[q]))
-	}
-	return caps
+	return sc.feasibleInit(es, targetRates.Rates)
 }
 
 // ---------------------------------------------------------------------------
@@ -297,8 +114,8 @@ func (ini LPInitializer) Initialize(es *trace.EventSet, targetRates Params) erro
 	if n > maxEvents {
 		return fmt.Errorf("core: LP initializer limited to %d events, trace has %d (use OrderInitializer)", maxEvents, n)
 	}
-	g, err := newDepGraph(es)
-	if err != nil {
+	var g MeanFieldScratch
+	if err := g.buildGraph(es); err != nil {
 		return err
 	}
 	// Variables: d_i (n), t_i (n), u_i (n). d_i of pinned events are fixed
@@ -310,17 +127,10 @@ func (ini LPInitializer) Initialize(es *trace.EventSet, targetRates Params) erro
 	for i := 0; i < n; i++ {
 		p.SetObjective(uVar(i), 1)
 	}
-	curDepart := func(i int) float64 {
-		e := &es.Events[i]
-		if e.NextT != trace.None {
-			return es.Arr[e.NextT]
-		}
-		return es.Dep[i]
-	}
 	for i := 0; i < n; i++ {
 		e := &es.Events[i]
 		if g.pinned[i] {
-			p.AddEQ([]int{dVar(i)}, []float64{1}, curDepart(i))
+			p.AddEQ([]int{dVar(i)}, []float64{1}, observedDepart(es, i))
 		}
 		// t_i ≥ a_i: a_i is d_{π(i)} or the constant 0.
 		if e.PrevT != trace.None {
@@ -361,7 +171,8 @@ func (ini LPInitializer) Initialize(es *trace.EventSet, targetRates Params) erro
 	}
 	// Apply in topological order; clamp tiny simplex round-off so the
 	// resulting state validates.
-	for _, i := range g.topo {
+	for _, i32 := range g.topo {
+		i := int(i32)
 		if g.pinned[i] {
 			continue
 		}
@@ -369,12 +180,6 @@ func (ini LPInitializer) Initialize(es *trace.EventSet, targetRates Params) erro
 		lo := es.ServiceStart(i) // after predecessors were applied
 		if d < lo {
 			d = lo
-		}
-		e := &es.Events[i]
-		if e.NextQ != trace.None {
-			// Do not let round-off break the arrival order of the next
-			// event at this queue; final clamp happens via Validate below.
-			_ = e
 		}
 		applyDeparture(es, i, d)
 	}

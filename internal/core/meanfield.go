@@ -159,7 +159,7 @@ func MeanFieldInto(sum *PosteriorSummary, params *Params, es *trace.EventSet, op
 		return MeanFieldStats{}, err
 	}
 	sc.initialRates(es, opts.InitialParams)
-	if err := sc.feasibleInit(es); err != nil {
+	if err := sc.feasibleInit(es, sc.rates); err != nil {
 		return MeanFieldStats{}, err
 	}
 	sc.buildMoves(es)
@@ -233,15 +233,16 @@ func (ini MeanFieldInitializer) Initialize(es *trace.EventSet, targetRates Param
 // ---------------------------------------------------------------------------
 // Constraint graph + feasible construction, allocation-free.
 //
-// This replays newDepGraph / upperEnvelope / OrderInitializer.Initialize
-// with CSR adjacency and grow-only buffers: the pointer-free layout is what
-// lets a reused scratch solve with zero steady-state allocations, and the
-// observation-only construction is what makes the fix point a function of
-// the observed data alone (incoming latent values are never read).
+// The one builder of the difference-constraint graph, shared with
+// OrderInitializer and LPInitializer: CSR adjacency and grow-only buffers
+// are what let a reused scratch solve with zero steady-state allocations,
+// and the observation-only construction is what makes the fix point a
+// function of the observed data alone (incoming latent values are never
+// read).
 
-// graphEdges enumerates the difference-constraint edges of event i exactly
-// as newDepGraph does: d_{π(i)} ≤ d_i, d_{ρ(i)} ≤ d_i, and the arrival
-// order d_{π(ρ(i))} ≤ d_{π(i)}.
+// graphEdges enumerates the difference-constraint edges of event i:
+// d_{π(i)} ≤ d_i (service after arrival), d_{ρ(i)} ≤ d_i (FIFO departure
+// order), and the arrival order d_{π(ρ(i))} ≤ d_{π(i)}.
 func graphEdges(es *trace.EventSet, i int, emit func(u, v int)) {
 	e := &es.Events[i]
 	if e.PrevT != trace.None {
@@ -375,13 +376,15 @@ func (sc *MeanFieldScratch) initialRates(es *trace.EventSet, initial *Params) {
 }
 
 // feasibleInit assigns every unobserved time a feasible value from the
-// observed data alone, exactly by OrderInitializer's scheme (topological
-// assignment toward 1/rate targets, capped by the per-queue compact scale
-// and half the slack to the pinned upper envelope) but through the
-// scratch's buffers. Incoming latent values are never read, so the
-// construction — and therefore the fix point — depends only on the
-// observations.
-func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet) error {
+// observed data alone — OrderInitializer's scheme: topological assignment
+// toward the 1/rates[q] targets, capped by the per-queue compact scale and
+// half the slack to the pinned upper envelope. It needs buildGraph first.
+// Incoming latent values are never read, so the construction — and
+// therefore the fix point — depends only on the observations and rates.
+// Every assignment is a function of the event's graph neighbours alone,
+// so the result does not depend on which topological order buildGraph
+// picked.
+func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet, rates []float64) error {
 	n := len(es.Events)
 	// Upper envelope: per event, the tightest pinned departure downstream.
 	sc.ub = resizeFloats(sc.ub, n)
@@ -400,8 +403,9 @@ func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet) error {
 			}
 		}
 	}
-	// Per-queue compact scale (see compactScale): observed span over event
-	// count bounds the per-event target.
+	// Per-queue compact scale: the latest pinned departure over the queue's
+	// event count bounds the per-event target, so the initial state stays
+	// within the observed horizon (see OrderInitializer).
 	var span float64
 	anyPinned := false
 	for i := 0; i < n; i++ {
@@ -435,7 +439,7 @@ func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet) error {
 			}
 			d = math.Max(d, sc.lob[i])
 		} else {
-			target := math.Min(1/sc.rates[e.Queue], sc.caps[e.Queue])
+			target := math.Min(1/rates[e.Queue], sc.caps[e.Queue])
 			d = sc.lob[i] + target
 			if ub := sc.ub[i]; !math.IsInf(ub, 1) {
 				room := ub - sc.lob[i]

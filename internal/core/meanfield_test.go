@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dist"
@@ -329,5 +332,140 @@ func TestTruncExpMeanLimits(t *testing.T) {
 		if math.Abs(series-closed) > 1e-9 {
 			t.Errorf("mw=%v: series %v vs closed form %v", mw, series, closed)
 		}
+	}
+}
+
+// slideTasksOf converts every task of a simulated, observation-masked trace
+// into the SlideTask a daemon's store hands the sliding window: the entry
+// is observed exactly when the first real event's arrival is.
+func slideTasksOf(es *trace.EventSet) []SlideTask {
+	out := make([]SlideTask, es.NumTasks)
+	for k, ids := range es.ByTask {
+		t := SlideTask{Entry: es.Dep[ids[0]], EntryObs: es.Events[ids[1]].ObsArrival}
+		for _, id := range ids[1:] {
+			e := &es.Events[id]
+			t.Events = append(t.Events, SlideEvent{
+				Queue: e.Queue, State: e.State, Arr: es.Arr[id], Dep: es.Dep[id],
+				ObsArr: e.ObsArrival, ObsDep: e.ObsDepart,
+			})
+		}
+		out[k] = t
+	}
+	return out
+}
+
+// builderWindow assembles tasks the way the daemon did before the window
+// copy existed: sort stably by entry, rebuild with trace.Builder, then
+// restore the observation mask (the q0 event's departure follows the entry
+// flag; its arrival is always observed).
+func builderWindow(t *testing.T, nq int, tasks []SlideTask) *trace.EventSet {
+	t.Helper()
+	tasks = append([]SlideTask(nil), tasks...)
+	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Entry < tasks[j].Entry })
+	b := trace.NewBuilder(nq)
+	var obsArr, obsDep []bool
+	for _, task := range tasks {
+		k := b.StartTask(task.Entry)
+		obsArr, obsDep = append(obsArr, true), append(obsDep, task.EntryObs)
+		for _, ev := range task.Events {
+			if _, err := b.AddEvent(k, ev.State, ev.Queue, ev.Arr, ev.Dep); err != nil {
+				t.Fatal(err)
+			}
+			obsArr, obsDep = append(obsArr, ev.ObsArr), append(obsDep, ev.ObsDep)
+		}
+	}
+	es, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range es.Events {
+		es.Events[i].ObsArrival = obsArr[i]
+		es.Events[i].ObsDepart = obsDep[i]
+	}
+	return es
+}
+
+// TestMeanFieldWindowCopyMatchesBuilder pins SlidingWindow.EventSet, the
+// daemon's mean-field input, against the Builder rebuild of the same live
+// tasks: windows filled by in-order appends and by appends in seal (exit)
+// order — out of entry order — with evictions must copy to the identical
+// EventSet before any sweep, and the mean-field fix point over the two must
+// be bit-identical.
+func TestMeanFieldWindowCopyMatchesBuilder(t *testing.T) {
+	nets := map[string]*qnet.Network{
+		"three-tier": must(qnet.PaperSynthetic(10, 5, [3]int{1, 2, 4})),
+		"mm1":        must(qnet.SingleMM1(4, 10)),
+	}
+	for name, net := range nets {
+		for _, frac := range []float64{0.1, 0.5} {
+			truth, _, _ := simulateObserved(t, net, 400, frac, uint64(900+int(frac*100)))
+			inEntry := slideTasksOf(truth)
+			order := make([]int, len(inEntry))
+			for k := range order {
+				order[k] = k
+			}
+			sort.SliceStable(order, func(i, j int) bool { return truth.TaskExit(order[i]) < truth.TaskExit(order[j]) })
+			inSeal := make([]SlideTask, len(order))
+			for i, k := range order {
+				inSeal[i] = inEntry[k]
+			}
+			for sealOrder, tasks := range map[bool][]SlideTask{false: inEntry, true: inSeal} {
+				for _, window := range []int{150, 400} {
+					w := NewSlidingWindow(truth.NumQueues)
+					for _, task := range tasks {
+						if err := w.Append(task); err != nil {
+							t.Fatal(err)
+						}
+						for w.LiveTasks() > window {
+							w.EvictOldest()
+						}
+					}
+					live := tasks[len(tasks)-w.LiveTasks():]
+					checkWindowCopy(t, fmt.Sprintf("%s frac=%v seal=%v window=%d", name, frac, sealOrder, window),
+						w.EventSet(), builderWindow(t, truth.NumQueues, live))
+				}
+			}
+		}
+	}
+}
+
+func checkWindowCopy(t *testing.T, label string, got, want *trace.EventSet) {
+	t.Helper()
+	if got.NumTasks != want.NumTasks || got.NumQueues != want.NumQueues {
+		t.Fatalf("%s: %d tasks / %d queues, want %d / %d", label, got.NumTasks, got.NumQueues, want.NumTasks, want.NumQueues)
+	}
+	for name, eq := range map[string]bool{
+		"Events":  reflect.DeepEqual(got.Events, want.Events),
+		"Arr":     reflect.DeepEqual(got.Arr, want.Arr),
+		"Dep":     reflect.DeepEqual(got.Dep, want.Dep),
+		"ByQueue": reflect.DeepEqual(got.ByQueue, want.ByQueue),
+		"ByTask":  reflect.DeepEqual(got.ByTask, want.ByTask),
+	} {
+		if !eq {
+			t.Fatalf("%s: window copy %s differs from the Builder rebuild", label, name)
+		}
+	}
+	var sums [2]PosteriorSummary
+	var params [2]Params
+	for k, es := range []*trace.EventSet{got, want} {
+		if err := ShiftTowardZero(es); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MeanFieldInto(&sums[k], &params[k], es, MeanFieldOptions{}); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if !reflect.DeepEqual(bits(params[0].Rates), bits(params[1].Rates)) ||
+		!reflect.DeepEqual(bits(sums[0].MeanService), bits(sums[1].MeanService)) ||
+		!reflect.DeepEqual(bits(sums[0].MeanWait), bits(sums[1].MeanWait)) {
+		t.Fatalf("%s: mean-field fix point differs: rates %v vs %v, wait %v vs %v",
+			label, params[0].Rates, params[1].Rates, sums[0].MeanWait, sums[1].MeanWait)
 	}
 }

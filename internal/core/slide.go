@@ -900,6 +900,69 @@ func (w *SlidingWindow) Clone() *SlidingWindow {
 	return c
 }
 
+// EventSet copies the live window into a fresh, standalone trace.EventSet
+// laid out as trace.Builder lays out the same tasks sorted stably by entry
+// time: tasks are numbered by a walk of the q0 chain (entry order, ties in
+// insertion order), each task's events follow in path order, and ByQueue
+// follows the window's queue chains. Times, observation flags and links are
+// copied as they stand, so before any sweep or repair the copy equals a
+// Builder rebuild of the raw tasks. The window itself is not touched.
+func (w *SlidingWindow) EventSet() *trace.EventSet {
+	src := &w.set
+	n, nt, nq := w.LiveEvents(), w.LiveTasks(), src.NumQueues
+	es := &trace.EventSet{
+		Events:    make([]trace.Event, 0, n),
+		Arr:       make([]float64, 0, n),
+		Dep:       make([]float64, 0, n),
+		NumQueues: nq,
+		NumTasks:  nt,
+		ByQueue:   make([][]int, nq),
+		ByTask:    make([][]int, nt),
+	}
+	ids := make([]int, 2*n) // ByTask backing, then ByQueue backing
+	remap := make([]int, n) // live window index - evHead → copy index
+	k := 0
+	for t := w.qHead[0]; t != trace.None; t = src.Events[t].NextQ {
+		first := len(es.Events)
+		for i := t; i != trace.None; i = src.Events[i].NextT {
+			j := len(es.Events)
+			remap[i-w.evHead] = j
+			ids[j] = j
+			e := src.Events[i]
+			e.Task = k
+			es.Events = append(es.Events, e)
+			es.Arr = append(es.Arr, src.Arr[i])
+			es.Dep = append(es.Dep, src.Dep[i])
+		}
+		es.ByTask[k] = ids[first:len(es.Events):len(es.Events)]
+		k++
+	}
+	link := func(i int) int {
+		if i == trace.None {
+			return i
+		}
+		return remap[i-w.evHead]
+	}
+	for j := range es.Events {
+		e := &es.Events[j]
+		e.PrevQ, e.NextQ = link(e.PrevQ), link(e.NextQ)
+		e.PrevT, e.NextT = link(e.PrevT), link(e.NextT)
+	}
+	off := n
+	for q := 0; q < nq; q++ {
+		if w.qCount[q] == 0 {
+			continue // Builder leaves empty queues nil
+		}
+		start := off
+		for i := w.qHead[q]; i != trace.None; i = src.Events[i].NextQ {
+			ids[off] = remap[i-w.evHead]
+			off++
+		}
+		es.ByQueue[q] = ids[start:off:off]
+	}
+	return es
+}
+
 // windowedStatsInto accumulates one pass of time-windowed per-queue
 // summaries (same bucketing as trace.WindowedStats, by chain walk) into
 // cells: cells[q][w] gains this pass's event count and summed

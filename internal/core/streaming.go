@@ -42,11 +42,10 @@ type StreamingOptions struct {
 
 // OnlineEstimator estimates successive windows of an event stream,
 // warm-starting each StEM run from the previous window's estimate. It is
-// the reusable hook behind both StreamingEstimate (consecutive blocks of
-// one trace) and the qserved daemon (sliding windows of a live stream).
-// Setting EM.Workers / Post.Workers runs every window's sweeps on the
-// chromatic parallel engine. It is not safe for concurrent use; serialize
-// calls per stream.
+// the reusable hook behind StreamingEstimate (consecutive blocks of one
+// trace). Setting EM.Workers / Post.Workers runs every window's sweeps on
+// the chromatic parallel engine. It is not safe for concurrent use;
+// serialize calls per stream.
 type OnlineEstimator struct {
 	// EM configures every StEM run. InitialParams seeds only the first
 	// window; later windows warm-start from their predecessor's estimate.
@@ -106,17 +105,6 @@ func (o *OnlineEstimator) WarmWindow(cfg WarmConfig) *WarmEstimator {
 	}
 	return o.warmWin
 }
-
-// Scratch exposes the estimator's reusable sampler construction state, for
-// callers that run extra passes (e.g. windowed posteriors) between
-// Estimate calls and want to share its buffers and worker pool. The same
-// serialization rule applies: never use it concurrently with Estimate.
-func (o *OnlineEstimator) Scratch() *GibbsScratch { return &o.scratch }
-
-// Close releases the estimator's pooled sweep workers. Optional (an
-// unreachable estimator's pool is reaped by a runtime cleanup) and
-// idempotent; the estimator remains usable afterwards.
-func (o *OnlineEstimator) Close() { o.scratch.Close() }
 
 // Estimate shifts the window toward time zero, runs StEM (warm-started
 // when a previous estimate exists) and the fixed-parameter posterior pass,

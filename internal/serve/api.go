@@ -15,7 +15,10 @@ import (
 
 // StreamConfig configures one event stream. The zero value of every field
 // except NumQueues means "use the daemon default"; NumQueues (including
-// the arrival queue q0) is required and must be at least 2.
+// the arrival queue q0) is required and must be at least 2. Unknown JSON
+// fields are ignored, so configs that still carry the retired "workers"
+// and "interval_ms" fields (older clients, older WAL records) decode
+// unchanged.
 type StreamConfig struct {
 	// NumQueues is the number of queues including q0 (required, >= 2).
 	NumQueues int `json:"num_queues"`
@@ -25,11 +28,6 @@ type StreamConfig struct {
 	// MinTasks is the number of sealed tasks required before the worker
 	// runs inference (default 40).
 	MinTasks int `json:"min_tasks,omitempty"`
-	// IntervalMS is retained for config compatibility (default 250).
-	// Scheduling is now demand-driven: ingest enqueues the stream with the
-	// shared executor, whose priority queue orders streams by estimate
-	// staleness x seal rate, so a quiet stream costs nothing.
-	IntervalMS int `json:"interval_ms,omitempty"`
 	// EMIters is the per-window StEM iteration count (default 300).
 	EMIters int `json:"em_iters,omitempty"`
 	// PostSweeps sizes the per-window posterior pass (default 40).
@@ -39,16 +37,10 @@ type StreamConfig struct {
 	Windows int `json:"windows,omitempty"`
 	// WindowSweeps sizes the windowed-stats posterior pass (default 30).
 	WindowSweeps int `json:"window_sweeps,omitempty"`
-	// Workers selects the Gibbs sweep engine for the stream's inference
-	// passes: 0 (the default) runs the incremental warm path on the
-	// sequential scan; W >= 1 runs full passes on the chromatic parallel
-	// engine with W workers; -1 uses one worker per CPU. For a fixed seed
-	// the chromatic engine's output is identical at every W >= 1.
-	Workers int `json:"workers,omitempty"`
 	// SweepBatch caps the Gibbs sweeps one executor visit may spend on
-	// the stream (warm path only). 0 (the default) leaves the visit
-	// bounded by the executor's wall-clock budget alone; small values
-	// interleave many streams at a finer grain.
+	// the stream. 0 (the default) leaves the visit bounded by the
+	// executor's wall-clock budget alone; small values interleave many
+	// streams at a finer grain.
 	SweepBatch int `json:"sweep_batch,omitempty"`
 	// Seed seeds the stream's deterministic RNG (default 1).
 	Seed uint64 `json:"seed,omitempty"`
@@ -60,9 +52,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.MinTasks == 0 {
 		c.MinTasks = 40
-	}
-	if c.IntervalMS == 0 {
-		c.IntervalMS = 250
 	}
 	if c.EMIters == 0 {
 		c.EMIters = 300
@@ -92,11 +81,8 @@ func (c StreamConfig) validate() error {
 	if c.MinTasks < 2 {
 		return fmt.Errorf("serve: min_tasks must be >= 2, got %d", c.MinTasks)
 	}
-	if c.IntervalMS < 0 || c.EMIters < 0 || c.PostSweeps < 0 || c.Windows < 0 || c.WindowSweeps < 0 || c.SweepBatch < 0 {
+	if c.EMIters < 0 || c.PostSweeps < 0 || c.Windows < 0 || c.WindowSweeps < 0 || c.SweepBatch < 0 {
 		return fmt.Errorf("serve: negative option in stream config")
-	}
-	if c.Workers < -1 {
-		return fmt.Errorf("serve: workers must be >= -1 (-1 = one per CPU), got %d", c.Workers)
 	}
 	return nil
 }

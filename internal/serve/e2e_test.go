@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,7 +56,7 @@ func TestEndToEndTandemReplay(t *testing.T) {
 	// that follows — tens of milliseconds the watcher below cannot miss.
 	cfg := StreamConfig{
 		NumQueues: truth.NumQueues, WindowTasks: tasks, MinTasks: tasks,
-		IntervalMS: 50, EMIters: 250, PostSweeps: 30, Windows: 4, WindowSweeps: 10,
+		EMIters: 250, PostSweeps: 30, Windows: 4, WindowSweeps: 10,
 	}
 	if err := c.CreateStream(ctx, "tandem", cfg); err != nil {
 		t.Fatal(err)
@@ -167,16 +170,19 @@ func TestEndToEndTandemReplay(t *testing.T) {
 }
 
 // TestEndToEndTandemReplayParallel replays a smaller tandem trace through
-// a stream configured with workers: 4, exercising the chromatic parallel
-// Gibbs engine end to end (StEM E-steps, posterior pass, and windowed
-// stats all run sharded sweeps). Under -race this is the daemon-level
-// data-race gate for the parallel path.
+// a stream created with the raw JSON a client of the retired parallel
+// engine sends ("workers": 4, "interval_ms": 50). Both fields are gone
+// from StreamConfig and the decoder ignores them, so the stream must run
+// the one warm path end to end and serve the same answers. Under -race it
+// stays in the daemon-level race gate (the name matches its "Parallel"
+// pattern).
 func TestEndToEndTandemReplayParallel(t *testing.T) {
 	const (
-		lambda = 4.0
-		mu1    = 12.0
-		mu2    = 9.0
-		tasks  = 300
+		lambda  = 4.0
+		mu1     = 12.0
+		mu2     = 9.0
+		tasks   = 300
+		windows = 4
 	)
 	net, err := qnet.Tiered(dist.NewExponential(lambda), []qnet.TierSpec{
 		{Name: "app", Replicas: 1, Service: dist.NewExponential(mu1)},
@@ -201,13 +207,11 @@ func TestEndToEndTandemReplayParallel(t *testing.T) {
 	c := NewClient(ts.URL)
 	ctx := context.Background()
 
-	cfg := StreamConfig{
-		NumQueues: truth.NumQueues, WindowTasks: tasks, MinTasks: 50,
-		IntervalMS: 50, EMIters: 150, PostSweeps: 20, Windows: 4, WindowSweeps: 10,
-		Workers: 4,
-	}
-	if err := c.CreateStream(ctx, "tandem-par", cfg); err != nil {
-		t.Fatal(err)
+	legacy := fmt.Sprintf(`{"num_queues":%d,"window_tasks":%d,"min_tasks":50,"interval_ms":50,`+
+		`"em_iters":150,"post_sweeps":20,"windows":%d,"window_sweeps":10,"workers":4}`,
+		truth.NumQueues, tasks, windows)
+	if rec := putRaw(srv, "tandem-par", legacy); rec.Code != http.StatusCreated {
+		t.Fatalf("legacy PUT: HTTP %d %s", rec.Code, rec.Body)
 	}
 	stats, err := Replay(ctx, c, truth, ReplayOptions{Stream: "tandem-par", Batch: 150})
 	if err != nil {
@@ -237,7 +241,15 @@ func TestEndToEndTandemReplayParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws.Queues) != truth.NumQueues || len(ws.Queues[1]) != cfg.Windows {
+	if len(ws.Queues) != truth.NumQueues || len(ws.Queues[1]) != windows {
 		t.Fatalf("windows snapshot shape: queues=%d buckets=%d", len(ws.Queues), len(ws.Queues[1]))
 	}
+}
+
+// putRaw PUTs body verbatim to stream id through the real handler.
+func putRaw(srv *Server, id, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPut, "/v1/streams/"+id, strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec
 }

@@ -91,8 +91,21 @@ func TestExecutorGoroutineBound(t *testing.T) {
 // re-admit shed streams until every one publishes.
 func TestExecutorOverloadShed(t *testing.T) {
 	srv := New(StreamConfig{},
-		WithInferenceWorkers(1), WithQueueDepth(2), WithScanInterval(10*time.Millisecond))
+		WithInferenceWorkers(1), WithQueueDepth(2), WithScanInterval(10*time.Millisecond),
+		WithVisitBudget(200*time.Millisecond))
 	defer srv.Close()
+
+	// Occupy the only inference worker with a full-budget visit first, so
+	// the registrations below queue up behind it instead of racing a
+	// worker that can drain each new stream's no-op first visit as fast as
+	// it is created. The busy stream's epoch never ends, but it republishes
+	// after every visit (EM finalizes after 2 sweeps), so its staleness
+	// resets and the streams under test outrank it afterwards.
+	execPut(t, srv, "busy", StreamConfig{NumQueues: 2, WindowTasks: 32, MinTasks: 2, EMIters: 2, PostSweeps: 1 << 30})
+	execIngest(t, srv, "busy", 0, 8)
+	waitFor(t, 10*time.Second, "the busy stream's visit to start sweeping", func() bool {
+		return srv.lookup("busy").m.SweepsRun.Value() > 0
+	})
 
 	cfg := StreamConfig{
 		NumQueues: 2, WindowTasks: 32, MinTasks: 2,

@@ -186,14 +186,8 @@ func TestIngestBatchEquivalence(t *testing.T) {
 		t.Fatalf("expected 2 rejects, got %+v", sumOne)
 	}
 
-	esOne, epochOne, err := srv.lookup("batched").store.window()
-	if err != nil {
-		t.Fatal(err)
-	}
-	esPer, epochPer, err := srv.lookup("perline").store.window()
-	if err != nil {
-		t.Fatal(err)
-	}
+	esOne, epochOne := windowOf(t, srv.lookup("batched").store)
+	esPer, epochPer := windowOf(t, srv.lookup("perline").store)
 	if epochOne != epochPer {
 		t.Fatalf("epoch mismatch: %d vs %d", epochOne, epochPer)
 	}

@@ -27,8 +27,7 @@ type serverMetrics struct {
 	// contended each shard's streams are.
 	lockWait [numStreamShards]*obs.Counter
 	// estimateLatency times each inference visit (a budgeted slice of
-	// sweeps on the warm path, a full pass on the cold path), including
-	// failed ones.
+	// sweeps), including failed ones.
 	estimateLatency *obs.Histogram
 	// visitSweeps is the distribution of sweeps actually spent per
 	// executor visit — the realized sweep budget after the deadline and
@@ -37,7 +36,7 @@ type serverMetrics struct {
 	// overload counts streams shed from the executor's bounded queue
 	// (re-admitted later by the scanner).
 	overload *obs.Counter
-	// rebuilds counts cold window rebuilds on the warm path: a stream fell
+	// rebuilds counts cold window rebuilds: a stream fell
 	// more than one window behind, a slide was infeasible, or a panic
 	// poisoned the window.
 	rebuilds *obs.Counter
@@ -57,9 +56,9 @@ type serverMetrics struct {
 	// how much of the serving surface is still awaiting MCMC refinement.
 	publishedMeanField *obs.Counter
 	publishedGibbs     *obs.Counter
-	// meanFieldSolve times each deterministic mean-field solve (window
-	// rebuild excluded) — the realized time-to-first-estimate of the fast
-	// path.
+	// meanFieldSolve times each deterministic mean-field solve (the
+	// window copy excluded) — the realized time-to-first-estimate of the
+	// fast path.
 	meanFieldSolve *obs.Histogram
 
 	// Daemon totals, folded in by the fan-in collector.
@@ -80,7 +79,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		ingestBytes: reg.Counter("qserved_ingest_bytes_total",
 			"NDJSON body bytes read by POST /v1/streams/{id}/events."),
 		estimateLatency: reg.Histogram("qserved_estimate_seconds",
-			"Latency of one inference visit (budgeted sweep slice or full pass).", obs.LatencyBuckets()),
+			"Latency of one inference visit (one budgeted sweep slice).", obs.LatencyBuckets()),
 		visitSweeps: reg.Histogram("qserved_inference_visit_sweeps",
 			"Gibbs sweeps spent per executor visit.", obs.ExpBuckets(1, 2, 12)),
 		overload: reg.Counter("qserved_inference_overload_total",

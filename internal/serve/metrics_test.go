@@ -48,7 +48,7 @@ func startEstimatingServer(t *testing.T) (*Server, string) {
 	ctx := context.Background()
 	cfg := StreamConfig{
 		NumQueues: truth.NumQueues, WindowTasks: 200, MinTasks: 20,
-		IntervalMS: 50, EMIters: 40, PostSweeps: 12, Windows: 2, WindowSweeps: 6,
+		EMIters: 40, PostSweeps: 12, Windows: 2, WindowSweeps: 6,
 	}
 	if err := c.CreateStream(ctx, "m", cfg); err != nil {
 		t.Fatal(err)

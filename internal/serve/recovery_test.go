@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -98,7 +99,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	cfgOracle := StreamConfig{NumQueues: numQueues, WindowTasks: 500, MinTasks: 500}
 	cfgLive := StreamConfig{NumQueues: numQueues, WindowTasks: 500, MinTasks: 10,
-		IntervalMS: 20, EMIters: 30, PostSweeps: 5}
+		EMIters: 30, PostSweeps: 5}
 
 	// Phase 1: durable server A ingests the pre-crash prefix.
 	srvA, cA, tsA := newDurableServer(t, dir)
@@ -183,14 +184,8 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	// The oracle from TestIngestBatchEquivalence: identical window event
 	// sets, identical posterior draws under a fixed RNG.
-	esB, epochB, err := srvB.lookup("rec-oracle").store.window()
-	if err != nil {
-		t.Fatal(err)
-	}
-	esRef, epochRef, err := srvRef.lookup("rec-oracle").store.window()
-	if err != nil {
-		t.Fatal(err)
-	}
+	esB, epochB := windowOf(t, srvB.lookup("rec-oracle").store)
+	esRef, epochRef := windowOf(t, srvRef.lookup("rec-oracle").store)
 	if epochB != epochRef {
 		t.Fatalf("epoch mismatch after recovery: %d vs %d", epochB, epochRef)
 	}
@@ -247,23 +242,66 @@ func TestRecoveryIdempotentRestart(t *testing.T) {
 	srvA.crashForTest()
 
 	srvB, _, tsB := newDurableServer(t, dir)
-	esB, epochB, err := srvB.lookup("idem").store.window()
-	if err != nil {
-		t.Fatal(err)
-	}
+	esB, epochB := windowOf(t, srvB.lookup("idem").store)
 	tsB.Close()
 	srvB.Close() // graceful: final snapshot, clean logs
 
 	srvC, _, tsC := newDurableServer(t, dir)
 	t.Cleanup(func() { tsC.Close(); srvC.Close() })
-	esC, epochC, err := srvC.lookup("idem").store.window()
-	if err != nil {
-		t.Fatal(err)
-	}
+	esC, epochC := windowOf(t, srvC.lookup("idem").store)
 	if epochB != epochC {
 		t.Fatalf("epoch drifted across restarts: %d vs %d", epochB, epochC)
 	}
 	if !reflect.DeepEqual(esB, esC) {
 		t.Fatal("window event set drifted across restarts")
+	}
+}
+
+// TestRecoveryLegacyConfigRecord recovers a WAL whose stream-creation
+// record still carries the retired "workers" and "interval_ms" fields, as
+// a log written before they were removed does. Recovery must decode it
+// (unknown fields are ignored) into the config a fresh PUT of the same
+// JSON yields, and the recovered stream must serve estimates.
+func TestRecoveryLegacyConfigRecord(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	const id = "legacy"
+	// Every field set, as the daemon logs a config after applying defaults.
+	legacy := `{"num_queues":3,"window_tasks":200,"min_tasks":20,"interval_ms":50,"em_iters":30,` +
+		`"post_sweeps":5,"windows":6,"window_sweeps":30,"workers":4,"seed":1}`
+
+	srvA, _, tsA := newDurableServer(t, dir)
+	l := srvA.wal.logs[shardIndex(id)]
+	if _, err := l.Append(append(appendRecordHeader(nil, walRecConfig, id), legacy...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	tsA.Close()
+	srvA.crashForTest()
+
+	srvB, cB, tsB := newDurableServer(t, dir)
+	t.Cleanup(func() { tsB.Close(); srvB.Close() })
+	st := srvB.lookup(id)
+	if st == nil {
+		t.Fatal("stream not recovered from its legacy config record")
+	}
+	want := StreamConfig{NumQueues: 3, WindowTasks: 200, MinTasks: 20, EMIters: 30, PostSweeps: 5}.withDefaults()
+	if st.cfg != want {
+		t.Fatalf("recovered config %+v, want %+v", st.cfg, want)
+	}
+	if rec := putRaw(srvB, id, legacy); rec.Code != http.StatusOK {
+		t.Fatalf("re-PUT of the legacy config: HTTP %d %s, want 200 (same config)", rec.Code, rec.Body)
+	}
+	const tasks = 60
+	body, _ := ingestTestBody(t, id, tasks, 3, 3)
+	if _, err := cB.PostNDJSON(ctx, id, body); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if _, err := cB.WaitForEpoch(wctx, id, tasks); err != nil {
+		t.Fatalf("recovered stream does not serve: %v", err)
 	}
 }

@@ -2,9 +2,11 @@
 // ingests observed arrival/departure events over HTTP as NDJSON, keeps a
 // bounded sliding window of recent tasks per stream, and continuously
 // re-estimates each stream's arrival rate, per-queue service rates, and
-// posterior waiting times with warm-started StEM (internal/core's
-// OnlineEstimator), publishing immutable snapshots that are served without
-// blocking ingest.
+// posterior waiting times on one inference path: the window slides
+// incrementally under a warm StEM/Gibbs estimator (internal/core's
+// WarmEstimator), and a new stream's first answer is a deterministic
+// mean-field fix point over the same window. Results are published as
+// immutable snapshots that are served without blocking ingest.
 //
 // API:
 //
@@ -47,7 +49,7 @@ const (
 	spanQueueWait = "queue.wait"     // notify → executor pop for the traced stream
 	spanVisit     = "visit"          // one budgeted inference visit
 	spanSlide     = "window.slide"   // incremental window sync
-	spanRebuild   = "window.rebuild" // cold window rebuild (gap/poisoned/cold path)
+	spanRebuild   = "window.rebuild" // cold window rebuild (gap or poisoned window)
 	spanSweep     = "sweep"          // one Gibbs sweep
 	spanPublish   = "publish"        // snapshot build + store (incl. windowed stats)
 )
@@ -100,9 +102,8 @@ type Server struct {
 	tracer       *obs.Tracer
 	freshnessSLO time.Duration
 
-	// meanField selects the deterministic fast path's role (see
-	// WithMeanField): MeanFieldOn, MeanFieldInitOnly, or MeanFieldOff.
-	// Defaults to MeanFieldOn.
+	// meanField selects whether the deterministic fast path runs (see
+	// WithMeanField): MeanFieldOn or MeanFieldOff. Defaults to MeanFieldOn.
 	meanField string
 
 	// recovering is set while NewDurable replays the WAL; GET /readyz
@@ -203,26 +204,19 @@ func WithFreshnessSLO(d time.Duration) Option {
 // Mean-field fast-path modes (WithMeanField, qserved's -meanfield flag).
 const (
 	// MeanFieldOn (the default) publishes a deterministic mean-field
-	// estimate on the first visit to a stream with no snapshot yet —
-	// before any Gibbs sweep runs — and warm-starts the cold path's StEM
-	// from the fix point. Gibbs refinement overwrites the snapshot.
+	// estimate on the first epoch of a stream with no snapshot yet —
+	// before any Gibbs sweep runs. Gibbs refinement overwrites it.
 	MeanFieldOn = "on"
-	// MeanFieldInitOnly keeps the warm start but never publishes
-	// mean-field snapshots: every served estimate is Gibbs-refined.
-	MeanFieldInitOnly = "init-only"
-	// MeanFieldOff disables the fast path entirely.
+	// MeanFieldOff disables the fast path: every served estimate is
+	// Gibbs-refined.
 	MeanFieldOff = "off"
 )
 
 // ValidMeanFieldMode reports whether mode is one of the -meanfield values
-// (on, init-only, off); callers validate before WithMeanField, which
-// panics on unknown modes.
+// (on, off); callers validate before WithMeanField, which panics on
+// unknown modes.
 func ValidMeanFieldMode(mode string) bool {
-	switch mode {
-	case MeanFieldOn, MeanFieldInitOnly, MeanFieldOff:
-		return true
-	}
-	return false
+	return mode == MeanFieldOn || mode == MeanFieldOff
 }
 
 // WithMeanField selects how the deterministic mean-field backend is used;
@@ -230,8 +224,8 @@ func ValidMeanFieldMode(mode string) bool {
 // flag first and exits with a usable message).
 func WithMeanField(mode string) Option {
 	if !ValidMeanFieldMode(mode) {
-		panic(fmt.Sprintf("serve: unknown mean-field mode %q (want %s, %s, or %s)",
-			mode, MeanFieldOn, MeanFieldInitOnly, MeanFieldOff))
+		panic(fmt.Sprintf("serve: unknown mean-field mode %q (want %s or %s)",
+			mode, MeanFieldOn, MeanFieldOff))
 	}
 	return func(s *Server) { s.meanField = mode }
 }
@@ -318,11 +312,6 @@ func (s *Server) Close() {
 		s.ingestGate.Unlock() // draining keeps new ingest out from here on
 		s.cancel()
 		s.exec.close()
-		s.registry.forEach(func(st *stream) {
-			if wk := st.sched.wk; wk != nil {
-				wk.close()
-			}
-		})
 		close(s.results)
 		s.collectorWG.Wait()
 		if s.wal != nil {
@@ -431,7 +420,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.registry.count.Add(1)
 	s.exec.register(st)
 	s.log.Info("stream created",
-		"stream", id, "queues", cfg.NumQueues, "window", cfg.WindowTasks, "interval_ms", cfg.IntervalMS)
+		"stream", id, "queues", cfg.NumQueues, "window", cfg.WindowTasks)
 	writeJSON(w, http.StatusCreated, cfg)
 }
 

@@ -39,13 +39,6 @@ type taskBuf struct {
 // cannot pin memory forever.
 const maxFreeTaskBufs = 1024
 
-// winTask is one sealed task deep-copied out of the store for window
-// assembly. The copy decouples the builder from the freelist: a recycled
-// taskBuf may be overwritten by ingest while the worker is still building.
-type winTask struct {
-	events []taskEvent
-}
-
 // store is the bounded sliding window of one stream: open tasks still
 // receiving events, and sealed tasks eligible for estimation. The window
 // retains the most recent windowTasks sealed tasks; older ones slide off.
@@ -78,12 +71,6 @@ type store struct {
 	// the stream's config record at creation, then each applied batch.
 	// Stays zero when the server runs without a WAL. Guarded by mu.
 	appliedLSN uint64
-
-	// win is the reusable window-assembly scratch. It is touched only by
-	// window(), whose calls are serialized by the executor's per-stream
-	// state machine (at most one inference visit per stream at a time), so
-	// it needs no lock of its own.
-	win []winTask
 }
 
 // minSealRing bounds the freshness ring below so tiny windows still
@@ -375,59 +362,6 @@ func (s *store) oldestUnpublishedSeal(published uint64) int64 {
 		}
 	}
 	return 0
-}
-
-// window assembles the sealed tasks, ordered by entry time, into a fresh
-// EventSet carrying the ingested observation mask. It returns the epoch
-// the window corresponds to. The sealed tasks are deep-copied into the
-// reusable win scratch under the lock — taskBufs are recycled once they
-// slide off the window, so holding bare pointers across the unlock (as the
-// pre-freelist code did) would race with ingest.
-func (s *store) window() (*trace.EventSet, uint64, error) {
-	s.mu.Lock()
-	if n := len(s.sealed); cap(s.win) < n {
-		grown := make([]winTask, n)
-		copy(grown, s.win[:cap(s.win)])
-		s.win = grown
-	}
-	win := s.win[:len(s.sealed)]
-	s.win = win
-	for i, tb := range s.sealed {
-		win[i].events = append(win[i].events[:0], tb.events...)
-	}
-	epoch := s.epoch
-	s.mu.Unlock()
-	if len(win) == 0 {
-		return nil, epoch, fmt.Errorf("serve: no sealed tasks")
-	}
-	sort.SliceStable(win, func(i, j int) bool {
-		return win[i].events[0].arrival < win[j].events[0].arrival
-	})
-	b := trace.NewBuilder(s.numQueues)
-	type flag struct{ arr, dep bool }
-	var flags []flag
-	for _, tb := range win {
-		entry := tb.events[0]
-		k := b.StartTask(entry.arrival)
-		// The initial q0 event's departure is the first real event's
-		// arrival (the same latent variable), so its mask follows it.
-		flags = append(flags, flag{true, entry.obsArr})
-		for _, ev := range tb.events {
-			if _, err := b.AddEvent(k, ev.state, ev.queue, ev.arrival, ev.depart); err != nil {
-				return nil, epoch, err
-			}
-			flags = append(flags, flag{ev.obsArr, ev.obsDep})
-		}
-	}
-	es, err := b.Build()
-	if err != nil {
-		return nil, epoch, err
-	}
-	for i := range es.Events {
-		es.Events[i].ObsArrival = flags[i].arr || es.Events[i].Initial()
-		es.Events[i].ObsDepart = flags[i].dep
-	}
-	return es, epoch, nil
 }
 
 // delta copies the tasks sealed after epoch since into dst (reusing its

@@ -5,7 +5,28 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/trace"
 )
+
+// windowOf assembles the store's live window the way a worker's cold
+// rebuild does — delta(0) slid into a fresh core.SlidingWindow — and
+// returns the window's EventSet copy and the epoch it covers.
+func windowOf(t *testing.T, s *store) (*trace.EventSet, uint64) {
+	t.Helper()
+	tasks, epoch, window, _ := s.delta(0, nil)
+	if len(tasks) != window || window == 0 {
+		t.Fatalf("delta(0) returned %d tasks for a %d-task window", len(tasks), window)
+	}
+	w := core.NewSlidingWindow(s.numQueues)
+	for i := range tasks {
+		if err := w.Append(tasks[i]); err != nil {
+			t.Fatalf("slide task %d: %v", i, err)
+		}
+	}
+	return w.EventSet(), epoch
+}
 
 func mustAppend(t *testing.T, s *store, ev IngestEvent) bool {
 	t.Helper()
@@ -73,10 +94,7 @@ func TestStoreWindowSlide(t *testing.T) {
 	if slid != 2 || evicted != 0 {
 		t.Fatalf("slid=%d evicted=%d, want 2/0", slid, evicted)
 	}
-	es, gotEpoch, err := s.window()
-	if err != nil {
-		t.Fatal(err)
-	}
+	es, gotEpoch := windowOf(t, s)
 	if gotEpoch != 5 || es.NumTasks != 3 {
 		t.Fatalf("window epoch=%d tasks=%d, want 5/3", gotEpoch, es.NumTasks)
 	}
@@ -114,10 +132,7 @@ func TestStoreWindowCarriesObservationMask(t *testing.T) {
 	mustAppend(t, s, IngestEvent{Task: "a", Queue: 2, Arrival: 2, Depart: 3, ObsDepart: true, Final: true})
 	mustAppend(t, s, IngestEvent{Task: "b", Queue: 1, Arrival: 1.5, Depart: 2.5})
 	mustAppend(t, s, IngestEvent{Task: "b", Queue: 2, Arrival: 2.5, Depart: 3.5, Final: true})
-	es, _, err := s.window()
-	if err != nil {
-		t.Fatal(err)
-	}
+	es, _ := windowOf(t, s)
 	if es.NumTasks != 2 || es.NumQueues != 3 {
 		t.Fatalf("tasks=%d queues=%d", es.NumTasks, es.NumQueues)
 	}

@@ -64,7 +64,7 @@ func TestTraceChainE2E(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 100, MinTasks: 5,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	if err := c.CreateStream(ctx, "tr", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,20 @@ func TestTraceChainE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The publish span lands after the estimate becomes visible; poll the
-	// trace until the chain has its terminal span.
+	// The publish span lands after the estimate becomes visible, and the
+	// visit span that parents it is recorded only when that visit ends;
+	// poll the trace until a publish and its visit are both in the ring.
 	var spans []obs.Span
-	waitFor(t, 30*time.Second, "publish span in /debug/trace", func() bool {
+	waitFor(t, 30*time.Second, "publish span under a recorded visit in /debug/trace", func() bool {
 		spans = fetchSpans(t, ts.URL)
+		visits := map[uint64]bool{}
 		for _, sp := range spans {
-			if sp.Kind == "publish" {
+			if sp.Kind == "visit" {
+				visits[sp.ID] = true
+			}
+		}
+		for _, sp := range spans {
+			if sp.Kind == "publish" && visits[sp.Parent] {
 				return true
 			}
 		}
@@ -198,7 +205,7 @@ func TestFreshnessSLOAccounting(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 200, MinTasks: 10,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	if err := c.CreateStream(ctx, "f", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +260,7 @@ func TestFreshnessRebuildPath(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 64, MinTasks: 10,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	if err := c.CreateStream(ctx, "rb", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +369,7 @@ func TestExecutorSchedDebug(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 100, MinTasks: 5,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	for _, id := range []string{"sa", "sb"} {
 		if err := c.CreateStream(ctx, id, cfg); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -30,15 +29,13 @@ type workerResult struct {
 // machine in executor.go guarantees at most one visit per stream is in
 // flight, so nothing here needs locking.
 //
-// Streams with cfg.Workers == 0 run the incremental warm path: a
-// core.WarmEstimator carries the window's latent assignments and merged
-// statistics across slides, so catching up after an ingest batch costs
-// O(new + expired events) (store.delta) instead of a full window rebuild,
-// and an estimation epoch's sweeps can be spent across many budgeted
-// visits with anytime snapshots between them. Streams with cfg.Workers
-// != 0 keep the cold path — a full window copy estimated per visit on
-// the chromatic parallel engine — because the incremental window is a
-// sequential-scan sampler.
+// Every stream runs the incremental warm path: a core.WarmEstimator
+// carries the window's latent assignments and merged statistics across
+// slides, so catching up after an ingest batch costs O(new + expired
+// events) (store.delta) instead of a full window rebuild, and an
+// estimation epoch's sweeps can be spent across many budgeted visits with
+// anytime snapshots between them. The mean-field first answer is solved
+// over a copy of the same window.
 type worker struct {
 	st      *stream
 	results chan<- workerResult
@@ -47,12 +44,10 @@ type worker struct {
 	seq     uint64
 	// lastEpoch is the store epoch of the last published estimate;
 	// caughtEpoch is the latest store epoch whose epoch finished estimating
-	// (the executor's re-admission watermark). On the cold path they move
-	// together.
+	// (the executor's re-admission watermark).
 	lastEpoch   uint64
 	caughtEpoch uint64
 
-	// Warm path.
 	warm         *core.WarmEstimator
 	deltaBuf     []core.SlideTask
 	appliedEpoch uint64 // store epoch the warm window mirrors
@@ -67,31 +62,22 @@ type worker struct {
 	sum           core.PosteriorSummary
 	rates         []float64
 
-	// Cold path.
-	est *core.OnlineEstimator
-
-	// Mean-field fast path (DESIGN.md §18). meanField is the server's mode;
-	// in MeanFieldOn, a visit to a stream with no published snapshot solves
-	// the deterministic fix point over the current window and publishes it
-	// before any sweep runs. mfScratch/mfSum/mfParams are the solve's
-	// reusable state; mfWait retains the last mean-field per-queue waits so
-	// later Gibbs publishes can report backend divergence.
-	meanField string
-	mfScratch core.MeanFieldScratch
-	mfSum     core.PosteriorSummary
-	mfParams  core.Params
+	// Mean-field fast path (DESIGN.md §18). meanField is set when the
+	// server runs in MeanFieldOn: the first epoch of a stream with no
+	// published snapshot solves the deterministic fix point over the synced
+	// window and publishes it before any sweep runs. mfWait retains the
+	// mean-field per-queue waits so later Gibbs publishes can report
+	// backend divergence.
+	meanField bool
 	mfWait    []float64
 
 	// Tracing + freshness. tr is the daemon's span recorder; sloNanos the
 	// seal→publish SLO (0 = no SLO accounting). traceRoot is the claimed
 	// ingest root span whose chain this worker completes at the next
 	// publish; visitSpan/visitParent/visitStartNS frame the visit span in
-	// flight (all zero on untraced visits — the common case). tap is the
-	// cold path's observer: it fans sweep metrics out to sm.sweep and,
-	// when visitSpan is set as its parent, records per-sweep spans.
+	// flight (all zero on untraced visits — the common case).
 	tr           *obs.Tracer
 	sloNanos     int64
-	tap          *obs.SweepTracer
 	traceRoot    uint64
 	visitSpan    uint64
 	visitParent  uint64
@@ -100,37 +86,19 @@ type worker struct {
 
 func newWorker(st *stream, results chan<- workerResult, sm *serverMetrics, tr *obs.Tracer, slo time.Duration, meanField string) *worker {
 	cfg := st.cfg
-	w := &worker{st: st, results: results, sm: sm, rng: xrand.New(cfg.Seed), tr: tr, meanField: meanField}
-	if slo > 0 {
-		w.sloNanos = slo.Nanoseconds()
-	}
-	if cfg.Workers == 0 {
-		w.warm = core.NewWarmEstimator(core.WarmConfig{
+	w := &worker{
+		st: st, results: results, sm: sm, rng: xrand.New(cfg.Seed), tr: tr,
+		meanField: meanField == MeanFieldOn,
+		warm: core.NewWarmEstimator(core.WarmConfig{
 			NumQueues:  cfg.NumQueues,
 			EMIters:    cfg.EMIters,
 			PostSweeps: cfg.PostSweeps,
-		})
-	} else {
-		w.tap = &obs.SweepTracer{Metrics: sm.sweep, Tracer: tr, Kind: spanSweep, Stream: st.id}
-		emOpts := core.EMOptions{Iterations: cfg.EMIters, Workers: cfg.Workers, Observer: w.tap}
-		if meanField != MeanFieldOff {
-			// Warm-start StEM from the mean-field fix point: the same solve
-			// that serves the fast path makes the chain's burn-in shorter.
-			emOpts.Init = &core.MeanFieldInitializer{Scratch: &w.mfScratch}
-		}
-		w.est = core.NewOnlineEstimator(
-			emOpts,
-			core.PosteriorOptions{Sweeps: cfg.PostSweeps, Workers: cfg.Workers, Observer: w.tap},
-		)
+		}),
+	}
+	if slo > 0 {
+		w.sloNanos = slo.Nanoseconds()
 	}
 	return w
-}
-
-// close releases pooled resources (the cold path's sweep workers).
-func (w *worker) close() {
-	if w.est != nil {
-		w.est.Close()
-	}
 }
 
 // visit runs one budgeted inference slice. It returns whether the stream
@@ -140,45 +108,50 @@ func (w *worker) close() {
 func (w *worker) visit(ctx context.Context, deadline time.Time, enqueuedNS int64) (requeue bool, caught uint64) {
 	w.beginVisitSpan(enqueuedNS)
 	defer w.endVisitSpan()
-	if w.warm != nil {
-		return w.visitWarm(ctx, deadline)
+	if !w.epochOpen {
+		if _, _, epoch := w.st.store.counts(); epoch == w.caughtEpoch {
+			w.st.m.SkippedRuns.Inc()
+			return false, w.caughtEpoch
+		}
 	}
-	w.visitCold(ctx)
-	return false, w.caughtEpoch
-}
-
-// maybePublishMeanField runs the fast path on the first visit to a stream
-// with no snapshot. It must be called AFTER the visit's own MinTasks gate
-// has passed: counts only grow, so the re-check inside publishMeanField is
-// then guaranteed to pass too, and the fast-path publish cannot lose the
-// race where a batch lands between two counts() reads and Gibbs publishes
-// first (leaving the estimate forever Gibbs-born).
-func (w *worker) maybePublishMeanField(ctx context.Context) {
-	if w.meanField == MeanFieldOn && w.st.estimate.Load() == nil {
-		w.publishMeanField(ctx)
-	}
-}
-
-// publishMeanField is the fast path's publish: on the first visit to a
-// stream with no snapshot (cold start or WAL recovery without estimates),
-// it solves the deterministic mean-field fix point over the current window
-// and stores the result immediately — zero Gibbs sweeps, O(events) — so
-// GET /estimate stops 503ing as soon as the window has MinTasks. The
-// normal warm/cold visit then runs as usual and its Gibbs-refined
-// estimate overwrites this one (lastEpoch/caughtEpoch are deliberately
-// not advanced here, and freshness accounting stays with the refined
-// publish). Solve errors are swallowed after counting: the stream just
-// waits for Gibbs as it would with the fast path off.
-func (w *worker) publishMeanField(ctx context.Context) {
-	sealed, _, epoch := w.st.store.counts()
-	if sealed < w.st.cfg.MinTasks {
-		return
-	}
-	es, epoch, err := w.st.store.window()
+	w.sliceStart = time.Now()
+	published, ran, err := w.warmSlice(ctx, deadline)
+	elapsed := time.Since(w.sliceStart)
+	w.epochElapsed += elapsed
+	w.sm.estimateLatency.Observe(elapsed.Seconds())
+	w.sm.visitSweeps.Observe(float64(ran))
 	if err != nil {
 		w.st.m.EstimateErrors.Inc()
-		return
 	}
+	if published || err != nil {
+		res := workerResult{
+			stream:  w.st.id,
+			seq:     w.seq,
+			epoch:   w.epochStart,
+			elapsed: elapsed,
+			err:     err,
+		}
+		res.sweeps, w.pendingSweeps = w.pendingSweeps, 0
+		select {
+		case w.results <- res:
+		case <-ctx.Done():
+		}
+	}
+	return w.epochOpen, w.caughtEpoch
+}
+
+// publishMeanField is the fast path's publish, run once the first epoch's
+// window is synced and holds MinTasks: it copies the window, solves the
+// deterministic mean-field fix point over the copy and stores the result
+// immediately — zero Gibbs sweeps, O(events) — so GET /estimate stops
+// 503ing as soon as the window has MinTasks. The epoch's sweeps then run
+// as usual and the Gibbs-refined estimate overwrites this one
+// (lastEpoch/caughtEpoch are deliberately not advanced here, and
+// freshness accounting stays with the refined publish). Solve errors are
+// swallowed after counting: the stream just waits for Gibbs as it would
+// with the fast path off.
+func (w *worker) publishMeanField(ctx context.Context) {
+	es := w.warm.Window().EventSet()
 	start := time.Now()
 	origStart := es.TaskEntry(0)
 	origEnd := es.TaskEntry(es.NumTasks - 1)
@@ -186,23 +159,25 @@ func (w *worker) publishMeanField(ctx context.Context) {
 		w.st.m.EstimateErrors.Inc()
 		return
 	}
-	if _, err := core.MeanFieldInto(&w.mfSum, &w.mfParams, es, core.MeanFieldOptions{Scratch: &w.mfScratch}); err != nil {
+	var sum core.PosteriorSummary
+	var params core.Params
+	if _, err := core.MeanFieldInto(&sum, &params, es, core.MeanFieldOptions{}); err != nil {
 		w.st.m.EstimateErrors.Inc()
 		return
 	}
 	elapsed := time.Since(start)
 	w.sm.meanFieldSolve.Observe(elapsed.Seconds())
-	w.mfWait = append(w.mfWait[:0], w.mfSum.MeanWait...)
+	w.mfWait = append(w.mfWait[:0], sum.MeanWait...)
 	w.seq++
 	est := &Estimate{
 		Stream:       w.st.id,
 		Seq:          w.seq,
-		Epoch:        epoch,
-		Lambda:       w.mfParams.Rates[0],
-		Rates:        append([]float64(nil), w.mfParams.Rates...),
-		MeanService:  toJSONFloats(w.mfSum.MeanService),
-		MeanWait:     toJSONFloats(w.mfSum.MeanWait),
-		Bottleneck:   bottleneckOf(w.mfSum.MeanWait),
+		Epoch:        w.appliedEpoch,
+		Lambda:       params.Rates[0],
+		Rates:        params.Rates,
+		MeanService:  toJSONFloats(sum.MeanService),
+		MeanWait:     toJSONFloats(sum.MeanWait),
+		Bottleneck:   bottleneckOf(sum.MeanWait),
 		WindowTasks:  es.NumTasks,
 		WindowEvents: len(es.Events) - es.NumTasks, // exclude the synthetic q0 entries
 		WindowStart:  origStart,
@@ -214,13 +189,13 @@ func (w *worker) publishMeanField(ctx context.Context) {
 	w.st.estimate.Store(est)
 	w.sm.publishedMeanField.Inc()
 	w.st.m.Estimates.Inc()
-	w.st.m.updateQueueGauges(w.mfSum.MeanService, w.mfSum.MeanWait, w.mfSum.WaitChain)
+	w.st.m.updateQueueGauges(sum.MeanService, sum.MeanWait, sum.WaitChain)
 	if w.visitSpan != 0 {
 		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
 			Kind: spanPublish, Stream: w.st.id, StartNS: start.UnixNano(), EndNS: time.Now().UnixNano()})
 	}
 	select {
-	case w.results <- workerResult{stream: w.st.id, seq: w.seq, epoch: epoch, elapsed: elapsed}:
+	case w.results <- workerResult{stream: w.st.id, seq: w.seq, epoch: w.appliedEpoch, elapsed: elapsed}:
 	case <-ctx.Done():
 	}
 }
@@ -245,9 +220,6 @@ func (w *worker) beginVisitSpan(enqueuedNS int64) {
 	w.visitParent = w.traceRoot
 	w.visitSpan = w.tr.Child(w.traceRoot)
 	w.visitStartNS = now
-	if w.tap != nil {
-		w.tap.SetParent(w.visitSpan)
-	}
 }
 
 // endVisitSpan closes the visit span. The claimed root survives across
@@ -256,9 +228,6 @@ func (w *worker) beginVisitSpan(enqueuedNS int64) {
 func (w *worker) endVisitSpan() {
 	if w.visitSpan == 0 {
 		return
-	}
-	if w.tap != nil {
-		w.tap.SetParent(0)
 	}
 	w.tr.Record(obs.Span{ID: w.visitSpan, Parent: w.visitParent,
 		Kind: spanVisit, Stream: w.st.id, StartNS: w.visitStartNS, EndNS: time.Now().UnixNano()})
@@ -287,47 +256,12 @@ func (w *worker) recordFreshness(from, to uint64, publishNS int64) {
 	}
 }
 
-func (w *worker) visitWarm(ctx context.Context, deadline time.Time) (bool, uint64) {
-	cfg := w.st.cfg
-	if !w.epochOpen {
-		sealed, _, epoch := w.st.store.counts()
-		if epoch == w.caughtEpoch || sealed < cfg.MinTasks {
-			w.st.m.SkippedRuns.Inc()
-			return false, w.caughtEpoch
-		}
-	}
-	w.maybePublishMeanField(ctx)
-	w.sliceStart = time.Now()
-	published, ran, err := w.warmSlice(ctx, deadline)
-	elapsed := time.Since(w.sliceStart)
-	w.epochElapsed += elapsed
-	w.sm.estimateLatency.Observe(elapsed.Seconds())
-	w.sm.visitSweeps.Observe(float64(ran))
-	if err != nil {
-		w.st.m.EstimateErrors.Inc()
-	}
-	if published || err != nil {
-		res := workerResult{
-			stream:  w.st.id,
-			seq:     w.seq,
-			epoch:   w.epochStart,
-			elapsed: elapsed,
-			err:     err,
-		}
-		res.sweeps, w.pendingSweeps = w.pendingSweeps, 0
-		select {
-		case w.results <- res:
-		case <-ctx.Done():
-		}
-	}
-	return w.epochOpen, w.caughtEpoch
-}
-
-// warmSlice is the budgeted body of one warm visit: open a new epoch if
-// none is in flight (syncing the window incrementally), spend sweeps
-// until the deadline or the stream's SweepBatch cap, publish the
-// best-so-far snapshot once the StEM phase has finalized its parameters,
-// and close the epoch when its schedule is exhausted. Panics from the
+// warmSlice is the budgeted body of one visit: open a new epoch if none
+// is in flight (sync the window incrementally, check MinTasks on the
+// synced window, publish the mean-field first answer when the stream has
+// none yet), spend sweeps until the deadline or the stream's SweepBatch
+// cap, publish the best-so-far snapshot once the StEM phase has finalized
+// its parameters, and close the epoch when its schedule is exhausted. Panics from the
 // numerical stack poison the window (rebuilt on the next visit) instead
 // of killing the daemon.
 func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published bool, ran int, err error) {
@@ -346,6 +280,9 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 		if w.warm.Window().LiveTasks() < cfg.MinTasks {
 			w.st.m.SkippedRuns.Inc()
 			return false, 0, nil
+		}
+		if w.meanField && w.st.estimate.Load() == nil {
+			w.publishMeanField(ctx)
 		}
 		w.warm.BeginEpoch()
 		w.epochOpen = true
@@ -482,7 +419,7 @@ func (w *worker) publishWarm() error {
 		}
 		w.pendingSweeps += uint64(cfg.WindowSweeps)
 		w.st.m.SweepsRun.Add(uint64(cfg.WindowSweeps))
-		ws = w.buildWindowsSnapshot(stats, 0, w.epochStart)
+		ws = w.buildWindowsSnapshot(stats)
 	}
 	w.rates = w.warm.RatesInto(w.rates)
 	w.warm.SnapshotInto(&w.sum)
@@ -532,14 +469,13 @@ func (w *worker) publishWarm() error {
 }
 
 // buildWindowsSnapshot converts per-queue windowed stats into the wire
-// snapshot, rebasing bucket bounds by offset (zero on the warm path,
-// which never shifts the window).
-func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats, offset float64, epoch uint64) *WindowsSnapshot {
+// snapshot of the current epoch.
+func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats) *WindowsSnapshot {
 	cfg := w.st.cfg
 	ws := &WindowsSnapshot{
 		Stream:     w.st.id,
 		Seq:        w.seq,
-		Epoch:      epoch,
+		Epoch:      w.epochStart,
 		Queues:     make([][]WindowCell, len(stats)),
 		Bottleneck: make([]int, cfg.Windows),
 		ComputedAt: time.Now(),
@@ -549,8 +485,8 @@ func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats, offset float6
 		for i, cell := range stats[q] {
 			ws.Queues[q][i] = WindowCell{
 				Queue:       cell.Queue,
-				Lo:          cell.Lo + offset,
-				Hi:          cell.Hi + offset,
+				Lo:          cell.Lo,
+				Hi:          cell.Hi,
 				Events:      cell.Events,
 				MeanService: JSONFloat(cell.MeanService),
 				MeanWait:    JSONFloat(cell.MeanWait),
@@ -565,149 +501,4 @@ func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats, offset float6
 		ws.Bottleneck[i] = bottleneckOf(col)
 	}
 	return ws
-}
-
-// visitCold is the legacy full-pass path for streams on the chromatic
-// parallel engine: one complete StEM + posterior + windowed pass per
-// visit over a fresh window copy. Panics from the numerical stack are
-// contained: a daemon must not die because one window was degenerate.
-func (w *worker) visitCold(ctx context.Context) {
-	sealed, _, epoch := w.st.store.counts()
-	if epoch == w.lastEpoch || sealed < w.st.cfg.MinTasks {
-		w.st.m.SkippedRuns.Inc()
-		return
-	}
-	w.maybePublishMeanField(ctx)
-	start := time.Now()
-	res := workerResult{stream: w.st.id, epoch: epoch}
-	defer func() {
-		if r := recover(); r != nil {
-			res.err = fmt.Errorf("estimation panic: %v", r)
-		}
-		res.elapsed = time.Since(start)
-		w.sm.estimateLatency.Observe(res.elapsed.Seconds())
-		if res.err != nil {
-			w.st.m.EstimateErrors.Inc()
-		}
-		select {
-		case w.results <- res:
-		case <-ctx.Done():
-		}
-	}()
-
-	// The executor serializes visits per stream, so this worker is the
-	// store's single window() caller. The cold path rebuilds the window
-	// from scratch every visit, so its window span is always a rebuild.
-	var wt0 int64
-	if w.visitSpan != 0 {
-		wt0 = time.Now().UnixNano()
-	}
-	es, epoch, err := w.st.store.window()
-	if w.visitSpan != 0 {
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
-			Kind: spanRebuild, Stream: w.st.id, StartNS: wt0, EndNS: time.Now().UnixNano()})
-	}
-	if err != nil {
-		res.err = err
-		return
-	}
-	res.epoch = epoch
-	origStart := es.TaskEntry(0)
-	origEnd := es.TaskEntry(es.NumTasks - 1)
-
-	emRes, post, err := w.est.Estimate(es, w.rng)
-	if err != nil {
-		res.err = err
-		return
-	}
-	// Estimate shifted the window toward zero; offset maps shifted times
-	// back to stream time.
-	offset := origStart - es.TaskEntry(0)
-	cfg := w.st.cfg
-	w.seq++
-	meanWait := make([]float64, len(post.MeanWait))
-	copy(meanWait, post.MeanWait)
-	est := &Estimate{
-		Stream:       w.st.id,
-		Seq:          w.seq,
-		Epoch:        epoch,
-		Lambda:       emRes.Params.Rates[0],
-		Rates:        append([]float64(nil), emRes.Params.Rates...),
-		MeanService:  toJSONFloats(post.MeanService),
-		MeanWait:     toJSONFloats(post.MeanWait),
-		Bottleneck:   bottleneckOf(meanWait),
-		WindowTasks:  es.NumTasks,
-		WindowEvents: len(es.Events) - es.NumTasks, // exclude the synthetic q0 entries
-		WindowStart:  origStart,
-		WindowEnd:    origEnd,
-		ComputedAt:   time.Now(),
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		Backend:      BackendGibbs,
-	}
-
-	var ws *WindowsSnapshot
-	if cfg.Windows > 0 {
-		ws, err = w.windowed(es, emRes.Params, offset, epoch)
-		if err != nil {
-			res.err = fmt.Errorf("windowed stats: %w", err)
-			return
-		}
-	}
-
-	// Windows first, then the estimate: a reader that observes the new
-	// estimate epoch is guaranteed a windowed snapshot at least as new.
-	var p0 int64
-	if w.visitSpan != 0 {
-		p0 = time.Now().UnixNano()
-	}
-	if ws != nil {
-		w.st.windows.Store(ws)
-	}
-	w.st.estimate.Store(est)
-	w.sm.publishedGibbs.Inc()
-	if w.mfWait != nil {
-		w.st.m.updateDivergence(w.mfWait, post.MeanWait)
-	}
-	if prev := w.lastEpoch; epoch > prev {
-		w.recordFreshness(prev, epoch, est.ComputedAt.UnixNano())
-	}
-	w.lastEpoch = epoch
-	w.caughtEpoch = epoch
-	if w.visitSpan != 0 {
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
-			Kind: spanPublish, Stream: w.st.id, StartNS: p0, EndNS: time.Now().UnixNano()})
-		w.traceRoot = 0 // the ingest→publish chain is complete
-	}
-	w.st.m.Estimates.Inc()
-	w.st.m.updateQueueGauges(post.MeanService, post.MeanWait, post.WaitChain)
-	res.seq = w.seq
-	res.sweeps = uint64(cfg.EMIters + cfg.PostSweeps + cfg.WindowSweeps)
-	w.st.m.SweepsRun.Add(res.sweeps)
-}
-
-// windowed runs the fixed-parameter windowed posterior pass over the
-// (shifted) window and rebases the bucket bounds to stream time.
-func (w *worker) windowed(es *trace.EventSet, params core.Params, offset float64, epoch uint64) (*WindowsSnapshot, error) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for q := 1; q < es.NumQueues; q++ {
-		first, last := es.Span(q)
-		if len(es.ByQueue[q]) == 0 {
-			continue
-		}
-		lo = math.Min(lo, first)
-		hi = math.Max(hi, last)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("degenerate window span [%v,%v)", lo, hi)
-	}
-	cfg := w.st.cfg
-	// The estimator's scratch is reusable here: windowed() runs strictly
-	// between Estimate calls within the stream's serialized visit.
-	stats, err := core.PosteriorWindows(es, params, w.rng,
-		core.PosteriorOptions{Sweeps: cfg.WindowSweeps, Workers: cfg.Workers, Observer: w.tap,
-			Scratch: w.est.Scratch()}, lo, hi, cfg.Windows)
-	if err != nil {
-		return nil, err
-	}
-	return w.buildWindowsSnapshot(stats, offset, epoch), nil
 }

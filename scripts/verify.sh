@@ -10,15 +10,16 @@ go build ./...
 go test -race ./...
 
 # Focused race gate for the concurrent paths: the chromatic parallel Gibbs
-# engine (core), the serve e2e test plus the metrics scrape storm, the
-# shared inference executor (priority queue, shed/re-admit scanner, anytime
-# republication, incremental slides — worker pool vs ingest vs readers),
-# the telemetry registry's writer-vs-scraper test, the span ring's
-# concurrent writers-vs-snapshot test, the end-to-end trace chain and
-# freshness/readiness endpoints, the WAL's group-commit writers, the
-# crash-recovery e2e oracle, and the mean-field fast path (its
-# determinism-across-GOMAXPROCS contract and the worker-visit publish
-# path), with a fresh -count=1 run so schedule/sharding races can't hide
-# behind the test cache.
+# engine of the offline estimators (core), the serve e2e tests (including
+# the legacy-config replay) plus the sharded-ingest and metrics scrape
+# storms, the shared inference executor (priority queue, shed/re-admit
+# scanner, anytime republication, incremental slides — worker pool vs
+# ingest vs readers), the telemetry registry's writer-vs-scraper test, the
+# span ring's concurrent writers-vs-snapshot test, the end-to-end trace
+# chain and freshness/readiness endpoints, the WAL's group-commit writers,
+# the crash-recovery e2e oracles, and the mean-field fast path (its
+# determinism-across-GOMAXPROCS contract, the window copy it solves over,
+# and the worker-visit publish path), with a fresh -count=1 run so
+# schedule/sharding races can't hide behind the test cache.
 go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|MeanField' \
     ./internal/core ./internal/serve ./internal/obs ./internal/wal
