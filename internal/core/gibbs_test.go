@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -280,5 +282,63 @@ func TestGibbsSkipsDegenerateWindows(t *testing.T) {
 	}
 	if es.Arr[2] != 1.0 {
 		t.Fatalf("degenerate latent moved to %v", es.Arr[2])
+	}
+}
+
+// TestSequentialGibbsGolden pins the sequential engine bit for bit on
+// seeded simulator traces at two observed fractions: the latent times after
+// 25 NewGibbs sweeps, the StEM rates, and the Posterior and
+// DiagnosePosterior means. Any refactor of the sampler, its construction or
+// its option plumbing must reproduce these hashes exactly.
+func TestSequentialGibbsGolden(t *testing.T) {
+	hashFloats := func(xss ...[]float64) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, xs := range xss {
+			for _, x := range xs {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+				h.Write(b[:])
+			}
+		}
+		return h.Sum64()
+	}
+	net := must(qnet.PaperSynthetic(10, 5, [3]int{1, 2, 4}))
+	params := must(NewParams(net.ServiceRates()))
+	type golden struct {
+		frac                    float64
+		sweep, stem, post, diag uint64
+	}
+	want := []golden{
+		{0.1, 0xe38e78aca56a73b3, 0x5b48f99f796e1bd5, 0x603fc90014233ea5, 0x742e2a4524b6ad98},
+		{0.5, 0x4269e792e553cb78, 0xd92a8141d4cfef2, 0x91417c255257e6ba, 0x236ccd0d4620fba8},
+	}
+	for _, g := range want {
+		seed := uint64(900 + int(g.frac*100))
+
+		working, _, _ := simulateObserved(t, net, 300, g.frac, seed)
+		if err := (OrderInitializer{}).Initialize(working, params); err != nil {
+			t.Fatal(err)
+		}
+		gs := must(NewGibbs(working, params, xrand.New(seed)))
+		for sweep := 0; sweep < 25; sweep++ {
+			gs.Sweep()
+		}
+		if got := hashFloats(working.Arr, working.Dep); got != g.sweep {
+			t.Errorf("frac %v: sweep hash %#x, want %#x", g.frac, got, g.sweep)
+		}
+
+		working, _, _ = simulateObserved(t, net, 300, g.frac, seed)
+		res := must(StEM(working, xrand.New(seed+1), EMOptions{Iterations: 60}))
+		if got := hashFloats(res.Params.Rates, res.Last.Rates); got != g.stem {
+			t.Errorf("frac %v: StEM hash %#x, want %#x", g.frac, got, g.stem)
+		}
+		sum := must(Posterior(working, res.Params, xrand.New(seed+2), PosteriorOptions{Sweeps: 30}))
+		if got := hashFloats(sum.MeanService, sum.MeanWait); got != g.post {
+			t.Errorf("frac %v: Posterior hash %#x, want %#x", g.frac, got, g.post)
+		}
+		d := must(DiagnosePosterior(working, res.Params, xrand.New(seed+3), DiagnosticsOptions{Chains: 3, Sweeps: 40}))
+		if got := hashFloats(d.MeanWait, d.WaitLo, d.WaitHi); got != g.diag {
+			t.Errorf("frac %v: DiagnosePosterior hash %#x, want %#x", g.frac, got, g.diag)
+		}
 	}
 }
