@@ -15,19 +15,18 @@ race:
 verify:
 	sh scripts/verify.sh
 
-# bench runs the Gibbs-engine worker-grid and ingest data-plane
-# benchmarks and writes BENCH_gibbs.json + BENCH_ingest.json; bench-all
-# smoke-runs every benchmark once.
+# bench runs the sequential Gibbs sweep/posterior, ingest, WAL, scheduler
+# and mean-field benchmarks and writes the BENCH_*.json baselines;
+# bench-all smoke-runs every benchmark once.
 bench:
 	sh scripts/bench.sh
 
 bench-all:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# benchdiff re-runs both benchmark suites and fails on a >20% ns/op or
-# any allocs/op regression in the sweep benchmarks vs BENCH_gibbs.json,
-# and on a < 2x fast-vs-stdlib speedup or allocs/event growth in the
-# ingest benchmarks vs BENCH_ingest.json.
+# benchdiff re-runs the benchmarks and fails on a >20% ns/op or any
+# allocs/op regression of the sequential sweep vs BENCH_gibbs.json, and on
+# the ingest, WAL, scheduler and mean-field gates in scripts/benchdiff.sh.
 benchdiff:
 	sh scripts/benchdiff.sh
 

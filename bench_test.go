@@ -7,14 +7,11 @@ package queueinf
 // regeneration of each figure lives in cmd/qexperiments.
 
 import (
-	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -37,23 +34,6 @@ func benchFig4Config() experiment.Fig4Config {
 // service-time absolute error versus observation fraction.
 func BenchmarkFig4ServiceError(b *testing.B) {
 	cfg := benchFig4Config()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFig4(cfg, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if svc, _ := res.MedianErrors(0.25); svc > 0.15 {
-			b.Fatalf("median service error %v implausibly large", svc)
-		}
-	}
-}
-
-// BenchmarkFig4ServiceErrorParallel is the same artifact regenerated with
-// the chromatic parallel sweep engine inside each run (GibbsWorkers =
-// NumCPU, run-level Workers = 1 so the samplers own the cores).
-func BenchmarkFig4ServiceErrorParallel(b *testing.B) {
-	cfg := benchFig4Config()
-	cfg.GibbsWorkers = runtime.NumCPU()
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.RunFig4(cfg, io.Discard)
 		if err != nil {
@@ -150,10 +130,8 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// benchTraceLarge builds the parallel-sweep workload: an 11-queue
-// three-tier network (tiers {2,4,4}), 2000 tasks (22000 events), masked at
-// 10% — the scale where chromatic sharding has enough independent moves
-// per color class to keep several workers busy.
+// benchTraceLarge builds the sweep workload: an 11-queue three-tier
+// network (tiers {2,4,4}), 2000 tasks (22000 events), masked at 10%.
 func benchTraceLarge(b *testing.B) (*EventSet, *Network) {
 	b.Helper()
 	rng := xrand.New(1)
@@ -169,68 +147,17 @@ func benchTraceLarge(b *testing.B) (*EventSet, *Network) {
 	return truth, net
 }
 
-// benchWorkerGrid is the worker axis shared by the sweep and posterior
-// benchmarks: the legacy sequential scan (seq), the chromatic engine at 1
-// and 2 workers, and at one worker per CPU.
-func benchWorkerGrid() []struct {
-	name    string
-	workers int
-} {
-	grid := []struct {
-		name    string
-		workers int
-	}{
-		{"seq", 0},
-		{"chromatic-w1", 1},
-		{"chromatic-w2", 2},
-	}
-	if n := runtime.NumCPU(); n > 2 {
-		grid = append(grid, struct {
-			name    string
-			workers int
-		}{fmt.Sprintf("chromatic-w%d", n), n})
-	}
-	return grid
-}
-
 // BenchmarkGibbsSweep measures one systematic Gibbs sweep over a
 // 22000-event trace at 10% observation — the unit the paper's running-time
 // discussion is about ("the sampler scales primarily in the number of
-// unobserved arrival events") — across the sweep engines: the sequential
-// scan and the chromatic parallel engine at 1, 2, and NumCPU workers. The
-// chromatic variants produce bit-identical chains at every worker count.
+// unobserved arrival events").
 func BenchmarkGibbsSweep(b *testing.B) {
 	truth, net := benchTraceLarge(b)
 	params, err := core.NewParams(net.ServiceRates())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range benchWorkerGrid() {
-		b.Run(bc.name, func(b *testing.B) {
-			working := truth.Clone()
-			if err := (core.OrderInitializer{}).Initialize(working, params); err != nil {
-				b.Fatal(err)
-			}
-			var g *core.Gibbs
-			if bc.workers == 0 {
-				g, err = core.NewGibbs(working, params, xrand.New(2))
-			} else {
-				g, err = core.NewParallelGibbs(working, params, xrand.New(2), bc.workers)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Sweep()
-			}
-		})
-	}
-	// traced-seq: the sequential engine with a SweepTracer attached but
-	// sampling off — the default qserved configuration. The span hook
-	// reduces to one nil-parent branch per sweep, so benchdiff gates this
-	// row at <= 1.05x seq ns/op with no allocs/op growth in the same run.
-	b.Run("traced-seq", func(b *testing.B) {
+	b.Run("seq", func(b *testing.B) {
 		working := truth.Clone()
 		if err := (core.OrderInitializer{}).Initialize(working, params); err != nil {
 			b.Fatal(err)
@@ -239,11 +166,6 @@ func BenchmarkGibbsSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g.SetObserver(&obs.SweepTracer{
-			Metrics: obs.NewSweepMetrics(obs.NewRegistry(), "bench"),
-			Tracer:  obs.NewTracer(256), // sampling off: SetSampleEvery never called
-			Stream:  "bench",
-		})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g.Sweep()
@@ -251,49 +173,12 @@ func BenchmarkGibbsSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkObservedGibbsSweep is BenchmarkGibbsSweep with a SweepObserver
-// attached (the qserved telemetry hook): the per-sweep duration and
-// moves-resampled histograms are atomics-only, so ns/op should match the
-// unobserved rows and allocs/op must stay 0.
-func BenchmarkObservedGibbsSweep(b *testing.B) {
-	truth, net := benchTraceLarge(b)
-	params, err := core.NewParams(net.ServiceRates())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sm := obs.NewSweepMetrics(obs.NewRegistry(), "bench")
-	for _, bc := range benchWorkerGrid() {
-		b.Run(bc.name, func(b *testing.B) {
-			working := truth.Clone()
-			if err := (core.OrderInitializer{}).Initialize(working, params); err != nil {
-				b.Fatal(err)
-			}
-			var g *core.Gibbs
-			if bc.workers == 0 {
-				g, err = core.NewGibbs(working, params, xrand.New(2))
-			} else {
-				g, err = core.NewParallelGibbs(working, params, xrand.New(2), bc.workers)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.SetObserver(sm)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Sweep()
-			}
-		})
-	}
-}
-
 // BenchmarkPosterior measures the full fixed-parameter posterior pass (30
-// sweeps, incremental per-queue statistics) across the same worker grid,
-// the way a steady-state caller runs it: working copies drawn from a
-// ClonePool, results written into a reused summary via PosteriorInto, and
-// sampler construction state (schedule, build buffers, worker pool) reused
+// sweeps, incremental per-queue statistics) the way a steady-state caller
+// runs it: working copies drawn from a ClonePool, results written into a
+// reused summary via PosteriorInto, and the sampler's move lists reused
 // through a GibbsScratch — so bytes/op and allocs/op reflect the sampler
-// itself rather than per-call buffer churn, and the chromatic rows are
-// directly comparable to seq.
+// itself rather than per-call buffer churn.
 func BenchmarkPosterior(b *testing.B) {
 	truth, net := benchTraceLarge(b)
 	params, err := core.NewParams(net.ServiceRates())
@@ -304,51 +189,20 @@ func BenchmarkPosterior(b *testing.B) {
 	if err := (core.OrderInitializer{}).Initialize(base, params); err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range benchWorkerGrid() {
-		b.Run(bc.name, func(b *testing.B) {
-			var pool trace.ClonePool
-			var sum core.PosteriorSummary
-			var sc core.GibbsScratch
-			defer sc.Close()
-			run := func() {
-				working := pool.Get(base)
-				if err := core.PosteriorInto(&sum, working, params, xrand.New(3), core.PosteriorOptions{
-					Sweeps: 30, Workers: bc.workers, Scratch: &sc,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				pool.Put(working)
-			}
-			run() // steady state: grow the scratch, summary, and clone pool
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
-	}
-	// traced-seq mirrors the sweep benchmark's row: the full posterior
-	// pass with an unsampled SweepTracer observer, gated same-run against
-	// seq by benchdiff.
-	b.Run("traced-seq", func(b *testing.B) {
-		tap := &obs.SweepTracer{
-			Metrics: obs.NewSweepMetrics(obs.NewRegistry(), "bench"),
-			Tracer:  obs.NewTracer(256),
-			Stream:  "bench",
-		}
+	b.Run("seq", func(b *testing.B) {
 		var pool trace.ClonePool
 		var sum core.PosteriorSummary
 		var sc core.GibbsScratch
-		defer sc.Close()
 		run := func() {
 			working := pool.Get(base)
 			if err := core.PosteriorInto(&sum, working, params, xrand.New(3), core.PosteriorOptions{
-				Sweeps: 30, Observer: tap, Scratch: &sc,
+				Sweeps: 30, Scratch: &sc,
 			}); err != nil {
 				b.Fatal(err)
 			}
 			pool.Put(working)
 		}
-		run()
+		run() // steady state: grow the scratch, summary, and clone pool
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run()

@@ -148,7 +148,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *meanField == "init-only" {
-		fmt.Fprintf(os.Stderr, "qserved: -meanfield init-only was removed: it only warm-started the retired chromatic "+
+		fmt.Fprintf(os.Stderr, "qserved: -meanfield init-only was removed: it only warm-started the retired cold "+
 			"inference path, and every stream now runs the warm path, where it behaved like off (want on or off)\n")
 		os.Exit(2)
 	}

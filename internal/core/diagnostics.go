@@ -41,12 +41,6 @@ type DiagnosticsOptions struct {
 	Sweeps, BurnIn int
 	// Level is the credible level (default 0.9).
 	Level float64
-	// Workers selects each chain's sweep engine, with the PosteriorOptions
-	// convention: 0 keeps the sequential scan, W >= 1 runs the chromatic
-	// engine with W workers, W < 0 uses NumCPU. Chains themselves always
-	// run concurrently; Workers adds within-chain parallelism on top, which
-	// helps when there are more cores than chains.
-	Workers int
 }
 
 func (o DiagnosticsOptions) withDefaults() DiagnosticsOptions {
@@ -110,14 +104,11 @@ func DiagnosePosterior(es *trace.EventSet, params Params, rng *xrand.RNG, opts D
 				errs[c] = fmt.Errorf("core: chain %d init: %w", c, err)
 				return
 			}
-			// Chains run concurrently, so they must not share one scratch; a
-			// nil scratch gives every chain private construction state.
-			g, err := newGibbsForWorkers(work, params, rngs[c], opts.Workers, nil)
+			g, err := NewGibbs(work, params, rngs[c])
 			if err != nil {
 				errs[c] = fmt.Errorf("core: chain %d: %w", c, err)
 				return
 			}
-			defer g.Close()
 			g.EnableQueueStats()
 			svc := make([]float64, nq)
 			wait := make([]float64, nq)

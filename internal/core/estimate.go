@@ -21,23 +21,14 @@ type PosteriorOptions struct {
 	// BurnIn sweeps are discarded first. The zero value selects the
 	// default Sweeps/5; pass NoBurnIn (-1) to keep every sweep.
 	BurnIn int
-	// Workers selects the sweep engine: 0 (the default) runs the
-	// sequential scan; W >= 1 runs the chromatic parallel engine with W
-	// workers (bit-identical output at every W for a fixed seed); W < -1
-	// is treated like -1, which uses runtime.NumCPU() workers.
-	Workers int
 	// DebugStats cross-checks the incremental per-queue statistics
 	// against a full rescan after every sweep (slow; for tests and
 	// debugging).
 	DebugStats bool
-	// Observer, when non-nil, receives per-sweep telemetry (duration,
-	// resampled moves). It never perturbs the chain; see SweepObserver.
-	Observer SweepObserver
 	// Scratch, when non-nil, donates reusable sampler construction state
-	// (schedule arrays, conflict-graph build buffers, worker pool) so a
-	// steady-state caller pays no per-call sampler-construction
-	// allocations. The chain is bit-identical with or without a scratch.
-	// A scratch serializes the samplers built from it; see GibbsScratch.
+	// so a steady-state caller pays no per-call move-list allocations. The
+	// chain is bit-identical with or without a scratch. A scratch
+	// serializes the samplers built from it; see GibbsScratch.
 	Scratch *GibbsScratch
 }
 
@@ -116,11 +107,10 @@ func PosteriorInto(sum *PosteriorSummary, es *trace.EventSet, params Params, rng
 	if opts.BurnIn >= opts.Sweeps {
 		return fmt.Errorf("core: burn-in %d >= sweeps %d", opts.BurnIn, opts.Sweeps)
 	}
-	g, err := newGibbsForWorkers(es, params, rng, opts.Workers, opts.Scratch)
+	g, err := newGibbs(es, params, rng, opts.Scratch)
 	if err != nil {
 		return err
 	}
-	g.SetObserver(opts.Observer)
 	g.EnableQueueStats()
 	nq := es.NumQueues
 	kept := opts.Sweeps - opts.BurnIn

@@ -3,53 +3,19 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
-// SweepObserver receives one measurement per completed Sweep: its wall time
-// and the number of latent moves actually resampled (latent variables minus
-// degenerate-interval skips). Implementations must be safe for concurrent
-// use by multiple samplers and must not allocate — the hook sits inside the
-// zero-alloc sweep contract (obs.SweepMetrics is the canonical atomics-only
-// implementation). Observation never consumes sampler randomness, so an
-// instrumented chain is bit-identical to an uninstrumented one.
-type SweepObserver interface {
-	ObserveSweep(d time.Duration, movesResampled int)
-}
-
-// SweepSpanObserver optionally extends SweepObserver with a wall-clock
-// span per sweep (Unix nanoseconds), for tracing backends that
-// reconstruct where a request's latency went. SetObserver detects the
-// extension with one type assertion at install time, so samplers whose
-// observer lacks it pay nothing, and observation still must not allocate
-// or consume randomness (obs.SweepTracer is the canonical
-// implementation: a single atomic load and branch while unsampled).
-type SweepSpanObserver interface {
-	SweepObserver
-	ObserveSweepSpan(startUnixNS, endUnixNS int64)
-}
-
 // Gibbs samples from the posterior over unobserved arrival and departure
 // times of an event set, conditioned on the observed times, the known FSM
 // paths, and the fixed per-queue arrival order (paper §3). The event set is
-// mutated in place; each Sweep performs one systematic scan.
-//
-// The sampler has two interchangeable engines. NewGibbs builds the
-// sequential engine: one strictly ordered scan consuming the caller's RNG
-// directly. NewParallelGibbs builds the chromatic engine: the latent moves
-// are colored once by their conflict graph and each color class is resampled
-// concurrently by a worker pool, with per-shard RNG streams split from the
-// caller's seed so a fixed seed reproduces a bit-identical chain at every
-// worker count (see chromatic.go). Both engines leave the same posterior
-// invariant; their chains differ only in scan order.
+// mutated in place; each Sweep performs one systematic scan, consuming the
+// caller's RNG directly.
 type Gibbs struct {
 	set    *trace.EventSet
 	params Params
-	rng    *xrand.RNG
 
 	// arrivalMoves lists events whose arrival is latent (non-initial,
 	// unobserved); departMoves lists final events with latent departures.
@@ -57,43 +23,23 @@ type Gibbs struct {
 	departMoves  []int
 	sweeps       int // completed sweeps (drives the alternating scan order)
 
-	// seq is the sequential engine's single move context; its RNG aliases
-	// the caller's.
-	seq moveCtx
-	// sched is non-nil when the chromatic parallel engine is active.
-	sched   *schedule
-	workers int
-	// pool is the persistent worker pool, non-nil when the effective
-	// worker count (requested workers clamped to GOMAXPROCS) exceeds 1.
-	// A privately owned pool is closed by Close or, failing that, by a
-	// runtime cleanup when the sampler becomes unreachable; a pool shared
-	// through a GibbsScratch (poolShared) outlives the sampler.
-	pool       *gpool
-	poolShared bool
+	// mc is the scan's move context; its RNG aliases the caller's.
+	mc moveCtx
 
 	// stats, when non-nil, holds incremental per-queue Σservice/Σwait kept
 	// up to date by O(1) delta hooks on every latent-time write.
 	stats *queueStats
-
-	// observer, when non-nil, is called once per Sweep with the sweep's
-	// duration and resampled-move count. nil (the default) costs one branch.
-	// spanObs caches the observer's SweepSpanObserver extension (nil when
-	// absent), so Sweep pays a type assertion once per SetObserver, not
-	// once per sweep.
-	observer SweepObserver
-	spanObs  SweepSpanObserver
 }
 
-// moveCtx is the per-worker state a scan thread needs: its own RNG stream,
-// its own diagnostics counter, and the staging area of the incremental
-// statistics delta hook. The sequential engine has one; the chromatic
-// engine has one per shard, so no two goroutines ever share a context.
+// moveCtx is the state a scan needs besides the event set and rates: its
+// RNG, its diagnostics counter, and the staging area of the incremental
+// statistics delta hook. Gibbs and SlidingWindow each own one.
 type moveCtx struct {
 	rng     *xrand.RNG
 	skipped int
 
 	// Incremental-statistics staging: dSvc/dWait are non-nil when the
-	// engine tracks queue statistics. A move stages the service/wait of
+	// sampler tracks queue statistics. A move stages the service/wait of
 	// the (at most three) events it perturbs before writing, then commits
 	// the differences into the per-queue deltas, which are merged into the
 	// global sums at the end of each sweep.
@@ -141,40 +87,16 @@ func (mc *moveCtx) commit(es *trace.EventSet) {
 	mc.nAff = 0
 }
 
-// NewGibbs validates inputs and prepares the move lists for the sequential
-// engine. The event set must already be in a feasible state (use an
-// Initializer after masking observations).
+// NewGibbs validates inputs and prepares the move lists. The event set
+// must already be in a feasible state (use an Initializer after masking
+// observations).
 func NewGibbs(es *trace.EventSet, params Params, rng *xrand.RNG) (*Gibbs, error) {
-	return newGibbs(es, params, rng, 0, nil)
+	return newGibbs(es, params, rng, nil)
 }
 
-// NewParallelGibbs builds the chromatic parallel engine with the given
-// worker count (workers <= 0 selects runtime.NumCPU()). The chain it
-// produces is bit-identical for a fixed seed at every worker count —
-// including 1, which runs the same chromatic schedule on the calling
-// goroutine — so the worker count is purely a throughput knob. Worker
-// counts beyond GOMAXPROCS are recorded but not spawned: oversubscribing
-// the scheduler only adds barrier churn (see effectiveWorkers).
-func NewParallelGibbs(es *trace.EventSet, params Params, rng *xrand.RNG, workers int) (*Gibbs, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return newGibbs(es, params, rng, workers, nil)
-}
-
-// newGibbsForWorkers maps the Workers option convention shared by
-// PosteriorOptions and EMOptions onto a sampler: 0 keeps the sequential
-// scan, W >= 1 runs the chromatic engine with W workers, W < 0 runs it
-// with NumCPU workers. A non-nil scratch donates its move lists, schedule
-// arrays, and worker pool to the construction (see GibbsScratch).
-func newGibbsForWorkers(es *trace.EventSet, params Params, rng *xrand.RNG, workers int, sc *GibbsScratch) (*Gibbs, error) {
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
-	return newGibbs(es, params, rng, workers, sc)
-}
-
-func newGibbs(es *trace.EventSet, params Params, rng *xrand.RNG, workers int, sc *GibbsScratch) (*Gibbs, error) {
+// newGibbs is NewGibbs with an optional scratch that donates its move-list
+// backings to the construction (see GibbsScratch).
+func newGibbs(es *trace.EventSet, params Params, rng *xrand.RNG, sc *GibbsScratch) (*Gibbs, error) {
 	if len(params.Rates) != es.NumQueues {
 		return nil, fmt.Errorf("core: %d rates for %d queues", len(params.Rates), es.NumQueues)
 	}
@@ -189,8 +111,8 @@ func newGibbs(es *trace.EventSet, params Params, rng *xrand.RNG, workers int, sc
 	if err := es.Validate(1e-6); err != nil {
 		return nil, fmt.Errorf("core: infeasible initial state: %w", err)
 	}
-	g := &Gibbs{set: es, params: params, rng: rng, workers: workers}
-	g.seq.rng = rng
+	g := &Gibbs{set: es, params: params}
+	g.mc.rng = rng
 	if sc != nil {
 		g.arrivalMoves = sc.arrivalMoves[:0]
 		g.departMoves = sc.departMoves[:0]
@@ -207,26 +129,6 @@ func newGibbs(es *trace.EventSet, params Params, rng *xrand.RNG, workers int, sc
 	if sc != nil {
 		sc.arrivalMoves = g.arrivalMoves
 		sc.departMoves = g.departMoves
-	}
-	if workers > 0 {
-		if sc != nil {
-			g.sched = sc.schedule()
-			buildScheduleInto(g.sched, &sc.bs, es, g.arrivalMoves, g.departMoves, rng)
-		} else {
-			g.sched = buildSchedule(es, g.arrivalMoves, g.departMoves, rng)
-		}
-	}
-	if eff := effectiveWorkers(workers); eff > 1 {
-		if sc != nil {
-			g.pool = sc.bindPool(es, g.sched, eff)
-			g.poolShared = true
-		} else {
-			g.pool = newGpool(es, g.sched, eff)
-			// The pool does not reference g, so an unreachable sampler is
-			// collectible while its workers are parked; this cleanup then
-			// shuts them down. An explicit Close is idempotent with it.
-			runtime.AddCleanup(g, func(p *gpool) { p.close() }, g.pool)
-		}
 	}
 	return g, nil
 }
@@ -250,38 +152,9 @@ func (g *Gibbs) Set() *trace.EventSet { return g.set }
 // sweep.
 func (g *Gibbs) NumLatent() int { return len(g.arrivalMoves) + len(g.departMoves) }
 
-// Workers returns the configured worker count (0 for the sequential engine).
-func (g *Gibbs) Workers() int { return g.workers }
-
-// SetObserver installs (or, with nil, removes) the per-sweep telemetry
-// hook. Call between sweeps only.
-func (g *Gibbs) SetObserver(o SweepObserver) {
-	g.observer = o
-	g.spanObs, _ = o.(SweepSpanObserver)
-}
-
-// Colors returns the number of color classes of the chromatic schedule, or
-// 0 for the sequential engine.
-func (g *Gibbs) Colors() int {
-	if g.sched == nil {
-		return 0
-	}
-	return g.sched.colors
-}
-
 // Skipped returns how many degenerate (zero-width) conditionals were
 // encountered so far; a large fraction indicates ties in the observed data.
-// Counters are kept per worker context and merged here, so the parallel
-// engine needs no atomics on its hot path. Call between sweeps only.
-func (g *Gibbs) Skipped() int {
-	n := g.seq.skipped
-	if g.sched != nil {
-		for i := range g.sched.ctxs {
-			n += g.sched.ctxs[i].skipped
-		}
-	}
-	return n
-}
+func (g *Gibbs) Skipped() int { return g.mc.skipped }
 
 // Sweep resamples every latent arrival and departure once. The scan
 // alternates direction between calls: event indices are assigned in
@@ -291,43 +164,25 @@ func (g *Gibbs) Skipped() int {
 // alternating scan order leaves the posterior invariant; alternating just
 // mixes dramatically faster when the state starts far from the posterior
 // mode — e.g. after initialization with a poor service-time target.
-//
-// The chromatic engine alternates analogously over color classes and
-// within-shard move order.
 func (g *Gibbs) Sweep() {
-	var start time.Time
-	var skipped0 int
-	if g.observer != nil {
-		start = time.Now()
-		skipped0 = g.Skipped()
-	}
-	if g.sched != nil {
-		g.sweepChromatic()
-	} else if g.sweeps%2 == 0 {
+	if g.sweeps%2 == 0 {
 		for _, i := range g.arrivalMoves {
-			resampleArrival(g.set, g.params.Rates, &g.seq, i)
+			resampleArrival(g.set, g.params.Rates, &g.mc, i)
 		}
 		for _, i := range g.departMoves {
-			resampleFinalDeparture(g.set, g.params.Rates, &g.seq, i)
+			resampleFinalDeparture(g.set, g.params.Rates, &g.mc, i)
 		}
 	} else {
 		for k := len(g.departMoves) - 1; k >= 0; k-- {
-			resampleFinalDeparture(g.set, g.params.Rates, &g.seq, g.departMoves[k])
+			resampleFinalDeparture(g.set, g.params.Rates, &g.mc, g.departMoves[k])
 		}
 		for k := len(g.arrivalMoves) - 1; k >= 0; k-- {
-			resampleArrival(g.set, g.params.Rates, &g.seq, g.arrivalMoves[k])
+			resampleArrival(g.set, g.params.Rates, &g.mc, g.arrivalMoves[k])
 		}
 	}
 	g.sweeps++
 	if g.stats != nil {
-		g.mergeStats()
-	}
-	if g.observer != nil {
-		end := time.Now()
-		g.observer.ObserveSweep(end.Sub(start), g.NumLatent()-(g.Skipped()-skipped0))
-		if g.spanObs != nil {
-			g.spanObs.ObserveSweepSpan(start.UnixNano(), end.UnixNano())
-		}
+		g.stats.merge(&g.mc)
 	}
 }
 
@@ -347,10 +202,9 @@ func (g *Gibbs) Sweep() {
 // interleaved arrival), s_e and s_{pn} coincide and the terms cancel to a
 // uniform conditional; this falls out of the construction below.
 //
-// The resamplers are free functions of (event set, rates) rather than Gibbs
-// methods so the persistent worker pool can run them without holding a
-// reference to the sampler — which is what lets an unreachable Gibbs be
-// garbage collected while its pool drains itself (see chromatic.go).
+// The resamplers are free functions of (event set, rates, move context)
+// rather than Gibbs methods because SlidingWindow.Sweep runs the same moves
+// over its own window and move context.
 func resampleArrival(es *trace.EventSet, rates []float64, mc *moveCtx, i int) {
 	e := &es.Events[i]
 	p := e.PrevT // always exists: initial events are never arrival moves
@@ -422,7 +276,7 @@ func resampleArrival(es *trace.EventSet, rates []float64, mc *moveCtx, i int) {
 	}
 	if mc.dSvc != nil {
 		// Writing a_e (= d_{π(e)}) perturbs exactly s_e, w_e, s_{π(e)}, and
-		// s/w of ρ⁻¹(π(e)) — all inside the move's conflict neighborhood.
+		// s/w of ρ⁻¹(π(e)).
 		mc.stage(es, i, p, pe.NextQ)
 		es.SetArrival(i, a)
 		mc.commit(es)

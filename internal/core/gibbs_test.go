@@ -36,6 +36,22 @@ func must[T any](v T, err error) T {
 	return v
 }
 
+// initializedWorking builds a masked, order-initialized working copy for
+// sampler tests (the state StEM would hand to the posterior pass).
+func initializedWorking(t testing.TB, structure [3]int, tasks int, frac float64, seed uint64) (*trace.EventSet, *trace.EventSet, Params) {
+	t.Helper()
+	net := must(qnet.PaperSynthetic(10, 5, structure))
+	working, truth, _ := simulateObserved(t, net, tasks, frac, seed)
+	params, err := NewParams(net.ServiceRates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (OrderInitializer{}).Initialize(working, params); err != nil {
+		t.Fatal(err)
+	}
+	return working, truth, params
+}
+
 func TestGibbsPreservesFeasibilityAndObservations(t *testing.T) {
 	net := must(qnet.PaperSynthetic(10, 5, [3]int{1, 2, 4}))
 	working, truth, _ := simulateObserved(t, net, 300, 0.2, 99)
@@ -282,6 +298,129 @@ func TestGibbsSkipsDegenerateWindows(t *testing.T) {
 	}
 	if es.Arr[2] != 1.0 {
 		t.Fatalf("degenerate latent moved to %v", es.Arr[2])
+	}
+}
+
+// TestIncrementalStatsMatchRescan is the debug cross-check of the
+// incremental sufficient statistics: the running per-queue
+// Σservice/Σwait must track a full rescan to within 1e-9 after every
+// sweep.
+func TestIncrementalStatsMatchRescan(t *testing.T) {
+	working, _, params := initializedWorking(t, [3]int{2, 1, 4}, 400, 0.1, 17)
+	g, err := NewGibbs(working, params, xrand.New(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.EnableQueueStats()
+	for sweep := 0; sweep < 40; sweep++ {
+		g.Sweep()
+		if err := g.CheckQueueStats(1e-9); err != nil {
+			t.Fatalf("sweep %d: %v", sweep, err)
+		}
+	}
+	svc, wait := working.SumServiceWaitByQueue()
+	for q := range svc {
+		if d := math.Abs(g.stats.svc[q] - svc[q]); d > 1e-9 {
+			t.Fatalf("queue %d: |incremental - rescan| service = %v > 1e-9", q, d)
+		}
+		if d := math.Abs(g.stats.wait[q] - wait[q]); d > 1e-9 {
+			t.Fatalf("queue %d: |incremental - rescan| wait = %v > 1e-9", q, d)
+		}
+	}
+}
+
+// TestPosteriorDebugStats runs the full posterior pass with the per-sweep
+// rescan cross-check enabled.
+func TestPosteriorDebugStats(t *testing.T) {
+	working, truth, params := initializedWorking(t, [3]int{1, 2, 4}, 300, 0.25, 41)
+	sum, err := Posterior(working, params, xrand.New(9), PosteriorOptions{
+		Sweeps: 40, DebugStats: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trueMW := truth.MeanWaitByQueue()
+	for q := 1; q < truth.NumQueues; q++ {
+		if math.IsNaN(sum.MeanWait[q]) {
+			t.Fatalf("queue %d: NaN posterior wait", q)
+		}
+		if math.Abs(sum.MeanWait[q]-trueMW[q]) > 0.5*trueMW[q]+0.05 {
+			t.Errorf("queue %d: posterior wait %v far from truth %v", q, sum.MeanWait[q], trueMW[q])
+		}
+	}
+}
+
+// TestBurnInSentinel covers the explicit-zero-burn-in fix: BurnIn: 0 keeps
+// the documented default, NoBurnIn really disables burn-in.
+func TestBurnInSentinel(t *testing.T) {
+	working, _, params := initializedWorking(t, [3]int{1, 2, 4}, 60, 0.3, 77)
+
+	sum, err := Posterior(working.Clone(), params, xrand.New(2), PosteriorOptions{Sweeps: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Sweeps != 8 { // default burn-in Sweeps/5 = 2
+		t.Fatalf("default burn-in kept %d sweeps, want 8", sum.Sweeps)
+	}
+	sum, err = Posterior(working.Clone(), params, xrand.New(2), PosteriorOptions{Sweeps: 10, BurnIn: NoBurnIn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Sweeps != 10 {
+		t.Fatalf("NoBurnIn kept %d sweeps, want 10", sum.Sweeps)
+	}
+
+	// StEM: NoBurnIn averages every iterate; History confirms the run size.
+	res, err := StEM(working.Clone(), xrand.New(3), EMOptions{Iterations: 10, BurnIn: NoBurnIn, KeepHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.History) != 10 {
+		t.Fatalf("StEM ran %d iterations, want 10", len(res.History))
+	}
+}
+
+// TestPosteriorWaitChainSkipsEmptyQueues: queues with no events must keep
+// a nil WaitChain slot (and NaN means) instead of an allocated empty one.
+func TestPosteriorWaitChainSkipsEmptyQueues(t *testing.T) {
+	b := trace.NewBuilder(4) // queue 3 never used
+	entry := 0.0
+	for k := 0; k < 20; k++ {
+		entry += 0.5
+		task := b.StartTask(entry)
+		if _, err := b.AddEvent(task, 0, 1, entry, entry+0.2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.AddEvent(task, 1, 2, entry+0.2, entry+0.3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	es, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	es.ObserveTasks(xrand.New(1), 0.5)
+	params, err := NewParams([]float64{2, 5, 10, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (OrderInitializer{}).Initialize(es, params); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Posterior(es, params, xrand.New(4), PosteriorOptions{Sweeps: 10, DebugStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.WaitChain[3] != nil {
+		t.Fatalf("empty queue got a WaitChain slice (len %d)", len(sum.WaitChain[3]))
+	}
+	if !math.IsNaN(sum.MeanWait[3]) || !math.IsNaN(sum.MeanService[3]) {
+		t.Fatalf("empty queue means not NaN: %v %v", sum.MeanWait[3], sum.MeanService[3])
+	}
+	for q := 1; q <= 2; q++ {
+		if len(sum.WaitChain[q]) != sum.Sweeps {
+			t.Fatalf("queue %d chain has %d entries, want %d", q, len(sum.WaitChain[q]), sum.Sweeps)
+		}
 	}
 }
 

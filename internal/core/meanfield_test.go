@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -468,4 +469,11 @@ func checkWindowCopy(t *testing.T, label string, got, want *trace.EventSet) {
 		t.Fatalf("%s: mean-field fix point differs: rates %v vs %v, wait %v vs %v",
 			label, params[0].Rates, params[1].Rates, sums[0].MeanWait, sums[1].MeanWait)
 	}
+}
+
+// withGOMAXPROCS sets GOMAXPROCS for the rest of the test.
+func withGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

@@ -7,12 +7,11 @@ import (
 
 // queueStats maintains per-queue running Σservice and Σwait across sweeps
 // without rescanning the event set: each latent-time write stages the
-// handful of perturbed events (see moveCtx.stage/commit), the per-context
+// handful of perturbed events (see moveCtx.stage/commit), the per-sweep
 // deltas are merged here at the end of every sweep, and the running sums
 // use Kahan compensation so the accumulated rounding error stays at a few
 // ulps of the running magnitude regardless of sweep count. The merge order
-// (context order, queue order) is fixed, so the sums are deterministic for
-// a fixed seed at any worker count.
+// (queue order) is fixed, so the sums are deterministic for a fixed seed.
 type queueStats struct {
 	svc, wait   []float64 // running sums per queue
 	cSvc, cWait []float64 // Kahan compensations
@@ -39,53 +38,25 @@ func (g *Gibbs) EnableQueueStats() {
 		cSvc:  make([]float64, nq),
 		cWait: make([]float64, nq),
 	}
-	if g.seq.dSvc == nil {
-		g.seq.dSvc = make([]float64, nq)
-		g.seq.dWait = make([]float64, nq)
-	}
-	if g.sched != nil && len(g.sched.ctxs) > 0 && g.sched.ctxs[0].dSvc == nil {
-		// One flat backing array for every shard context's delta pair. The
-		// backing lives on the schedule and is re-carved (zeroed) on reuse,
-		// so a scratch-rebuilt sampler pays no per-pass allocation here.
-		need := 2 * nq * len(g.sched.ctxs)
-		if cap(g.sched.ctxStats) < need {
-			g.sched.ctxStats = make([]float64, need)
-		} else {
-			g.sched.ctxStats = g.sched.ctxStats[:need]
-			clear(g.sched.ctxStats)
-		}
-		backing := g.sched.ctxStats
-		for i := range g.sched.ctxs {
-			base := 2 * nq * i
-			g.sched.ctxs[i].dSvc = backing[base : base+nq : base+nq]
-			g.sched.ctxs[i].dWait = backing[base+nq : base+2*nq : base+2*nq]
-		}
+	if g.mc.dSvc == nil {
+		g.mc.dSvc = make([]float64, nq)
+		g.mc.dWait = make([]float64, nq)
 	}
 }
 
-// mergeStats folds every context's per-sweep deltas into the running sums,
-// in fixed context order, and zeroes them.
-func (g *Gibbs) mergeStats() {
-	st := g.stats
-	merge := func(mc *moveCtx) {
-		for q := range mc.dSvc {
-			if d := mc.dSvc[q]; d != 0 {
-				kahanAdd(st.svc, st.cSvc, q, d)
-				mc.dSvc[q] = 0
-			}
-			if d := mc.dWait[q]; d != 0 {
-				kahanAdd(st.wait, st.cWait, q, d)
-				mc.dWait[q] = 0
-			}
+// merge folds mc's per-sweep deltas into the running sums, in fixed queue
+// order, and zeroes them.
+func (st *queueStats) merge(mc *moveCtx) {
+	for q := range mc.dSvc {
+		if d := mc.dSvc[q]; d != 0 {
+			kahanAdd(st.svc, st.cSvc, q, d)
+			mc.dSvc[q] = 0
+		}
+		if d := mc.dWait[q]; d != 0 {
+			kahanAdd(st.wait, st.cWait, q, d)
+			mc.dWait[q] = 0
 		}
 	}
-	if g.sched != nil {
-		for i := range g.sched.ctxs {
-			merge(&g.sched.ctxs[i])
-		}
-		return
-	}
-	merge(&g.seq)
 }
 
 // QueueMeansInto writes the current per-queue mean service and waiting

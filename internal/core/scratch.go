@@ -1,101 +1,20 @@
 package core
 
-import (
-	"runtime"
-
-	"repro/internal/trace"
-)
-
 // GibbsScratch is the reusable construction state of Gibbs samplers: the
-// move lists, the chromatic schedule's flat arrays (moves, coloring, shard
-// offsets, RNG/context blocks), the conflict-graph build buffers, and the
-// persistent worker pool. A steady-state caller that constructs a sampler
-// per pass — StEM followed by the posterior pass on every window slide —
-// hands the same scratch to every construction via EMOptions.Scratch /
-// PosteriorOptions.Scratch and pays no per-pass schedule or pool
-// allocations once the buffers have grown to size: the schedule is rebuilt
-// in place (it is a deterministic function of the event set, so the
-// rebuild consumes the caller's RNG exactly as a fresh build would, and
-// chains stay bit-identical to the scratch-free path at every worker
-// count), and the pool's workers stay parked between passes instead of
-// being respawned.
+// backings of the latent-move lists. A steady-state caller that constructs
+// a sampler per pass — StEM followed by the posterior pass on every window
+// — hands the same scratch to every construction via EMOptions.Scratch /
+// PosteriorOptions.Scratch and pays no per-pass move-list allocations once
+// the backings have grown to size. The chain is bit-identical with or
+// without a scratch.
 //
 // A scratch serializes the samplers built from it: constructing a new
-// sampler repoints the schedule and pool that any previous sampler from
-// the same scratch still references, so never sweep a stale sampler (e.g.
+// sampler overwrites the move lists that any previous sampler from the
+// same scratch still references, so never sweep a stale sampler (e.g.
 // EMResult.Sampler) after the scratch has been reused, and never share one
 // scratch between concurrent samplers. The zero value is ready to use.
-//
-// Close releases the pooled workers; it is idempotent, optional (an
-// unreachable scratch's pool is closed by a runtime cleanup), and leaves
-// the scratch reusable — the next construction simply spawns a new pool.
 type GibbsScratch struct {
-	// s is the reusable schedule. Heap-allocated and held by pointer so the
-	// worker pool (whose parked goroutines reference the schedule) does not
-	// pin the whole scratch, which would defeat the unreachability cleanup.
-	s  *schedule
-	bs buildScratch
-
 	arrivalMoves, departMoves []int
-
-	// pool is the persistent worker pool, kept across constructions while
-	// the effective worker count is stable.
-	pool        *gpool
-	poolWorkers int
-}
-
-// buildScratch holds the conflict-graph construction buffers of
-// buildScheduleInto, reused across schedule rebuilds.
-type buildScratch struct {
-	writers  [][2]int32
-	deg      []int32
-	adjFlat  []int32
-	fill     []int32
-	usedBy   []int32
-	classOff []int32
-	cursor   []int32
-}
-
-// Close parks no new work and releases the scratch's pooled workers, if
-// any. Safe to call multiple times; must not race an in-flight sweep of a
-// sampler built from this scratch. The scratch remains usable.
-func (sc *GibbsScratch) Close() {
-	if sc.pool != nil {
-		sc.pool.close()
-		sc.pool = nil
-		sc.poolWorkers = 0
-	}
-}
-
-// schedule returns the reusable schedule, allocating it on first use.
-func (sc *GibbsScratch) schedule() *schedule {
-	if sc.s == nil {
-		sc.s = &schedule{}
-	}
-	return sc.s
-}
-
-// bindPool returns a pool of exactly workers workers bound to (es, sched),
-// reusing the parked one when the worker count is unchanged and respawning
-// it otherwise. The returned pool is owned by the scratch: Gibbs.Close on
-// a sampler using it detaches without stopping the workers.
-func (sc *GibbsScratch) bindPool(es *trace.EventSet, sched *schedule, workers int) *gpool {
-	if sc.pool != nil && sc.poolWorkers != workers {
-		sc.pool.close()
-		sc.pool = nil
-	}
-	if sc.pool == nil {
-		sc.pool = newGpool(es, sched, workers)
-		sc.poolWorkers = workers
-		// The pool references only the event set and schedule, never the
-		// scratch itself, so a dropped scratch is collectible while its
-		// workers are parked; this cleanup then shuts them down. One cleanup
-		// is registered per spawned pool; close is idempotent with Close.
-		runtime.AddCleanup(sc, func(p *gpool) { p.close() }, sc.pool)
-	} else {
-		sc.pool.bind(es, sched)
-	}
-	return sc.pool
 }
 
 // resizeI32 returns b with length n (contents unspecified), reusing its
@@ -112,16 +31,4 @@ func zeroI32(b []int32, n int) []int32 {
 	b = resizeI32(b, n)
 	clear(b)
 	return b
-}
-
-// effectiveWorkers clamps a requested chromatic worker count to the
-// scheduler parallelism actually available: spawning more pool workers
-// than GOMAXPROCS only adds park/unpark churn per color-class barrier
-// without running any shard sooner. The chain is bound to shards, not
-// workers, so the clamp is invisible to sampler output.
-func effectiveWorkers(workers int) int {
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		return p
-	}
-	return workers
 }

@@ -469,7 +469,7 @@ func (w *SlidingWindow) setDep(i int, t float64) {
 		w.set.SetArrival(s, t)
 		w.mc.commit(&w.set)
 	}
-	w.mergeMC()
+	w.stats.merge(&w.mc)
 }
 
 // misplaced reports whether event i violates its chain's (key, seq)
@@ -668,21 +668,6 @@ func (w *SlidingWindow) reorderPinned(a, b int) bool {
 	return false
 }
 
-// mergeMC folds the staging context's per-queue deltas into the carried
-// sums, in fixed queue order (same rule as Gibbs.mergeStats).
-func (w *SlidingWindow) mergeMC() {
-	for q := range w.mc.dSvc {
-		if d := w.mc.dSvc[q]; d != 0 {
-			kahanAdd(w.stats.svc, w.stats.cSvc, q, d)
-			w.mc.dSvc[q] = 0
-		}
-		if d := w.mc.dWait[q]; d != 0 {
-			kahanAdd(w.stats.wait, w.stats.cWait, q, d)
-			w.mc.dWait[q] = 0
-		}
-	}
-}
-
 // Sweep runs one full Gibbs sweep over the live window by chain walk:
 // the forward pass resamples latent arrivals queue by queue head→tail
 // then final departures the same way; the backward pass mirrors it
@@ -726,7 +711,7 @@ func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 		}
 	}
 	w.sweeps++
-	w.mergeMC()
+	w.stats.merge(&w.mc)
 }
 
 // MLERatesInto writes the maximum-likelihood rates of the current latent

@@ -20,11 +20,6 @@ type EMOptions struct {
 	// parameter average. The zero value selects the default Iterations/2;
 	// pass NoBurnIn (-1) to average every iterate.
 	BurnIn int
-	// Workers selects the Gibbs sweep engine for the E-steps: 0 (the
-	// default) runs the sequential scan; W >= 1 runs the chromatic
-	// parallel engine with W workers (bit-identical output at every W for
-	// a fixed seed); negative values use runtime.NumCPU() workers.
-	Workers int
 	// Init constructs the initial feasible state (default OrderInitializer).
 	Init Initializer
 	// InitialParams optionally fixes the starting rates; when nil they are
@@ -35,15 +30,11 @@ type EMOptions struct {
 	ESweeps int
 	// KeepHistory records the parameter trajectory for diagnostics.
 	KeepHistory bool
-	// Observer, when non-nil, receives per-sweep telemetry from the E-step
-	// sampler (duration, resampled moves); see SweepObserver.
-	Observer SweepObserver
-	// Scratch, when non-nil, donates reusable sampler construction state
-	// (schedule arrays, conflict-graph build buffers, worker pool); see
-	// PosteriorOptions.Scratch and GibbsScratch. Note EMResult.Sampler
-	// references the scratch's schedule and pool: it goes stale as soon as
-	// the scratch is reused for another construction, so don't sweep it
-	// after a subsequent StEM/Posterior call with the same scratch.
+	// Scratch, when non-nil, donates reusable sampler construction state;
+	// see GibbsScratch. Note EMResult.Sampler references the scratch's move
+	// lists: it goes stale as soon as the scratch is reused for another
+	// construction, so don't sweep it after a subsequent StEM/Posterior
+	// call with the same scratch.
 	Scratch *GibbsScratch
 }
 
@@ -105,11 +96,10 @@ func StEM(es *trace.EventSet, rng *xrand.RNG, opts EMOptions) (*EMResult, error)
 	if err := opts.Init.Initialize(es, params); err != nil {
 		return nil, fmt.Errorf("core: initialization: %w", err)
 	}
-	g, err := newGibbsForWorkers(es, params, rng, opts.Workers, opts.Scratch)
+	g, err := newGibbs(es, params, rng, opts.Scratch)
 	if err != nil {
 		return nil, err
 	}
-	g.SetObserver(opts.Observer)
 
 	res := &EMResult{Iterations: opts.Iterations, Sampler: g}
 	sum := make([]float64, es.NumQueues)

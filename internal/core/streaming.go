@@ -43,9 +43,7 @@ type StreamingOptions struct {
 // OnlineEstimator estimates successive windows of an event stream,
 // warm-starting each StEM run from the previous window's estimate. It is
 // the reusable hook behind StreamingEstimate (consecutive blocks of one
-// trace). Setting EM.Workers / Post.Workers runs every window's sweeps on
-// the chromatic parallel engine. It is not safe for concurrent use;
-// serialize calls per stream.
+// trace). It is not safe for concurrent use; serialize calls per stream.
 type OnlineEstimator struct {
 	// EM configures every StEM run. InitialParams seeds only the first
 	// window; later windows warm-start from their predecessor's estimate.
@@ -54,10 +52,6 @@ type OnlineEstimator struct {
 	Post PosteriorOptions
 
 	warm *Params
-	// warmWin is the incremental warm path (lazily created by
-	// WarmWindow): latent state and statistics carried across window
-	// slides instead of a per-window rebuild.
-	warmWin *WarmEstimator
 	// sum is the reused posterior summary handed out by Estimate.
 	sum PosteriorSummary
 	// scratch is the sampler construction state reused by every window's
@@ -83,27 +77,12 @@ func (o *OnlineEstimator) WarmParams() *Params {
 	return &w
 }
 
-// Reset discards the warm-start state — both the parameter warm start
-// and the incremental window's carried latent state — so the next window
-// is estimated from scratch (EM.InitialParams or InitialRates). Use it
-// after a stream gap: latent times carried across a long silence would
-// anchor the new window's chain to stale state.
+// Reset discards the parameter warm start, so the next window is
+// estimated from scratch (EM.InitialParams or InitialRates). Use it after
+// a stream gap: rates carried across a long silence would anchor the new
+// window's chain to stale state.
 func (o *OnlineEstimator) Reset() {
 	o.warm = nil
-	if o.warmWin != nil {
-		o.warmWin.Reset()
-	}
-}
-
-// WarmWindow returns the estimator's incremental sliding-window engine,
-// creating it on first use with the given epoch schedule. The engine
-// shares the estimator's lifecycle (Reset clears it) and serialization
-// rule. cfg is only applied on creation.
-func (o *OnlineEstimator) WarmWindow(cfg WarmConfig) *WarmEstimator {
-	if o.warmWin == nil {
-		o.warmWin = NewWarmEstimator(cfg)
-	}
-	return o.warmWin
 }
 
 // Estimate shifts the window toward time zero, runs StEM (warm-started
@@ -172,7 +151,7 @@ func StreamingEstimate(es *trace.EventSet, rng *xrand.RNG, opts StreamingOptions
 	if opts.PostSweeps == 0 {
 		opts.PostSweeps = 30
 	}
-	est := NewOnlineEstimator(opts.EM, PosteriorOptions{Sweeps: opts.PostSweeps, Workers: opts.EM.Workers})
+	est := NewOnlineEstimator(opts.EM, PosteriorOptions{Sweeps: opts.PostSweeps})
 	var out []BlockEstimate
 	for b := 0; b < opts.Blocks; b++ {
 		from := b * es.NumTasks / opts.Blocks
@@ -212,11 +191,10 @@ func PosteriorWindows(es *trace.EventSet, params Params, rng *xrand.RNG, opts Po
 	if opts.BurnIn >= opts.Sweeps {
 		return nil, fmt.Errorf("core: burn-in %d >= sweeps %d", opts.BurnIn, opts.Sweeps)
 	}
-	g, err := newGibbsForWorkers(es, params, rng, opts.Workers, opts.Scratch)
+	g, err := newGibbs(es, params, rng, opts.Scratch)
 	if err != nil {
 		return nil, err
 	}
-	g.SetObserver(opts.Observer)
 	var acc [][]trace.WindowStats
 	counts := make([][]int, 0)
 	for sweep := 0; sweep < opts.Sweeps; sweep++ {

@@ -191,19 +191,14 @@ func TestWarmAnytimeSnapshots(t *testing.T) {
 	}
 }
 
-// TestWarmResetLifecycle covers the stream-gap story on both layers: the
-// estimator drops its window and parameters, and OnlineEstimator.Reset
-// clears the engine it hands out via WarmWindow.
+// TestWarmResetLifecycle covers the stream-gap story: Reset drops the
+// estimator's window and parameters, and the engine stays usable after it.
 func TestWarmResetLifecycle(t *testing.T) {
 	const nq = 3
 	cfg := WarmConfig{NumQueues: nq, EMIters: 10, PostSweeps: 10}
 	gen := newSlideGen(41, nq, 2.0, 3.0, 0.8)
 
-	o := NewOnlineEstimator(EMOptions{}, PosteriorOptions{})
-	we := o.WarmWindow(cfg)
-	if o.WarmWindow(cfg) != we {
-		t.Fatal("WarmWindow not idempotent")
-	}
+	we := NewWarmEstimator(cfg)
 	warmFill(t, we, gen.take(30))
 	we.BeginEpoch()
 	we.Step(xrand.New(1), 0)
@@ -212,9 +207,8 @@ func TestWarmResetLifecycle(t *testing.T) {
 	}
 	preRates := we.RatesInto(nil)
 
-	// The stream gap: Reset through the online estimator drops latents,
-	// stats and parameters.
-	o.Reset()
+	// The stream gap: Reset drops latents, stats and parameters.
+	we.Reset()
 	if we.Window().LiveTasks() != 0 || we.Window().LiveEvents() != 0 {
 		t.Fatal("Reset kept window contents")
 	}

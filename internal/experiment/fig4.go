@@ -35,12 +35,6 @@ type Fig4Config struct {
 	Seed uint64
 	// Workers bounds parallel runs (default NumCPU).
 	Workers int
-	// GibbsWorkers selects the sweep engine inside each run: 0 (the
-	// default) keeps the sequential scan; W >= 1 runs the chromatic
-	// parallel engine with W workers per sampler; -1 uses one per CPU.
-	// Prefer run-level Workers when there are many runs to spread over
-	// cores; GibbsWorkers helps when a single large run dominates.
-	GibbsWorkers int
 }
 
 // DefaultFig4Config returns the paper's configuration.
@@ -181,8 +175,8 @@ func runFig4Job(cfg Fig4Config, si, rep, fi int) ([]Fig4Point, error) {
 	obs := truth.ObserveTasks(r, frac)
 	working := truth.Clone()
 	emRes, sum, err := core.Estimate(working, r,
-		core.EMOptions{Iterations: cfg.EMIterations, Workers: cfg.GibbsWorkers},
-		core.PosteriorOptions{Sweeps: cfg.PostSweeps, Workers: cfg.GibbsWorkers})
+		core.EMOptions{Iterations: cfg.EMIterations},
+		core.PosteriorOptions{Sweeps: cfg.PostSweeps})
 	if err != nil {
 		return nil, err
 	}

@@ -187,7 +187,6 @@ func TestRegistryParallelScrape(t *testing.T) {
 	c := r.Counter("race_total", "c")
 	f := r.FloatGauge("race_gauge", "g")
 	h := r.Histogram("race_seconds", "h", LatencyBuckets())
-	sm := NewSweepMetrics(r, "race")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -197,7 +196,6 @@ func TestRegistryParallelScrape(t *testing.T) {
 				c.Inc()
 				f.Set(float64(i))
 				h.Observe(float64(i) * 1e-5)
-				sm.ObserveSweep(time.Duration(i), i)
 			}
 		}(w)
 	}

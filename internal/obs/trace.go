@@ -8,8 +8,7 @@ package obs
 //     every downstream Child/Record call short-circuits on the zero id,
 //     and the hot path pays one atomic load per root decision and one
 //     predictable branch per instrumentation point — no allocation, no
-//     stores, no contention. The zero-alloc sweep contract holds with a
-//     tracer installed (gated by benchdiff.sh's traced-vs-untraced rows).
+//     stores, no contention.
 //   - Sampling ON: each recorded span allocates one small Span value and
 //     publishes it with an atomic pointer store into the ring. Readers
 //     (GET /debug/trace) load pointers without locks; a torn read is
@@ -23,7 +22,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync/atomic"
-	"time"
 )
 
 // Span is one completed trace span. Parent is 0 for roots. Times are wall
@@ -184,54 +182,4 @@ func (t *Tracer) WriteJSONL(w io.Writer, max int) (int, error) {
 		}
 	}
 	return len(spans), nil
-}
-
-// SweepTracer adapts a Tracer (and optionally SweepMetrics) to the
-// sampler's observer seam: it satisfies core.SweepObserver structurally
-// via ObserveSweep and the span extension via ObserveSweepSpan. The
-// current parent span is an atomic the owning worker sets around each
-// visit; while it is 0 (unsampled, or between visits) the span hook is a
-// single load-and-branch with no allocation, preserving the zero-alloc
-// sweep contract.
-type SweepTracer struct {
-	Metrics *SweepMetrics // optional metrics fan-out
-	Tracer  *Tracer
-	Kind    string // span kind; "sweep" when empty
-	Stream  string
-
-	parent atomic.Uint64
-}
-
-// SetParent installs the span under which subsequent sweeps are recorded
-// (0 detaches — sweeps stop recording spans).
-func (s *SweepTracer) SetParent(id uint64) { s.parent.Store(id) }
-
-// Parent returns the current parent span id.
-func (s *SweepTracer) Parent() uint64 { return s.parent.Load() }
-
-// ObserveSweep forwards the sweep measurement to the metrics fan-out.
-func (s *SweepTracer) ObserveSweep(d time.Duration, movesResampled int) {
-	if s.Metrics != nil {
-		s.Metrics.ObserveSweep(d, movesResampled)
-	}
-}
-
-// ObserveSweepSpan records one sweep as a span under the current parent.
-func (s *SweepTracer) ObserveSweepSpan(startNS, endNS int64) {
-	p := s.parent.Load()
-	if p == 0 || s.Tracer == nil {
-		return
-	}
-	kind := s.Kind
-	if kind == "" {
-		kind = "sweep"
-	}
-	s.Tracer.Record(Span{
-		ID:      s.Tracer.Child(p),
-		Parent:  p,
-		Kind:    kind,
-		Stream:  s.Stream,
-		StartNS: startNS,
-		EndNS:   endNS,
-	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestTracerSampling(t *testing.T) {
@@ -152,43 +151,5 @@ func TestTracerParallelRecord(t *testing.T) {
 	<-readerDone
 	if got := tr.Recorded(); got != writers*perWriter {
 		t.Fatalf("Recorded() = %d, want %d", got, writers*perWriter)
-	}
-}
-
-// TestSweepTracerUnsampledAllocs pins the sampling-off cost of the sweep
-// span hook: with no parent installed, ObserveSweepSpan must not allocate.
-func TestSweepTracerUnsampledAllocs(t *testing.T) {
-	tr := NewTracer(64)
-	st := &SweepTracer{Tracer: tr, Stream: "bench"}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		st.ObserveSweepSpan(1, 2)
-		st.ObserveSweep(time.Microsecond, 3)
-	}); allocs != 0 {
-		t.Fatalf("unsampled sweep hook allocates %.1f/op, want 0", allocs)
-	}
-	if tr.Recorded() != 0 {
-		t.Fatal("unsampled hook recorded spans")
-	}
-}
-
-// TestSweepTracerRecordsUnderParent checks the visit-parent plumbing.
-func TestSweepTracerRecordsUnderParent(t *testing.T) {
-	tr := NewTracer(64)
-	tr.SetSampleEvery(1)
-	st := &SweepTracer{Tracer: tr, Stream: "web"}
-	visit := tr.Child(tr.StartRoot())
-	st.SetParent(visit)
-	st.ObserveSweepSpan(10, 20)
-	st.ObserveSweepSpan(20, 30)
-	st.SetParent(0)
-	st.ObserveSweepSpan(30, 40) // detached: dropped
-	spans := tr.Snapshot(0)
-	if len(spans) != 2 {
-		t.Fatalf("recorded %d spans, want 2", len(spans))
-	}
-	for _, sp := range spans {
-		if sp.Parent != visit || sp.Kind != "sweep" || sp.Stream != "web" {
-			t.Fatalf("bad sweep span: %+v", sp)
-		}
 	}
 }

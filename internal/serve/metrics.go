@@ -46,10 +46,8 @@ type serverMetrics struct {
 	// almost all prior latent state.
 	slideNew    *obs.Counter
 	slideWindow *obs.Counter
-	// sweep receives per-sweep telemetry from every stream's Gibbs sampler
-	// (duration, resampled moves). One daemon-wide pair of histograms: the
-	// hook is atomics-only, so sharing it across workers is free.
-	sweep *obs.SweepMetrics
+	// sweep times every stream's Gibbs sweeps, one observation per sweep.
+	sweep *obs.Histogram
 	// publishedMeanField / publishedGibbs count published snapshots by the
 	// backend that produced them (qserved_backend_published_total): the
 	// mean-field count is the fast path's hit rate, and their ratio shows
@@ -90,7 +88,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Events appended by incremental window slides."),
 		slideWindow: reg.Counter("qserved_slide_window_events_total",
 			"Live window events at each incremental sync."),
-		sweep: obs.NewSweepMetrics(reg, "qserved"),
+		sweep: reg.Histogram("qserved_sweep_seconds",
+			"Gibbs sweep wall time in seconds.", obs.ExpBuckets(1e-5, 2.5, 14)),
 		publishedMeanField: reg.Counter("qserved_backend_published_total",
 			"Estimate snapshots published, by producing backend.",
 			obs.L("backend", BackendMeanField)),

@@ -126,7 +126,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"qserved_ingest_request_seconds":       "histogram",
 		"qserved_estimate_seconds":             "histogram",
 		"qserved_sweep_seconds":                "histogram",
-		"qserved_sweep_moves_resampled":        "histogram",
 		"qserved_estimates_total":              "counter",
 		"qserved_stream_events_ingested_total": "counter",
 		"qserved_queue_ess":                    "gauge",

@@ -299,7 +299,7 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 		if n == 0 {
 			break
 		}
-		w.sm.sweep.ObserveSweep(time.Since(t0), 0)
+		w.sm.sweep.Observe(time.Since(t0).Seconds())
 		if w.visitSpan != 0 {
 			w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
 				Kind: spanSweep, Stream: w.st.id, StartNS: t0.UnixNano(), EndNS: time.Now().UnixNano()})

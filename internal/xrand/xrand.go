@@ -66,16 +66,6 @@ func (r *RNG) Split() *RNG {
 	return s
 }
 
-// SplitValue is Split returning the generator by value, for callers that
-// place many split streams in one flat allocation (e.g. the chromatic
-// engine's per-shard RNG block). It consumes the same two values as Split,
-// so the two forms are interchangeable stream-for-stream.
-func (r *RNG) SplitValue() RNG {
-	s := RNG{hi: r.Uint64(), lo: r.Uint64() | 1}
-	s.Uint64()
-	return s
-}
-
 // Float64 returns a uniform sample in [0, 1) with 53 random bits.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

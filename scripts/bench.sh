@@ -1,17 +1,11 @@
 #!/usr/bin/env sh
-# Benchmark harness. Two sections:
+# Benchmark harness. Five sections:
 #
-# 1. Gibbs engine: runs the sweep and posterior benchmarks across the
-#    worker grid (sequential scan, chromatic engine at 1, 2, and NumCPU
-#    workers) AND a GOMAXPROCS grid sized to the host (powers of two up to
-#    nproc, plus nproc itself), then writes the results as JSON to
-#    BENCH_gibbs.json at the repo root (schema 2: one row per benchmark ×
-#    variant × GOMAXPROCS, each row carrying the workers count parsed from
-#    the variant and the host_cpus it was measured on), for the
-#    speedup-vs-workers curve in README.md and the benchdiff speedup gate.
-#    Running every variant at every -cpu level separates the two axes the
-#    numbers conflate otherwise: worker count (how the sweep is sharded)
-#    and scheduler parallelism (how many shards can actually run at once).
+# 1. Gibbs sampler: runs the sequential sweep and posterior benchmarks at
+#    GOMAXPROCS 1 (the sweep is single-goroutine, and a fixed -cpu keeps
+#    the rows matchable across hosts) and writes BENCH_gibbs.json at the
+#    repo root (schema 3: one row per benchmark, each carrying the
+#    host_cpus it was measured on), the baseline of benchdiff's sweep gate.
 #
 # 2. Ingest data plane: runs the BenchmarkIngest* benchmarks (zero-alloc
 #    NDJSON decode in internal/trace, whole-body ingest and parallel
@@ -59,24 +53,10 @@ RAW_SCHED=$(mktemp)
 RAW_MF=$(mktemp)
 trap 'rm -f "$RAW" "$RAW_INGEST" "$RAW_WAL" "$RAW_SCHED" "$RAW_MF"' EXIT
 
-# GOMAXPROCS grid: powers of two up to the host's CPU count, plus the
-# count itself (so a 6-core host measures 1,2,4,6). A 1-CPU host collapses
-# to "1": the parallel variants still run (sharding is exercised), but no
-# speedup can exist, and benchdiff's gate conditions on host_cpus per row.
 HOST_CPUS="$(nproc 2>/dev/null || echo 1)"
-CPUS=1
-c=2
-while [ "$c" -le "$HOST_CPUS" ]; do
-    CPUS="$CPUS,$c"
-    c=$((c * 2))
-done
-case ",$CPUS," in
-*,"$HOST_CPUS",*) ;;
-*) CPUS="$CPUS,$HOST_CPUS" ;;
-esac
 
 go test -bench 'BenchmarkGibbsSweep|BenchmarkPosterior' -benchmem \
-    -cpu "$CPUS" -benchtime "$BENCHTIME" -run '^$' . | tee "$RAW"
+    -cpu 1 -benchtime "$BENCHTIME" -run '^$' . | tee "$RAW"
 
 awk '
 BEGIN { n = 0 }
@@ -89,9 +69,6 @@ BEGIN { n = 0 }
     }
     split(name, parts, "/")
     bench[n] = parts[1]; variant[n] = parts[2]
-    workers[n] = 0                       # seq scans with no worker pool
-    if (match(variant[n], /-w[0-9]+$/))
-        workers[n] = substr(variant[n], RSTART + 2)
     iters[n] = $2; nsop[n] = $3
     bop[n] = ""; aop[n] = ""
     for (i = 4; i <= NF; i++) {
@@ -102,16 +79,15 @@ BEGIN { n = 0 }
 }
 /^cpu:/ { cpu = $0; sub(/^cpu: */, "", cpu) }
 END {
-    printf "{\n  \"schema\": 2,\n  \"cpu\": \"%s\",\n  \"host_cpus\": %d,\n", cpu, hostcpus
-    printf "  \"gomaxprocs_grid\": [%s],\n  \"results\": [\n", grid
+    printf "{\n  \"schema\": 3,\n  \"cpu\": \"%s\",\n  \"host_cpus\": %d,\n  \"results\": [\n", cpu, hostcpus
     for (i = 0; i < n; i++) {
-        printf "    {\"bench\": \"%s\", \"variant\": \"%s\", \"workers\": %s, \"gomaxprocs\": %s, \"host_cpus\": %d, \"iters\": %s, \"ns_per_op\": %s",
-            bench[i], variant[i], workers[i], procs[i], hostcpus, iters[i], nsop[i]
+        printf "    {\"bench\": \"%s\", \"variant\": \"%s\", \"gomaxprocs\": %s, \"host_cpus\": %d, \"iters\": %s, \"ns_per_op\": %s",
+            bench[i], variant[i], procs[i], hostcpus, iters[i], nsop[i]
         if (bop[i] != "") printf ", \"bytes_per_op\": %s, \"allocs_per_op\": %s", bop[i], aop[i]
         printf "}%s\n", (i < n-1 ? "," : "")
     }
     printf "  ]\n}\n"
-}' hostcpus="$HOST_CPUS" grid="$CPUS" "$RAW" > "$OUT"
+}' hostcpus="$HOST_CPUS" "$RAW" > "$OUT"
 
 echo "wrote $OUT"
 

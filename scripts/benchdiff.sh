@@ -1,24 +1,14 @@
 #!/usr/bin/env sh
-# Benchmark regression gate: re-runs the Gibbs worker-grid and ingest
-# data-plane benchmarks and compares each row against the committed
-# baselines.
+# Benchmark regression gate: re-runs every bench.sh section and compares
+# each row against the committed baselines.
 #
-# - BENCH_gibbs.json: the sweep benchmarks (BenchmarkGibbsSweep) are the
-#   inference hot-path contract, so they gate hard: >20% ns/op growth or
+# - BENCH_gibbs.json: the sweep benchmark (BenchmarkGibbsSweep/seq) is the
+#   inference hot-path contract, so it gates hard: >20% ns/op growth or
 #   ANY allocs/op growth fails. Posterior rows are printed for context but
 #   do not gate (they include clone + initializer noise and short-run
-#   variance). The fresh run also gates the speedup-vs-workers curve: a
-#   chromatic-wN sweep row measured with gomaxprocs >= N on a host with at
-#   least N CPUs must not be slower than the same-GOMAXPROCS seq row
-#   (1.05x tolerance) — parallelism that loses to the sequential scan on
-#   hardware that could exploit it is a regression, not noise. On hosts
-#   with fewer CPUs than N the curve is reported but cannot gate.
-#   The traced-seq rows gate same-run against seq: with tracing attached
-#   but sampling off (the default), sweep and posterior cost must stay
-#   within 5% of untraced and allocs/op must not grow.
-#   A baseline written by an older bench.sh (no "schema": 2 marker) cannot
-#   be row-matched against the grid output; it is reseeded from the fresh
-#   run instead of failing the gate.
+#   variance). A baseline written by an older bench.sh (no "schema": 3
+#   marker) cannot be row-matched against the fresh output; it is reseeded
+#   from the fresh run instead of failing the gate.
 # - BENCH_ingest.json: the ingest fast path gates on its two
 #   noise-immune contracts: the fast variant must stay >= 2x the stdlib
 #   variant measured in the SAME run (cross-run wall-clock on a shared box
@@ -80,12 +70,10 @@ BENCH_OUT="$FRESH" BENCH_INGEST_OUT="$FRESH_INGEST" BENCH_WAL_OUT="$FRESH_WAL" \
 # whole surface; the gate fails at the end if either did.
 rc=0
 
-# An old-schema baseline (pre-grid: no "schema": 2 marker, rows without
-# workers/host_cpus) cannot be row-matched against the grid output. Reseed
-# it from this run instead of failing; the cross-run diff resumes once the
-# reseeded file is committed. The same-run speedup gate below runs either
-# way — it needs no baseline.
-if grep -q '"schema": *2' "$BASE"; then
+# An old-schema baseline (no "schema": 3 marker) cannot be row-matched
+# against the fresh output. Reseed it from this run instead of failing; the
+# cross-run diff resumes once the reseeded file is committed.
+if grep -q '"schema": *3' "$BASE"; then
     GIBBS_CMP="$BASE"
 else
     echo "benchdiff: $BASE schema changed, seeding baseline from this run (commit it)"
@@ -117,16 +105,13 @@ FNR == NR && /"bench":/ {
 /"bench":/ {
     k = rowkey($0)
     ns = num($0, "ns_per_op"); al = num($0, "allocs_per_op")
-    fb[k] = str($0, "bench"); fv[k] = str($0, "variant"); fw[k] = num($0, "workers")
-    fp[k] = num($0, "gomaxprocs"); fh[k] = num($0, "host_cpus")
-    fns[k] = ns; fal[k] = al
     if (!(k in bns)) {
         printf "%-44s %38s\n", k, "new row (no baseline)"
         next
     }
     ratio = ns / bns[k]
     status = "ok"
-    if (fb[k] == "BenchmarkGibbsSweep") {
+    if (str($0, "bench") == "BenchmarkGibbsSweep") {
         if (ratio > 1.20) { status = "FAIL ns/op"; bad = 1 }
         if (al > bal[k])  { status = status " FAIL allocs"; bad = 1 }
     }
@@ -134,37 +119,6 @@ FNR == NR && /"bench":/ {
         k, bns[k], ns, (ratio - 1) * 100, bal[k], al, status
 }
 END {
-    # Same-run speedup-vs-workers curve: every chromatic sweep row against
-    # the seq row at the same GOMAXPROCS. Gates only where the hardware
-    # could show a speedup: workers >= 2, gomaxprocs >= workers, and
-    # host_cpus >= workers; elsewhere the curve is context.
-    for (k in fns) {
-        if (fb[k] != "BenchmarkGibbsSweep" || fw[k] < 1) continue
-        seqk = "BenchmarkGibbsSweep/seq@cpu" fp[k]
-        if (!(seqk in fns) || fns[seqk] <= 0 || fns[k] <= 0) continue
-        status = "ok"
-        if (fw[k] >= 2 && fp[k] >= fw[k] && fh[k] >= fw[k] && fns[k] > 1.05 * fns[seqk]) {
-            status = "FAIL slower than seq"; bad = 1
-        } else if (fw[k] > fh[k] || fw[k] > fp[k]) {
-            status = "context (host too small to gate)"
-        }
-        printf "%-44s %22.2fx vs seq @cpu%d  %s\n", k, fns[seqk] / fns[k], fp[k], status
-    }
-    # Same-run tracing-overhead gate: the traced-seq rows run the
-    # sequential engine with a SweepTracer attached and sampling off (the
-    # default qserved configuration), so they must stay within 5% of the
-    # untraced seq row at the same GOMAXPROCS and must not allocate more —
-    # the span hook is one nil-parent branch, not a cost.
-    for (k in fns) {
-        if (fv[k] != "traced-seq") continue
-        seqk = fb[k] "/seq@cpu" fp[k]
-        if (!(seqk in fns) || fns[seqk] <= 0 || fns[k] <= 0) continue
-        status = "ok"
-        if (fns[k] > 1.05 * fns[seqk]) { status = "FAIL traced overhead > 5%"; bad = 1 }
-        if (fal[k] > fal[seqk]) { status = status " FAIL traced allocs"; bad = 1 }
-        printf "%-44s %19.3fx vs seq @cpu%d  allocs %g vs %g  %s\n",
-            k, fns[k] / fns[seqk], fp[k], fal[k], fal[seqk], status
-    }
     if (bad) { print "benchdiff: sweep benchmark regression" | "cat 1>&2"; exit 1 }
 }' "$GIBBS_CMP" "$FRESH" || rc=1
 

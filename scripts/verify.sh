@@ -9,8 +9,7 @@ go vet ./...
 go build ./...
 go test -race ./...
 
-# Focused race gate for the concurrent paths: the chromatic parallel Gibbs
-# engine of the offline estimators (core), the serve e2e tests (including
+# Focused race gate for the concurrent paths: the serve e2e tests (including
 # the legacy-config replay) plus the sharded-ingest and metrics scrape
 # storms, the shared inference executor (priority queue, shed/re-admit
 # scanner, anytime republication, incremental slides — worker pool vs
