@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race verify bench bench-all benchdiff profile fuzz
+.PHONY: build test race verify bench-all profile fuzz
 
 build:
 	$(GO) build ./...
@@ -15,20 +15,11 @@ race:
 verify:
 	sh scripts/verify.sh
 
-# bench runs the sequential Gibbs sweep/posterior, ingest, WAL, scheduler
-# and mean-field benchmarks and writes the BENCH_*.json baselines;
-# bench-all smoke-runs every benchmark once.
-bench:
-	sh scripts/bench.sh
-
+# bench-all smoke-runs every benchmark once. Perf regressions are caught by
+# the timing and allocation contract tests in `go test ./...` and, end to
+# end, by `bash bench/run.sh -compare` (see bench/README.md).
 bench-all:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
-# benchdiff re-runs the benchmarks and fails on a >20% ns/op or any
-# allocs/op regression of the sequential sweep vs BENCH_gibbs.json, and on
-# the ingest, WAL, scheduler and mean-field gates in scripts/benchdiff.sh.
-benchdiff:
-	sh scripts/benchdiff.sh
 
 # profile captures CPU and heap pprof of the posterior hot path into
 # results/ with -top summaries; see scripts/profile.sh for knobs.

@@ -268,103 +268,6 @@ func BenchmarkInitializerLP(b *testing.B) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Mean-field fast path (DESIGN.md §18)
-
-// benchEventGrid is the event-count axis of the time-to-first-estimate
-// comparison: the three-tier {2,4,4} network produces ~11 events per task,
-// so these task counts land the traces at ~1k, ~10k, and ~100k events.
-func benchEventGrid() []struct {
-	name  string
-	tasks int
-} {
-	return []struct {
-		name  string
-		tasks int
-	}{
-		{"ev1k", 91},
-		{"ev10k", 909},
-		{"ev100k", 9091},
-	}
-}
-
-// benchTraceSized builds the three-tier trace at the given task count,
-// masked at 10% — the same structure as benchTraceLarge at a chosen scale.
-func benchTraceSized(b *testing.B, tasks int) *EventSet {
-	b.Helper()
-	rng := xrand.New(1)
-	net, err := ThreeTier(10, 5, [3]int{2, 4, 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	truth, err := sim.Run(net, rng, sim.Options{Tasks: tasks})
-	if err != nil {
-		b.Fatal(err)
-	}
-	truth.ObserveTasks(rng, 0.10)
-	return truth
-}
-
-// BenchmarkMeanFieldSolve measures the deterministic mean-field fast path
-// the way qserved's first publish runs it: a working copy from a ClonePool,
-// results into a reused summary/params via MeanFieldInto, and all solver
-// state reused through a MeanFieldScratch. The steady state must be
-// zero-alloc — benchdiff gates allocs/op at 0 and the ev10k row at >= 50x
-// faster than the serve-default cold Gibbs path in the same run.
-func BenchmarkMeanFieldSolve(b *testing.B) {
-	for _, bc := range benchEventGrid() {
-		b.Run(bc.name, func(b *testing.B) {
-			truth := benchTraceSized(b, bc.tasks)
-			var pool trace.ClonePool
-			var sc core.MeanFieldScratch
-			var sum core.PosteriorSummary
-			var params core.Params
-			run := func() {
-				working := pool.Get(truth)
-				if _, err := core.MeanFieldInto(&sum, &params, working, core.MeanFieldOptions{
-					Scratch: &sc,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				pool.Put(working)
-			}
-			run() // steady state: grow the scratch, summary, and clone pool
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
-	}
-}
-
-// BenchmarkColdPosterior measures the serve-default cold time-to-first-
-// estimate it replaces: a full StEM run (300 iterations) plus the posterior
-// pass (40 sweeps) on the same traces. This is what a cold stream waited
-// for before the fast path existed, and the denominator of the >= 50x gate.
-func BenchmarkColdPosterior(b *testing.B) {
-	for _, bc := range benchEventGrid() {
-		b.Run(bc.name, func(b *testing.B) {
-			truth := benchTraceSized(b, bc.tasks)
-			var pool trace.ClonePool
-			var sum core.PosteriorSummary
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				working := pool.Get(truth)
-				res, err := core.StEM(working, xrand.New(7), core.EMOptions{Iterations: 300})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := core.PosteriorInto(&sum, working, res.Params, xrand.New(8), core.PosteriorOptions{
-					Sweeps: 40,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				pool.Put(working)
-			}
-		})
-	}
-}
-
 // BenchmarkMCEM5 measures Monte Carlo EM with 5 sweeps per E-step, for
 // comparison against the same number of total sweeps of plain StEM
 // (BenchmarkStEMIteration ×5).

@@ -3,7 +3,9 @@ package core
 import (
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -92,4 +94,60 @@ func TestPosteriorIntoAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(5, run); got != 9 {
 		t.Fatalf("PosteriorInto allocates %v per run, want 9", got)
 	}
+}
+
+// TestGibbsSweepSpeedVsSlidingWindow guards the offline sweep's own cost
+// in one process, so host speed cancels: on the same 2000-task window,
+// Gibbs.Sweep (an index scan over ByQueue) must be no slower than
+// SlidingWindow.Sweep (a walk of the linked queue chains). Both call the
+// same resamplers, so the gate isolates the scan; a resampler regression
+// slows both and shows in the end-to-end benchmark's bigwin workload.
+// Host speed drifts over milliseconds on a shared machine, so each round
+// times the two sweeps back to back and the gate takes the median of the
+// per-round ratios.
+func TestGibbsSweepSpeedVsSlidingWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timings are distorted under -race")
+	}
+	const nq, tasks = 3, 2000
+	rates := []float64{2, 3, 6}
+	gen := newSlideGen(5, nq, 2.0, 3.0, 0.1)
+	w := NewSlidingWindow(nq)
+	for i := 0; i < tasks; i++ {
+		if err := w.Append(gen.next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := NewGibbs(w.EventSet(), must(NewParams(rates)), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(2)
+	ratios := make([]float64, 5)
+	for r := range ratios {
+		d := minTimes(1, g.Sweep, func() { w.Sweep(rates, rng) })
+		ratios[r] = float64(d[0]) / float64(d[1])
+	}
+	sort.Float64s(ratios)
+	med := ratios[len(ratios)/2]
+	t.Logf("%d tasks: Gibbs.Sweep / SlidingWindow.Sweep per round %.2f, median %.2f", tasks, ratios, med)
+	if med > 1 {
+		t.Fatalf("Gibbs.Sweep is %.2fx SlidingWindow.Sweep on the same events, want <= 1", med)
+	}
+}
+
+// minTimes runs each f once per round, interleaved so drift in host speed
+// hits every f alike, and returns each f's fastest run.
+func minTimes(rounds int, fs ...func()) []time.Duration {
+	best := make([]time.Duration, len(fs))
+	for r := 0; r < rounds; r++ {
+		for i, f := range fs {
+			t0 := time.Now()
+			f()
+			if d := time.Since(t0); r == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	return best
 }

@@ -142,7 +142,7 @@ func MeanFieldEstimate(es *trace.EventSet, opts MeanFieldOptions) (Params, *Post
 // slices handed out earlier must not be retained.
 //
 // Callers estimating a window cut from a longer trace should
-// ShiftTowardZero first (as OnlineEstimator does before StEM) so λ is not
+// ShiftTowardZero first (as StreamingEstimate does before StEM) so λ is not
 // diluted by the window's offset.
 func MeanFieldInto(sum *PosteriorSummary, params *Params, es *trace.EventSet, opts MeanFieldOptions) (MeanFieldStats, error) {
 	opts = opts.withDefaults()

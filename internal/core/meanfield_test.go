@@ -155,29 +155,53 @@ func TestMeanFieldRecoversRates(t *testing.T) {
 
 // TestMeanFieldAllocs pins the scratch contract: a steady-state solve with
 // a donated MeanFieldScratch and caller-owned outputs performs zero heap
-// allocations.
+// allocations, on a small trace and on the ~1k/10k/100k-event traces of
+// BenchmarkMeanFieldSolve.
 func TestMeanFieldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under -race")
 	}
-	net := must(qnet.PaperSynthetic(10, 5, [3]int{1, 2, 4}))
-	base, _, _ := simulateObserved(t, net, 300, 0.2, 99)
-	var (
-		pool   trace.ClonePool
-		sc     MeanFieldScratch
-		sum    PosteriorSummary
-		params Params
-	)
-	run := func() {
-		working := pool.Get(base)
-		if _, err := MeanFieldInto(&sum, &params, working, MeanFieldOptions{Scratch: &sc}); err != nil {
-			t.Fatal(err)
+	check := func(t *testing.T, base *trace.EventSet) {
+		run := meanFieldSolver(t, base)
+		run() // grow scratch, pool, and outputs to steady state
+		if allocs := testing.AllocsPerRun(2, run); allocs != 0 {
+			t.Fatalf("mean-field solve allocates %v per run, want 0", allocs)
 		}
-		pool.Put(working)
 	}
-	run() // grow scratch, pool, and outputs to steady state
-	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("mean-field solve allocates %v per run, want 0", allocs)
+	t.Run("tasks300", func(t *testing.T) {
+		net := must(qnet.PaperSynthetic(10, 5, [3]int{1, 2, 4}))
+		base, _, _ := simulateObserved(t, net, 300, 0.2, 99)
+		check(t, base)
+	})
+	for _, bc := range benchEventGrid() {
+		t.Run(bc.name, func(t *testing.T) { check(t, benchTraceSized(t, bc.tasks)) })
+	}
+}
+
+// TestMeanFieldSpeedVsColdPosterior is the time-to-first-estimate
+// contract, timed in one process so host speed cancels in the ratio: at
+// ~10k events the mean-field solve must be at least 50x faster than the
+// offline reference, a cold StEM (300 iterations) plus a 40-sweep
+// posterior pass on the same trace.
+func TestMeanFieldSpeedVsColdPosterior(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timings are distorted under -race")
+	}
+	const minSpeedup = 50
+	truth := benchTraceSized(t, 909) // ev10k
+	solve := meanFieldSolver(t, truth)
+	solve() // steady state: grow the scratch, summary, and clone pool
+	// The cold run is long enough to average over the host's speed swings;
+	// a solve is not, so the fastest solve is taken from both sides of it.
+	before := minTimes(5, solve)[0]
+	var pool trace.ClonePool
+	var sum PosteriorSummary
+	cold := minTimes(1, func() { coldPosterior(t, &pool, &sum, truth) })[0]
+	mf := min(before, minTimes(5, solve)[0])
+	speedup := float64(cold) / float64(mf)
+	t.Logf("ev10k: mean-field %v, cold StEM+posterior %v, %.1fx", mf, cold, speedup)
+	if speedup < minSpeedup {
+		t.Fatalf("mean-field solve only %.1fx faster than the cold posterior, want >= %dx", speedup, minSpeedup)
 	}
 }
 
@@ -476,4 +500,99 @@ func withGOMAXPROCS(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// benchEventGrid is the event-count axis of the time-to-first-estimate
+// comparison: the three-tier {2,4,4} network produces ~11 events per task,
+// so these task counts land the traces at ~1k, ~10k, and ~100k events.
+func benchEventGrid() []struct {
+	name  string
+	tasks int
+} {
+	return []struct {
+		name  string
+		tasks int
+	}{
+		{"ev1k", 91},
+		{"ev10k", 909},
+		{"ev100k", 9091},
+	}
+}
+
+// benchTraceSized builds the three-tier {2,4,4} trace at the given task
+// count, masked at 10%.
+func benchTraceSized(tb testing.TB, tasks int) *trace.EventSet {
+	tb.Helper()
+	_, truth, _ := simulateObserved(tb, must(qnet.PaperSynthetic(10, 5, [3]int{2, 4, 4})), tasks, 0.10, 1)
+	return truth
+}
+
+// meanFieldSolver returns a solve of base run the way qserved's first
+// publish runs it: a working copy from a ClonePool, results into a reused
+// summary and params, and all solver state reused through a
+// MeanFieldScratch. The first call grows those buffers to steady state.
+func meanFieldSolver(tb testing.TB, base *trace.EventSet) func() {
+	var (
+		pool   trace.ClonePool
+		sc     MeanFieldScratch
+		sum    PosteriorSummary
+		params Params
+	)
+	return func() {
+		working := pool.Get(base)
+		if _, err := MeanFieldInto(&sum, &params, working, MeanFieldOptions{Scratch: &sc}); err != nil {
+			tb.Fatal(err)
+		}
+		pool.Put(working)
+	}
+}
+
+// coldPosterior runs the offline reference estimate on a working copy of
+// truth: a full StEM run (300 iterations) plus the posterior pass (40
+// sweeps).
+func coldPosterior(tb testing.TB, pool *trace.ClonePool, sum *PosteriorSummary, truth *trace.EventSet) {
+	tb.Helper()
+	working := pool.Get(truth)
+	res, err := StEM(working, xrand.New(7), EMOptions{Iterations: 300})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := PosteriorInto(sum, working, res.Params, xrand.New(8), PosteriorOptions{Sweeps: 40}); err != nil {
+		tb.Fatal(err)
+	}
+	pool.Put(working)
+}
+
+// BenchmarkMeanFieldSolve measures the deterministic mean-field fast path
+// at steady state (meanFieldSolver). TestMeanFieldAllocs pins it at zero
+// allocations and TestMeanFieldSpeedVsColdPosterior the ev10k row at
+// >= 50x faster than BenchmarkColdPosterior.
+func BenchmarkMeanFieldSolve(b *testing.B) {
+	for _, bc := range benchEventGrid() {
+		b.Run(bc.name, func(b *testing.B) {
+			run := meanFieldSolver(b, benchTraceSized(b, bc.tasks))
+			run() // steady state: grow the scratch, summary, and clone pool
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
+// BenchmarkColdPosterior measures the offline reference estimate on the
+// same traces: a full StEM run (300 iterations) plus the posterior pass
+// (40 sweeps), the denominator of TestMeanFieldSpeedVsColdPosterior.
+func BenchmarkColdPosterior(b *testing.B) {
+	for _, bc := range benchEventGrid() {
+		b.Run(bc.name, func(b *testing.B) {
+			truth := benchTraceSized(b, bc.tasks)
+			var pool trace.ClonePool
+			var sum PosteriorSummary
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				coldPosterior(b, &pool, &sum, truth)
+			}
+		})
+	}
 }

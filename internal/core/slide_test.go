@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/trace"
@@ -488,27 +489,70 @@ func TestSlideSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkIncrementalSlide measures one steady-state slide
-// (append + evict, fixed delta) at several window sizes. The bench gate
-// in benchdiff.sh asserts the cost tracks the delta, not the window.
-func BenchmarkIncrementalSlide(b *testing.B) {
-	for _, keep := range []int{500, 2000, 8000} {
-		b.Run(map[int]string{500: "w500", 2000: "w2000", 8000: "w8000"}[keep], func(b *testing.B) {
-			const nq = 3
-			gen := newSlideGen(42, nq, 2.0, 3.0, 0.5)
-			w := NewSlidingWindow(nq)
-			for i := 0; i < keep; i++ {
+// TestSlideSpeedFlatInWindow is the timed twin of
+// TestSlideWorkScalesWithDelta: one steady-state slide (one task in, one
+// out) at window 8000 may cost at most 3x what it costs at window 500,
+// timed in one process. The band absorbs the larger ring's cache misses;
+// a slide that tracks the window length shows as 16x. Each round times a
+// block of slides on both windows back to back, and the gate takes the
+// median of the per-round ratios.
+func TestSlideSpeedFlatInWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timings are distorted under -race")
+	}
+	const slides = 1000
+	block := func(w *SlidingWindow, gen *slideGen) func() {
+		return func() {
+			for i := 0; i < slides; i++ {
 				if err := w.Append(gen.next()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// One warm compaction cycle.
-			for i := 0; i < keep+64; i++ {
-				if err := w.Append(gen.next()); err != nil {
-					b.Fatal(err)
+					t.Fatal(err)
 				}
 				w.EvictOldest()
 			}
+		}
+	}
+	small, large := block(warmSlideWindow(t, 500)), block(warmSlideWindow(t, 8000))
+	ratios := make([]float64, 5)
+	for r := range ratios {
+		d := minTimes(1, small, large)
+		ratios[r] = float64(d[1]) / float64(d[0])
+	}
+	sort.Float64s(ratios)
+	med := ratios[len(ratios)/2]
+	t.Logf("slide cost w8000 / w500 per round %.2f, median %.2f", ratios, med)
+	if med > 3 {
+		t.Fatalf("slide cost grows with the window: w8000 is %.2fx w500, want <= 3x", med)
+	}
+}
+
+// warmSlideWindow fills a window with keep tasks and slides it through
+// one compaction cycle, so later slides run in the steady state.
+func warmSlideWindow(tb testing.TB, keep int) (*SlidingWindow, *slideGen) {
+	tb.Helper()
+	const nq = 3
+	gen := newSlideGen(42, nq, 2.0, 3.0, 0.5)
+	w := NewSlidingWindow(nq)
+	for i := 0; i < keep; i++ {
+		if err := w.Append(gen.next()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < keep+64; i++ {
+		if err := w.Append(gen.next()); err != nil {
+			tb.Fatal(err)
+		}
+		w.EvictOldest()
+	}
+	return w, gen
+}
+
+// BenchmarkIncrementalSlide measures one steady-state slide
+// (append + evict, fixed delta) at several window sizes.
+// TestSlideSpeedFlatInWindow gates the w8000/w500 ratio.
+func BenchmarkIncrementalSlide(b *testing.B) {
+	for _, keep := range []int{500, 2000, 8000} {
+		b.Run(map[int]string{500: "w500", 2000: "w2000", 8000: "w8000"}[keep], func(b *testing.B) {
+			w, gen := warmSlideWindow(b, keep)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -40,83 +40,6 @@ type StreamingOptions struct {
 	PostSweeps int
 }
 
-// OnlineEstimator estimates successive windows of an event stream,
-// warm-starting each StEM run from the previous window's estimate. It is
-// the reusable hook behind StreamingEstimate (consecutive blocks of one
-// trace). It is not safe for concurrent use; serialize calls per stream.
-type OnlineEstimator struct {
-	// EM configures every StEM run. InitialParams seeds only the first
-	// window; later windows warm-start from their predecessor's estimate.
-	EM EMOptions
-	// Post sizes the per-window posterior pass.
-	Post PosteriorOptions
-
-	warm *Params
-	// sum is the reused posterior summary handed out by Estimate.
-	sum PosteriorSummary
-	// scratch is the sampler construction state reused by every window's
-	// StEM and posterior pass (EM.Scratch/Post.Scratch are overridden with
-	// it). One scratch per estimator is safe because the estimator is
-	// already serialized per stream.
-	scratch GibbsScratch
-}
-
-// NewOnlineEstimator returns an estimator with the given per-window
-// options and no warm-start state.
-func NewOnlineEstimator(em EMOptions, post PosteriorOptions) *OnlineEstimator {
-	return &OnlineEstimator{EM: em, Post: post}
-}
-
-// WarmParams returns a copy of the parameters the next Estimate call will
-// warm-start from, or nil before the first call (or after Reset).
-func (o *OnlineEstimator) WarmParams() *Params {
-	if o.warm == nil {
-		return nil
-	}
-	w := o.warm.Clone()
-	return &w
-}
-
-// Reset discards the parameter warm start, so the next window is
-// estimated from scratch (EM.InitialParams or InitialRates). Use it after
-// a stream gap: rates carried across a long silence would anchor the new
-// window's chain to stale state.
-func (o *OnlineEstimator) Reset() {
-	o.warm = nil
-}
-
-// Estimate shifts the window toward time zero, runs StEM (warm-started
-// when a previous estimate exists) and the fixed-parameter posterior pass,
-// and records the new estimate as the next warm start. The event set is
-// mutated in place (shifted, then imputed).
-//
-// The returned summary is owned by the estimator and reused: it is valid
-// until the next Estimate call. Callers that retain any of its slices past
-// that point must copy them.
-func (o *OnlineEstimator) Estimate(es *trace.EventSet, rng *xrand.RNG) (*EMResult, *PosteriorSummary, error) {
-	if err := ShiftTowardZero(es); err != nil {
-		return nil, nil, err
-	}
-	emOpts := o.EM
-	emOpts.Scratch = &o.scratch
-	if o.warm != nil {
-		w := o.warm.Clone()
-		emOpts.InitialParams = &w
-	}
-	emRes, err := StEM(es, rng, emOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	postOpts := o.Post
-	postOpts.Scratch = &o.scratch
-	if err := PosteriorInto(&o.sum, es, emRes.Params, rng, postOpts); err != nil {
-		return nil, nil, err
-	}
-	w := emRes.Params.Clone()
-	o.warm = &w
-	return emRes, &o.sum, nil
-}
-
 // ShiftTowardZero translates a window cut from a longer trace so that the
 // first task's interarrival gap is a typical one rather than the offset of
 // the whole window — otherwise the window's λ̂ is diluted by the time
@@ -151,8 +74,14 @@ func StreamingEstimate(es *trace.EventSet, rng *xrand.RNG, opts StreamingOptions
 	if opts.PostSweeps == 0 {
 		opts.PostSweeps = 30
 	}
-	est := NewOnlineEstimator(opts.EM, PosteriorOptions{Sweeps: opts.PostSweeps})
-	var out []BlockEstimate
+	// Every block's StEM and posterior pass share one sampler scratch and
+	// one summary; the loop is serial, so the reuse is safe.
+	var (
+		scratch GibbsScratch
+		sum     PosteriorSummary
+		warm    *Params
+		out     []BlockEstimate
+	)
 	for b := 0; b < opts.Blocks; b++ {
 		from := b * es.NumTasks / opts.Blocks
 		to := (b + 1) * es.NumTasks / opts.Blocks
@@ -162,19 +91,33 @@ func StreamingEstimate(es *trace.EventSet, rng *xrand.RNG, opts StreamingOptions
 		}
 		startTime := sub.TaskEntry(0)
 		endTime := sub.TaskEntry(sub.NumTasks - 1)
-		emRes, post, err := est.Estimate(sub, rng.Split())
+		blockRNG := rng.Split()
+		if err := ShiftTowardZero(sub); err != nil {
+			return nil, fmt.Errorf("core: block %d: %w", b, err)
+		}
+		emOpts := opts.EM
+		emOpts.Scratch = &scratch
+		if warm != nil {
+			emOpts.InitialParams = warm
+		}
+		emRes, err := StEM(sub, blockRNG, emOpts)
 		if err != nil {
 			return nil, fmt.Errorf("core: block %d: %w", b, err)
 		}
+		postOpts := PosteriorOptions{Sweeps: opts.PostSweeps, Scratch: &scratch}
+		if err := PosteriorInto(&sum, sub, emRes.Params, blockRNG, postOpts); err != nil {
+			return nil, fmt.Errorf("core: block %d: %w", b, err)
+		}
+		warm = &emRes.Params // StEM clones InitialParams; no copy needed
 		out = append(out, BlockEstimate{
 			FromTask:  from,
 			ToTask:    to,
 			StartTime: startTime,
 			EndTime:   endTime,
 			Params:    emRes.Params,
-			// The estimator reuses its summary across blocks; copy what the
+			// The summary is reused across blocks; copy what the
 			// BlockEstimate retains.
-			MeanWait: append([]float64(nil), post.MeanWait...),
+			MeanWait: append([]float64(nil), sum.MeanWait...),
 		})
 	}
 	return out, nil

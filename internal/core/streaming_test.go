@@ -176,40 +176,6 @@ func TestStreamingWarmStartsFromPreviousBlock(t *testing.T) {
 	}
 }
 
-func TestOnlineEstimatorWarmState(t *testing.T) {
-	net := must(qnet.SingleMM1(3, 8))
-	working, _, _ := simulateObserved(t, net, 80, 0.5, 7002)
-	est := NewOnlineEstimator(EMOptions{Iterations: 60}, PosteriorOptions{Sweeps: 10})
-	if est.WarmParams() != nil {
-		t.Fatal("fresh estimator has warm params")
-	}
-	emRes, post, err := est.Estimate(working.Clone(), xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if post == nil || post.Sweeps == 0 {
-		t.Fatal("posterior pass missing")
-	}
-	warm := est.WarmParams()
-	if warm == nil {
-		t.Fatal("no warm params after Estimate")
-	}
-	for q, rate := range emRes.Params.Rates {
-		if warm.Rates[q] != rate {
-			t.Errorf("warm rate[%d] = %v, want %v", q, warm.Rates[q], rate)
-		}
-	}
-	// WarmParams returns a copy: mutating it must not corrupt the state.
-	warm.Rates[0] = -1
-	if est.WarmParams().Rates[0] == -1 {
-		t.Error("WarmParams exposed internal state")
-	}
-	est.Reset()
-	if est.WarmParams() != nil {
-		t.Error("Reset did not clear warm state")
-	}
-}
-
 // TestShiftTowardZeroKeepsEntriesNonNegative covers the streaming shift's
 // safety property: landing the first entry on the mean interarrival gap can
 // never drive any entry time negative, so TimeShift must always succeed on

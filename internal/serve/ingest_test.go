@@ -345,22 +345,29 @@ func oldIngestBody(st *stream, body []byte) (sum IngestSummary) {
 	return sum
 }
 
-// BenchmarkIngestBody measures the full server-side ingest data plane on
-// one stream: line split, decode, validation, batched store application.
-// "fast" is the production path; "stdlib" is the pre-batching baseline.
-func BenchmarkIngestBody(b *testing.B) {
+// ingestBench is the one-stream fixture of BenchmarkIngestBody and its
+// gates: a fresh server, one ingest-only stream named variant, and a body
+// of 512 four-hop tasks on 4 queues with its event count.
+func ingestBench(tb testing.TB, variant string) (*Server, *stream, []byte, int) {
+	tb.Helper()
 	const (
 		tasks = 512
 		hops  = 4
 		nq    = 4
 	)
-	body, n := ingestTestBody(b, "bench", tasks, hops, nq)
-	newSrv := func() *Server {
-		srv := New(StreamConfig{})
-		b.Cleanup(srv.Close)
-		return srv
-	}
-	report := func(b *testing.B, sum IngestSummary) {
+	body, n := ingestTestBody(tb, "bench", tasks, hops, nq)
+	srv := New(StreamConfig{})
+	tb.Cleanup(srv.Close)
+	return srv, benchStream(tb, srv, variant, nq, 2*tasks), body, n
+}
+
+// BenchmarkIngestBody measures the full server-side ingest data plane on
+// one stream: line split, decode, validation, batched store application.
+// "fast" is the production path; "stdlib" is the pre-batching baseline.
+// TestIngestBodySpeedVsStdlib gates fast at >= 2x stdlib and
+// TestIngestBodyAllocs its allocations per event.
+func BenchmarkIngestBody(b *testing.B) {
+	report := func(b *testing.B, sum IngestSummary, n int) {
 		if sum.Rejected != 0 {
 			b.Fatalf("rejects in benchmark body: %v", sum.Errors)
 		}
@@ -368,8 +375,7 @@ func BenchmarkIngestBody(b *testing.B) {
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 	}
 	b.Run("fast", func(b *testing.B) {
-		srv := newSrv()
-		st := benchStream(b, srv, "fast", nq, 2*tasks)
+		srv, st, body, n := ingestBench(b, "fast")
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		// Warm the pools and the store's task freelist before the timed
@@ -382,11 +388,10 @@ func BenchmarkIngestBody(b *testing.B) {
 		for b.Loop() {
 			sum, _, _ = srv.ingestBody(st, body)
 		}
-		report(b, sum)
+		report(b, sum, n)
 	})
 	b.Run("stdlib", func(b *testing.B) {
-		srv := newSrv()
-		st := benchStream(b, srv, "stdlib", nq, 2*tasks)
+		_, st, body, n := ingestBench(b, "stdlib")
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		var sum IngestSummary
@@ -396,33 +401,41 @@ func BenchmarkIngestBody(b *testing.B) {
 		for b.Loop() {
 			sum = oldIngestBody(st, body)
 		}
-		report(b, sum)
+		report(b, sum, n)
 	})
 }
 
-// BenchmarkIngestParallelStreams drives many goroutines into distinct
-// streams at once: with the sharded registry and per-stream stores the
-// aggregate rate should scale instead of serializing on a global lock.
-func BenchmarkIngestParallelStreams(b *testing.B) {
+// parallelIngest is the fixture of BenchmarkIngestParallelStreams and its
+// alloc gate: a fresh server with one ingest-only stream per GOMAXPROCS,
+// each warmed by one ingest of body (64 four-hop tasks on 4 queues), so
+// later ingests measure the steady state rather than registry and pool
+// warmup.
+func parallelIngest(tb testing.TB) (*Server, []*stream, []byte, int) {
+	tb.Helper()
 	const (
 		tasks = 64
 		hops  = 4
 		nq    = 4
 	)
-	body, n := ingestTestBody(b, "par", tasks, hops, nq)
+	body, n := ingestTestBody(tb, "par", tasks, hops, nq)
 	srv := New(StreamConfig{})
-	b.Cleanup(srv.Close)
-	// Pre-create and warm one stream per worker goroutine outside the
-	// timed region, so allocs/op reflects the steady state at any
-	// -benchtime rather than registry/pool warmup.
-	workers := runtime.GOMAXPROCS(0)
-	streams := make([]*stream, workers)
+	tb.Cleanup(srv.Close)
+	streams := make([]*stream, runtime.GOMAXPROCS(0))
 	for i := range streams {
-		streams[i] = benchStream(b, srv, fmt.Sprintf("pstream-%d", i), nq, 2*tasks)
+		streams[i] = benchStream(tb, srv, fmt.Sprintf("pstream-%d", i), nq, 2*tasks)
 		if sum, _, _ := srv.ingestBody(streams[i], body); sum.Rejected != 0 {
-			b.Fatalf("rejects in benchmark body: %v", sum.Errors)
+			tb.Fatalf("rejects in benchmark body: %v", sum.Errors)
 		}
 	}
+	return srv, streams, body, n
+}
+
+// BenchmarkIngestParallelStreams drives many goroutines into distinct
+// streams at once: with the sharded registry and per-stream stores the
+// aggregate rate should scale instead of serializing on a global lock.
+// TestIngestParallelStreamsAllocs gates its allocations per event.
+func BenchmarkIngestParallelStreams(b *testing.B) {
+	srv, streams, body, n := parallelIngest(b)
 	var next int
 	var mu sync.Mutex
 	b.SetBytes(int64(len(body)))
@@ -430,7 +443,7 @@ func BenchmarkIngestParallelStreams(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		mu.Lock()
-		st := streams[next%workers]
+		st := streams[next%len(streams)]
 		next++
 		mu.Unlock()
 		for pb.Next() {

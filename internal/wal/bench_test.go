@@ -9,24 +9,30 @@ import (
 // matching what qserved actually appends per event.
 var benchPayload = []byte(`{"task":"t1234567","queue":3,"arrival":12345.678901,"depart":12346.789012,"final":false}` + "\n")
 
-func benchAppend(b *testing.B, opts Options, syncEvery int) {
-	b.Helper()
-	l, err := Open(b.TempDir(), opts)
+// warmLog opens a log in a temporary directory and appends past the
+// one-time costs (segment creation, first-write page faults, append-buffer
+// growth), so later appends measure the steady-state path, not setup.
+func warmLog(tb testing.TB, opts Options) *Log {
+	tb.Helper()
+	l, err := Open(tb.TempDir(), opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer l.Close()
-	// Warm up past the one-time costs (segment creation, first-write page
-	// faults, append-buffer growth) so small -benchtime runs measure the
-	// steady-state append path, not setup.
+	tb.Cleanup(func() { l.Close() })
 	for i := 0; i < 1024; i++ {
 		if _, err := l.Append(benchPayload); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := l.Sync(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return l
+}
+
+func benchAppend(b *testing.B, opts Options, syncEvery int) {
+	b.Helper()
+	l := warmLog(b, opts)
 	b.SetBytes(int64(len(benchPayload)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -46,8 +52,9 @@ func benchAppend(b *testing.B, opts Options, syncEvery int) {
 	}
 }
 
-// BenchmarkWALAppend/off is the gated variant: pure append throughput and
-// allocs/record with fsync out of the picture.
+// BenchmarkWALAppend/off measures pure append throughput and
+// allocs/record with fsync out of the picture; TestAppendSyncOffAllocs
+// pins its allocations at 0.
 func BenchmarkWALAppend(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		benchAppend(b, Options{Policy: SyncOff}, 0)

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full verification gate: vet, build everything (commands and examples
-# included), then run the test suite under the race detector.
+# included), run the test suite under the race detector, then run the
+# timing and allocation contracts without it (they skip under -race).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -22,3 +23,9 @@ go test -race ./...
 # schedule/sharding races can't hide behind the test cache.
 go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|MeanField' \
     ./internal/core ./internal/serve ./internal/obs ./internal/wal
+
+# Perf contracts, without -race: the allocation pins (sweep, posterior,
+# slide, mean-field solve, NDJSON decode, ingest, WAL append) and the
+# same-run timing ratios (fast ingest vs stdlib, Gibbs sweep vs window
+# sweep, slide cost flat in the window, mean-field vs the cold posterior).
+go test -count=1 -run 'Allocs|AllocFree|ZeroBytes|WorkScales|Speed' ./...
