@@ -257,3 +257,35 @@ func TestGeneralGibbsValidation(t *testing.T) {
 		t.Error("bad burn-in should fail")
 	}
 }
+
+// TestGeneralGibbsGolden pins the general-service sampler bit for bit on
+// seeded traces at two observed fractions: the latent times and the
+// acceptance rate after ten interleaved MH and slice sweeps with Gamma
+// models. Any refactor of the MH or slice moves, their conditionals or
+// their scan must reproduce these hashes exactly.
+func TestGeneralGibbsGolden(t *testing.T) {
+	want := []struct {
+		frac float64
+		hash uint64
+	}{
+		{0.1, 0x21e375ed5af9315d},
+		{0.5, 0xbfeb2a6165095210},
+	}
+	for _, g := range want {
+		seed := uint64(700 + int(g.frac*100))
+		working, _, params := initializedWorking(t, [3]int{1, 2, 4}, 200, g.frac, seed)
+		models := make([]ServiceModel, len(params.Rates))
+		for q, r := range params.Rates {
+			models[q] = GammaModel{Shape: 2, Rate: 2 * r}
+		}
+		gs := must(NewGeneralGibbs(working, models, xrand.New(seed)))
+		for sweep := 0; sweep < 10; sweep++ {
+			gs.Sweep()
+			gs.SweepSlice()
+		}
+		got := hashFloats(working.Arr, working.Dep, []float64{gs.AcceptanceRate()})
+		if got != g.hash {
+			t.Errorf("frac %v: hash %#x, want %#x", g.frac, got, g.hash)
+		}
+	}
+}

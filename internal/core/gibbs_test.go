@@ -430,17 +430,6 @@ func TestPosteriorWaitChainSkipsEmptyQueues(t *testing.T) {
 // DiagnosePosterior means. Any refactor of the sampler, its construction or
 // its option plumbing must reproduce these hashes exactly.
 func TestSequentialGibbsGolden(t *testing.T) {
-	hashFloats := func(xss ...[]float64) uint64 {
-		h := fnv.New64a()
-		var b [8]byte
-		for _, xs := range xss {
-			for _, x := range xs {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-				h.Write(b[:])
-			}
-		}
-		return h.Sum64()
-	}
 	net := must(qnet.PaperSynthetic(10, 5, [3]int{1, 2, 4}))
 	params := must(NewParams(net.ServiceRates()))
 	type golden struct {
@@ -480,4 +469,18 @@ func TestSequentialGibbsGolden(t *testing.T) {
 			t.Errorf("frac %v: DiagnosePosterior hash %#x, want %#x", g.frac, got, g.diag)
 		}
 	}
+}
+
+// hashFloats is the FNV-1a hash of the little-endian bit patterns of xss,
+// the fingerprint the golden tests pin.
+func hashFloats(xss ...[]float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, xs := range xss {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
