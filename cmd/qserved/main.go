@@ -110,8 +110,6 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "trace every Nth ingest request end to end (0 = tracing off)")
 	traceRing := flag.Int("trace-ring", 4096, "span ring capacity behind GET /debug/trace (rounded up to a power of two)")
 	freshSLOms := flag.Int("freshness-slo-ms", 0, "seal-to-publish freshness objective in milliseconds (0 = no SLO accounting)")
-	meanField := flag.String("meanfield", serve.MeanFieldOn,
-		"deterministic mean-field fast path: on (instant first estimates before Gibbs refinement) or off")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat, *logLevel, *quiet)
@@ -147,15 +145,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qserved: -freshness-slo-ms must be >= 0 (0 = off), got %d\n", *freshSLOms)
 		os.Exit(2)
 	}
-	if *meanField == "init-only" {
-		fmt.Fprintf(os.Stderr, "qserved: -meanfield init-only was removed: it only warm-started the retired cold "+
-			"inference path, and every stream now runs the warm path, where it behaved like off (want on or off)\n")
-		os.Exit(2)
-	}
-	if !serve.ValidMeanFieldMode(*meanField) {
-		fmt.Fprintf(os.Stderr, "qserved: bad -meanfield %q (want on or off)\n", *meanField)
-		os.Exit(2)
-	}
 	if *blockRate < 0 || *mutexFrac < 0 {
 		fmt.Fprintf(os.Stderr, "qserved: -block-profile-rate and -mutex-profile-fraction must be >= 0\n")
 		os.Exit(2)
@@ -182,7 +171,6 @@ func main() {
 		serve.WithTraceRing(*traceRing),
 		serve.WithTraceSampleEvery(*traceSample),
 		serve.WithFreshnessSLO(time.Duration(*freshSLOms) * time.Millisecond),
-		serve.WithMeanField(*meanField),
 	}
 	var srv *serve.Server
 	if *walDir != "" {

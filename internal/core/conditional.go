@@ -3,8 +3,17 @@ package core
 import (
 	"math"
 
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
+
+// This file holds the one construction of the sampler's two full
+// conditionals — a latent arrival's (paper Eq. 2, Fig. 3) and a task's
+// final departure's — and the one enumeration and scan of the latent
+// moves. Every kernel is built on them: the Gibbs resamplers (shared by
+// Gibbs.Sweep and SlidingWindow.Sweep) draw from a conditional, the
+// mean-field pass takes its mean, GeneralGibbs's MH moves use it as the
+// independence proposal, and its slice moves use its support.
 
 // condSpec is an allocation-free builder/sampler for the piecewise
 // log-linear full conditionals of the Gibbs sampler. An arrival move has at
@@ -53,62 +62,133 @@ func (c *condSpec) addTerm(at, add float64) {
 	c.nBreaks++
 }
 
+// clamp pins x into the closed support [lo, hi], absorbing the rounding of
+// sample and mean at the interval ends.
+func (c *condSpec) clamp(x float64) float64 {
+	if x < c.lo {
+		return c.lo
+	}
+	if x > c.hi {
+		return c.hi
+	}
+	return x
+}
+
+// condPieces is a condSpec laid out as its linear pieces.
+type condPieces struct {
+	n      int
+	edges  [4]float64 // piece i spans (edges[i], edges[i+1])
+	slopes [3]float64
+	logZ   [3]float64 // log mass of each piece, log density anchored at f(lo) = 0
+	maxLZ  float64    // largest logZ
+}
+
+// pieces lays out the spec's pieces and their log masses into p, the
+// construction sample, mean and logPDF share.
+func (c *condSpec) pieces(p *condPieces) {
+	p.n = 1
+	p.edges[0] = c.lo
+	slope := c.baseSlope
+	p.slopes[0] = slope
+	for b := 0; b < c.nBreaks; b++ {
+		p.edges[p.n] = c.breakAt[b]
+		slope += c.breakAdd[b]
+		p.slopes[p.n] = slope
+		p.n++
+	}
+	p.edges[p.n] = c.hi
+
+	f := 0.0
+	p.maxLZ = math.Inf(-1)
+	for i := 0; i < p.n; i++ {
+		w := p.edges[i+1] - p.edges[i]
+		p.logZ[i] = f + logIntExp(p.slopes[i], w)
+		if !math.IsInf(w, 1) {
+			f += p.slopes[i] * w
+		}
+		if p.logZ[i] > p.maxLZ {
+			p.maxLZ = p.logZ[i]
+		}
+	}
+}
+
 // sample draws one value from the normalized density exp(f) where f is the
 // piecewise-linear function described by the spec. It requires lo < hi and,
 // when hi is +Inf, a negative final slope.
 func (c *condSpec) sample(r *xrand.RNG) float64 {
-	// Piece boundaries and slopes.
-	var edges [4]float64
-	var slopes [3]float64
-	np := 1
-	edges[0] = c.lo
-	slope := c.baseSlope
-	slopes[0] = slope
-	for b := 0; b < c.nBreaks; b++ {
-		edges[np] = c.breakAt[b]
-		slope += c.breakAdd[b]
-		slopes[np] = slope
-		np++
-	}
-	edges[np] = c.hi
-
-	// Per-piece log masses, with the log density anchored at f(lo) = 0.
-	var logZ [3]float64
-	f := 0.0
-	maxLZ := math.Inf(-1)
-	for i := 0; i < np; i++ {
-		w := edges[i+1] - edges[i]
-		logZ[i] = f + logIntExp(slopes[i], w)
-		if !math.IsInf(w, 1) {
-			f += slopes[i] * w
-		}
-		if logZ[i] > maxLZ {
-			maxLZ = logZ[i]
-		}
-	}
+	var p condPieces
+	c.pieces(&p)
 	// Select a piece proportionally to exp(logZ).
 	var total float64
 	var wts [3]float64
-	for i := 0; i < np; i++ {
-		wts[i] = math.Exp(logZ[i] - maxLZ)
+	for i := 0; i < p.n; i++ {
+		wts[i] = math.Exp(p.logZ[i] - p.maxLZ)
 		total += wts[i]
 	}
 	u := r.Float64() * total
-	pick := np - 1
-	for i := 0; i < np; i++ {
+	pick := p.n - 1
+	for i := 0; i < p.n; i++ {
 		u -= wts[i]
 		if u < 0 {
 			pick = i
 			break
 		}
 	}
-	lo := edges[pick]
-	w := edges[pick+1] - lo
+	lo := p.edges[pick]
+	w := p.edges[pick+1] - lo
 	if math.IsInf(w, 1) {
-		return lo + r.Exp(-slopes[pick])
+		return lo + r.Exp(-p.slopes[pick])
 	}
 	// Density ∝ exp(slope·t) on (0,w) is TruncExp with rate -slope.
-	return lo + r.TruncExp(-slopes[pick], w)
+	return lo + r.TruncExp(-p.slopes[pick], w)
+}
+
+// mean returns the mean of the normalized density exp(f) described by the
+// spec — the deterministic counterpart of sample: the same piece
+// construction and log-domain mass anchoring, with each piece contributing
+// its truncated-exponential mean instead of a draw. Requires lo < hi and,
+// when hi is +Inf, a negative final slope (both guaranteed by the move
+// constructions).
+func (c *condSpec) mean() float64 {
+	if c.nBreaks == 0 {
+		// Single piece — the common case; no log-domain machinery needed.
+		return c.lo + truncExpMean(c.baseSlope, c.hi-c.lo)
+	}
+	var p condPieces
+	c.pieces(&p)
+	var total, acc float64
+	for i := 0; i < p.n; i++ {
+		wt := math.Exp(p.logZ[i] - p.maxLZ)
+		if wt == 0 {
+			continue // zero mass; its (possibly infinite-support) mean is moot
+		}
+		acc += wt * (p.edges[i] + truncExpMean(p.slopes[i], p.edges[i+1]-p.edges[i]))
+		total += wt
+	}
+	return acc / total
+}
+
+// logPDF evaluates the normalized log density at x (the MH proposal
+// density of GeneralGibbs, and the tests' reference).
+func (c *condSpec) logPDF(x float64) float64 {
+	if x < c.lo || x > c.hi {
+		return math.Inf(-1)
+	}
+	var p condPieces
+	c.pieces(&p)
+	var s float64
+	for i := 0; i < p.n; i++ {
+		s += math.Exp(p.logZ[i] - p.maxLZ)
+	}
+	logTot := p.maxLZ + math.Log(s)
+	f := 0.0
+	for i := 0; i < p.n; i++ {
+		if x <= p.edges[i+1] || i == p.n-1 {
+			return f + p.slopes[i]*(x-p.edges[i]) - logTot
+		}
+		f += p.slopes[i] * (p.edges[i+1] - p.edges[i])
+	}
+	return math.Inf(-1) // unreachable
 }
 
 // logIntExp returns log ∫_0^w exp(m·x) dx for w > 0 (possibly +Inf with
@@ -128,53 +208,195 @@ func logIntExp(m, w float64) float64 {
 	}
 }
 
-// logPDF evaluates the normalized log density at x (used by tests and the
-// generic-vs-specialized equivalence checks; the sampler itself never needs
-// it).
-func (c *condSpec) logPDF(x float64) float64 {
-	if x < c.lo || x > c.hi {
-		return math.Inf(-1)
+// truncExpMean returns the mean of the density ∝ exp(m·x) on (0, w):
+// w/(1−e^{−mw}) − 1/m, with the limits w/2 as mw → 0 and −1/m for w = +Inf
+// (m < 0). The closed form cancels catastrophically for small |mw| (both
+// terms ≈ 1/m), so that regime uses the series w/2·(1 + mw/6) + O((mw)²w).
+func truncExpMean(m, w float64) float64 {
+	if math.IsInf(w, 1) {
+		return -1 / m
 	}
-	var edges [4]float64
-	var slopes [3]float64
-	np := 1
-	edges[0] = c.lo
-	slope := c.baseSlope
-	slopes[0] = slope
-	for b := 0; b < c.nBreaks; b++ {
-		edges[np] = c.breakAt[b]
-		slope += c.breakAdd[b]
-		slopes[np] = slope
-		np++
+	mw := m * w
+	if math.Abs(mw) < 1e-4 {
+		return w * 0.5 * (1 + mw/6)
 	}
-	edges[np] = c.hi
-	f := 0.0
-	var logTot float64
-	{
-		var lz [3]float64
-		m := math.Inf(-1)
-		ff := 0.0
-		for i := 0; i < np; i++ {
-			w := edges[i+1] - edges[i]
-			lz[i] = ff + logIntExp(slopes[i], w)
-			if !math.IsInf(w, 1) {
-				ff += slopes[i] * w
-			}
-			if lz[i] > m {
-				m = lz[i]
-			}
+	return w/(-math.Expm1(-mw)) - 1/m
+}
+
+// ---------------------------------------------------------------------------
+// The two full conditionals.
+
+// arrivalBounds returns the support (L, U) of latent arrival a_e
+// (= d_{π(e)}): the FIFO and path constraints that involve it,
+//
+//	L = max(a_{π(e)}, d_{ρ(π(e))}, a_{ρ(e)})
+//	U = min(d_e, a_{ρ⁻¹(e)}, d_{pn}),   pn = ρ⁻¹(π(e)).
+//
+// When ρ(e) = π(e), a_{ρ(e)} is a_{π(e)} and pn is e itself, so the
+// repeated terms leave the bounds unchanged.
+func arrivalBounds(es *trace.EventSet, i int) (lo, hi float64) {
+	e := &es.Events[i]
+	p := e.PrevT // always exists: initial events are never arrival moves
+	pe := &es.Events[p]
+	lo = es.Arr[p]
+	if pe.PrevQ != trace.None {
+		if d := es.Dep[pe.PrevQ]; d > lo {
+			lo = d
 		}
-		var s float64
-		for i := 0; i < np; i++ {
-			s += math.Exp(lz[i] - m)
-		}
-		logTot = m + math.Log(s)
 	}
-	for i := 0; i < np; i++ {
-		if x <= edges[i+1] || i == np-1 {
-			return f + slopes[i]*(x-edges[i]) - logTot
+	if e.PrevQ != trace.None {
+		if a := es.Arr[e.PrevQ]; a > lo {
+			lo = a
 		}
-		f += slopes[i] * (edges[i+1] - edges[i])
 	}
-	return math.Inf(-1) // unreachable
+	hi = es.Dep[i]
+	if e.NextQ != trace.None {
+		if a := es.Arr[e.NextQ]; a < hi {
+			hi = a
+		}
+	}
+	if pe.NextQ != trace.None {
+		if d := es.Dep[pe.NextQ]; d < hi {
+			hi = d
+		}
+	}
+	return lo, hi
+}
+
+// arrivalCond fills c with the full conditional of latent arrival a_e
+// (= d_{π(e)}) under the per-queue rates and reports whether its support
+// is a proper interval; false (ties) means the move keeps the current
+// value. The log density collects the three affected service-time terms
+// (paper Eq. 2):
+//
+//	s_e      = d_e − max(a, d_{ρ(e)})           rate µ_e
+//	s_{π(e)} = a − max(a_{π(e)}, d_{ρ(π(e))})   rate µ_{π(e)}
+//	s_{pn}   = d_{pn} − max(a_{pn}, a)          rate µ_{π(e)}, pn = ρ⁻¹(π(e))
+//
+// on the support (L, U) of arrivalBounds. When ρ(e) = π(e) (a task
+// revisiting the same queue back-to-back with no interleaved arrival),
+// s_e and s_{pn} are the same service time: there is no third term, and
+// the s_e term (slope +µ_e from max(a, d_{ρ(e)} = a) = a) cancels the
+// s_{π(e)} term's −µ_{π(e)} (= −µ_e, same queue), leaving a uniform
+// conditional.
+func arrivalCond(c *condSpec, es *trace.EventSet, rates []float64, i int) bool {
+	lo, hi := arrivalBounds(es, i)
+	if !(lo < hi) {
+		return false
+	}
+	e := &es.Events[i]
+	p := e.PrevT
+	if e.PrevQ == p {
+		c.reset(lo, hi, 0) // back-to-back same-queue revisit: uniform
+		return true
+	}
+	// Base slope: −µ_π from s_{π(e)} = a − const.
+	rateP := rates[es.Events[p].Queue]
+	c.reset(lo, hi, -rateP)
+	if e.PrevQ == trace.None {
+		// Service of e starts at its own arrival: s_e = d_e − a.
+		c.baseSlope += rates[e.Queue]
+	} else {
+		c.addTerm(es.Dep[e.PrevQ], rates[e.Queue])
+	}
+	if pn := es.Events[p].NextQ; pn != trace.None {
+		c.addTerm(es.Arr[pn], rateP)
+	}
+	return true
+}
+
+// finalDepartBounds returns the support of a task's final latent
+// departure d_e: (start_e, d_{ρ⁻¹(e)}), or (start_e, ∞) when e is last in
+// its queue.
+func finalDepartBounds(es *trace.EventSet, i int) (lo, hi float64) {
+	lo = es.ServiceStart(i)
+	hi = math.Inf(1)
+	if next := es.Events[i].NextQ; next != trace.None {
+		hi = es.Dep[next]
+	}
+	return lo, hi
+}
+
+// finalDepartCond fills c with the full conditional of a task's final
+// departure and reports whether its support is a proper interval. The
+// conditional involves the event's own service time and, when a later
+// arrival to the same queue exists, that event's service time:
+//
+//	f(d) = −µ_e(d − start_e) − µ_e(d_next − max(a_next, d))
+//
+// on the support of finalDepartBounds.
+func finalDepartCond(c *condSpec, es *trace.EventSet, rates []float64, i int) bool {
+	lo, hi := finalDepartBounds(es, i)
+	if !(lo < hi) {
+		return false
+	}
+	e := &es.Events[i]
+	rateE := rates[e.Queue]
+	c.reset(lo, hi, -rateE)
+	if e.NextQ != trace.None {
+		c.addTerm(es.Arr[e.NextQ], rateE)
+	}
+	return true
+}
+
+// ---------------------------------------------------------------------------
+// The latent moves and their scan.
+
+// latentArrival reports whether e's arrival is a latent move: unobserved,
+// and not a task's initial event (whose arrival is fixed).
+func latentArrival(e *trace.Event) bool { return !e.Initial() && !e.ObsArrival }
+
+// latentFinalDepart reports whether e's departure is a latent move of its
+// own: a task's final event with an unobserved departure. Every other
+// departure is the task successor's arrival.
+func latentFinalDepart(e *trace.Event) bool { return e.Final() && !e.ObsDepart }
+
+// latentMoves lists the latent times of an event set in event-index
+// order: arr holds the events whose arrival is latent, dep the final
+// events whose departure is latent. Together they name every latent time
+// exactly once.
+type latentMoves struct {
+	arr, dep []int32
+}
+
+// build enumerates the moves of es, reusing the lists' backings.
+func (m *latentMoves) build(es *trace.EventSet) {
+	m.arr, m.dep = m.arr[:0], m.dep[:0]
+	for i := range es.Events {
+		e := &es.Events[i]
+		if latentArrival(e) {
+			m.arr = append(m.arr, int32(i))
+		}
+		if latentFinalDepart(e) {
+			m.dep = append(m.dep, int32(i))
+		}
+	}
+}
+
+// scan visits every move once. The forward scan runs the arrivals, then
+// the departures, in index order; the backward scan mirrors it
+// (departures first, highest index first). Kernels alternate the
+// direction between passes: event indices are assigned in roughly
+// chronological order, and a backward scan lets a contraction of late
+// times propagate through a whole chain of coupled events within one pass
+// (a forward scan does the same for expansions). Any fixed or alternating
+// scan order leaves the posterior invariant; alternating just mixes
+// dramatically faster when the state starts far from the posterior mode —
+// e.g. after initialization with a poor service-time target.
+func (m *latentMoves) scan(backward bool, arrival, depart func(i int)) {
+	if !backward {
+		for _, i := range m.arr {
+			arrival(int(i))
+		}
+		for _, i := range m.dep {
+			depart(int(i))
+		}
+		return
+	}
+	for k := len(m.dep) - 1; k >= 0; k-- {
+		depart(int(m.dep[k]))
+	}
+	for k := len(m.arr) - 1; k >= 0; k-- {
+		arrival(int(m.arr[k]))
+	}
 }

@@ -146,6 +146,74 @@ func TestCondSpecFoldsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestConditionalsMatchJointLikelihood ties both full conditionals to the
+// joint density of a whole multi-queue trace. For every latent arrival and
+// final departure it checks, on a grid that includes points 1e-3 of the
+// width inside each end, that the conditional's log-density differences
+// equal Params.LogLikelihood differences and that every grid point leaves
+// the trace feasible; a point just below the lower bound, or just above a
+// finite upper bound, must make it infeasible. A wrong slope, a loosened
+// bound or a tightened bound each fail it.
+func TestConditionalsMatchJointLikelihood(t *testing.T) {
+	// The initializer's state is feasible whatever the conditionals do, so
+	// a planted bug shows in the checks below rather than in the set-up.
+	es, _, params := initializedWorking(t, [3]int{1, 2, 4}, 80, 0.2, 17)
+	if err := es.Validate(0); err != nil {
+		t.Fatalf("initial state infeasible: %v", err)
+	}
+	fracs := []float64{1e-3, 0.25, 0.5, 0.75, 1 - 1e-3}
+	points, sides := 0, 0
+	check := func(kind string, i int, c *condSpec, set func(x float64), cur float64) {
+		t.Helper()
+		width := c.hi - c.lo
+		if math.IsInf(c.hi, 1) {
+			// Unbounded tail: grid over (lo, cur + 5 mean service times).
+			width = cur - c.lo + 5/params.Rates[es.Events[i].Queue]
+		}
+		ll0 := params.LogLikelihood(es)
+		q0 := c.logPDF(cur)
+		for _, f := range fracs {
+			x := c.lo + f*width
+			set(x)
+			if err := es.Validate(0); err != nil {
+				t.Errorf("%s %d: grid point %v in (%v, %v) infeasible: %v", kind, i, x, c.lo, c.hi, err)
+			}
+			want := params.LogLikelihood(es) - ll0
+			got := c.logPDF(x) - q0
+			if math.Abs(got-want) > 1e-7*math.Max(1, math.Abs(want)) {
+				t.Errorf("%s %d: log-density difference at %v is %v, joint likelihood says %v", kind, i, x, got, want)
+			}
+			points++
+		}
+		outside := []float64{c.lo - 1e-3*width}
+		if !math.IsInf(c.hi, 1) {
+			outside = append(outside, c.hi+1e-3*width)
+		}
+		for _, x := range outside {
+			set(x)
+			if es.Validate(0) == nil {
+				t.Errorf("%s %d: %v outside (%v, %v) is still feasible", kind, i, x, c.lo, c.hi)
+			}
+			sides++
+		}
+		set(cur)
+	}
+	for i := range es.Events {
+		e := &es.Events[i]
+		var c condSpec
+		if latentArrival(e) && arrivalCond(&c, es, params.Rates, i) {
+			check("arrival", i, &c, func(x float64) { es.SetArrival(i, x) }, es.Arr[i])
+		}
+		if latentFinalDepart(e) && finalDepartCond(&c, es, params.Rates, i) {
+			check("departure", i, &c, func(x float64) { es.SetFinalDepart(i, x) }, es.Dep[i])
+		}
+	}
+	if points < 500 || sides < 100 {
+		t.Fatalf("oracle covered only %d points and %d bound sides", points, sides)
+	}
+	t.Logf("checked %d points and %d bound sides", points, sides)
+}
+
 func BenchmarkCondSpecSample(b *testing.B) {
 	r := xrand.New(1)
 	var c condSpec

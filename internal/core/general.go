@@ -220,13 +220,15 @@ func clampRate(r float64) float64 {
 type GeneralGibbs struct {
 	set    *trace.EventSet
 	models []ServiceModel
-	rng    *xrand.RNG
+	// rates holds the proposal rates 1/Mean() of the moment-matched
+	// exponential models, kept in step with models.
+	rates []float64
+	rng   *xrand.RNG
 
-	arrivalMoves []int
-	departMoves  []int
-	sweeps       int
-	proposed     int
-	accepted     int
+	moves    latentMoves
+	sweeps   int
+	proposed int
+	accepted int
 }
 
 // NewGeneralGibbs validates inputs and prepares the move lists; the event
@@ -249,16 +251,16 @@ func NewGeneralGibbs(es *trace.EventSet, models []ServiceModel, rng *xrand.RNG) 
 	if err := es.Validate(1e-6); err != nil {
 		return nil, fmt.Errorf("core: infeasible initial state: %w", err)
 	}
-	g := &GeneralGibbs{set: es, models: append([]ServiceModel(nil), models...), rng: rng}
-	for i := range es.Events {
-		e := &es.Events[i]
-		if !e.Initial() && !e.ObsArrival {
-			g.arrivalMoves = append(g.arrivalMoves, i)
-		}
-		if e.Final() && !e.ObsDepart {
-			g.departMoves = append(g.departMoves, i)
-		}
+	g := &GeneralGibbs{
+		set:    es,
+		models: make([]ServiceModel, len(models)),
+		rates:  make([]float64, len(models)),
+		rng:    rng,
 	}
+	if err := g.SetModels(models); err != nil {
+		return nil, err
+	}
+	g.moves.build(es)
 	return g, nil
 }
 
@@ -268,6 +270,9 @@ func (g *GeneralGibbs) SetModels(models []ServiceModel) error {
 		return fmt.Errorf("core: %d service models for %d queues", len(models), g.set.NumQueues)
 	}
 	copy(g.models, models)
+	for q, m := range g.models {
+		g.rates[q] = 1 / m.Mean()
+	}
 	return nil
 }
 
@@ -288,26 +293,9 @@ func (g *GeneralGibbs) AcceptanceRate() float64 {
 	return float64(g.accepted) / float64(g.proposed)
 }
 
-// proxyRate returns the exponential proposal rate for queue q.
-func (g *GeneralGibbs) proxyRate(q int) float64 { return 1 / g.models[q].Mean() }
-
 // Sweep performs one full MH scan, alternating direction like Gibbs.Sweep.
 func (g *GeneralGibbs) Sweep() {
-	if g.sweeps%2 == 0 {
-		for _, i := range g.arrivalMoves {
-			g.mhArrival(i)
-		}
-		for _, i := range g.departMoves {
-			g.mhFinalDeparture(i)
-		}
-	} else {
-		for k := len(g.departMoves) - 1; k >= 0; k-- {
-			g.mhFinalDeparture(g.departMoves[k])
-		}
-		for k := len(g.arrivalMoves) - 1; k >= 0; k-- {
-			g.mhArrival(g.arrivalMoves[k])
-		}
-	}
+	g.moves.scan(g.sweeps%2 == 1, g.mhArrival, g.mhFinalDeparture)
 	g.sweeps++
 }
 
@@ -326,135 +314,65 @@ func (g *GeneralGibbs) localArrivalLogDensity(i int) float64 {
 	return total
 }
 
-// mhArrival performs one independence-MH update of a latent arrival.
-func (g *GeneralGibbs) mhArrival(i int) {
+// localDepartLogDensity returns the sum of the service log densities that
+// depend on the final departure d_e: s_e and, when a later arrival to the
+// same queue exists, s_{ρ⁻¹(e)}.
+func (g *GeneralGibbs) localDepartLogDensity(i int) float64 {
 	es := g.set
 	e := &es.Events[i]
-	p := e.PrevT
-	pe := &es.Events[p]
-	rateE := g.proxyRate(e.Queue)
-	rateP := g.proxyRate(pe.Queue)
-
-	lo := es.Arr[p]
-	if pe.PrevQ != trace.None {
-		if d := es.Dep[pe.PrevQ]; d > lo {
-			lo = d
-		}
-	}
-	if e.PrevQ != trace.None && e.PrevQ != p {
-		if a := es.Arr[e.PrevQ]; a > lo {
-			lo = a
-		}
-	}
-	hi := es.Dep[i]
+	total := g.models[e.Queue].LogPDF(es.ServiceTime(i))
 	if e.NextQ != trace.None {
-		if a := es.Arr[e.NextQ]; a < hi {
-			hi = a
-		}
+		total += g.models[e.Queue].LogPDF(es.ServiceTime(e.NextQ))
 	}
-	pn := pe.NextQ
-	if pn == i {
-		pn = trace.None
-	}
-	if pn != trace.None {
-		if d := es.Dep[pn]; d < hi {
-			hi = d
-		}
-	}
-	if !(lo < hi) {
-		return
-	}
+	return total
+}
 
-	var c condSpec
-	if e.PrevQ == p {
-		c.reset(lo, hi, 0)
-	} else {
-		c.reset(lo, hi, -rateP)
-		if e.PrevQ == trace.None {
-			c.baseSlope += rateE
-		} else {
-			c.addTerm(es.Dep[e.PrevQ], rateE)
-		}
-		if pn != trace.None {
-			c.addTerm(es.Arr[pn], rateP)
-		}
-	}
-
-	cur := es.Arr[i]
-	prop := c.sample(g.rng)
-	if prop < lo {
-		prop = lo
-	}
-	if prop > hi {
-		prop = hi
-	}
-
-	logCur := g.localArrivalLogDensity(i)
-	qCur := c.logPDF(cur)
-	es.SetArrival(i, prop)
-	logProp := g.localArrivalLogDensity(i)
-	qProp := c.logPDF(prop)
-
+// accept counts one proposal and reports whether the MH test with log
+// acceptance ratio logAlpha accepts it.
+func (g *GeneralGibbs) accept(logAlpha float64) bool {
 	g.proposed++
-	logAlpha := (logProp - logCur) - (qProp - qCur)
 	if logAlpha >= 0 || math.Log(g.rng.Float64Open()) < logAlpha {
 		g.accepted++
+		return true
+	}
+	return false
+}
+
+// mhArrival performs one independence-MH update of a latent arrival,
+// proposing from its exponential-proxy conditional (arrivalCond).
+func (g *GeneralGibbs) mhArrival(i int) {
+	es := g.set
+	var c condSpec
+	if !arrivalCond(&c, es, g.rates, i) {
 		return
 	}
-	es.SetArrival(i, cur) // reject
+	cur := es.Arr[i]
+	prop := c.clamp(c.sample(g.rng))
+	logCur := g.localArrivalLogDensity(i)
+	es.SetArrival(i, prop)
+	logProp := g.localArrivalLogDensity(i)
+	if !g.accept((logProp - logCur) - (c.logPDF(prop) - c.logPDF(cur))) {
+		es.SetArrival(i, cur)
+	}
 }
 
 // mhFinalDeparture performs one independence-MH update of a latent final
-// departure.
+// departure, proposing from its exponential-proxy conditional
+// (finalDepartCond).
 func (g *GeneralGibbs) mhFinalDeparture(i int) {
 	es := g.set
-	e := &es.Events[i]
-	rateE := g.proxyRate(e.Queue)
-
-	lo := es.ServiceStart(i)
-	hi := math.Inf(1)
-	if e.NextQ != trace.None {
-		hi = es.Dep[e.NextQ]
-	}
-	if !(lo < hi) {
-		return
-	}
 	var c condSpec
-	c.reset(lo, hi, -rateE)
-	if e.NextQ != trace.None {
-		c.addTerm(es.Arr[e.NextQ], rateE)
-	}
-
-	local := func() float64 {
-		total := g.models[e.Queue].LogPDF(es.ServiceTime(i))
-		if e.NextQ != trace.None {
-			total += g.models[e.Queue].LogPDF(es.ServiceTime(e.NextQ))
-		}
-		return total
-	}
-
-	cur := es.Dep[i]
-	prop := c.sample(g.rng)
-	if prop < lo {
-		prop = lo
-	}
-	if !math.IsInf(hi, 1) && prop > hi {
-		prop = hi
-	}
-
-	logCur := local()
-	qCur := c.logPDF(cur)
-	es.Dep[i] = prop
-	logProp := local()
-	qProp := c.logPDF(prop)
-
-	g.proposed++
-	logAlpha := (logProp - logCur) - (qProp - qCur)
-	if logAlpha >= 0 || math.Log(g.rng.Float64Open()) < logAlpha {
-		g.accepted++
+	if !finalDepartCond(&c, es, g.rates, i) {
 		return
 	}
-	es.Dep[i] = cur
+	cur := es.Dep[i]
+	prop := c.clamp(c.sample(g.rng))
+	logCur := g.localDepartLogDensity(i)
+	es.Dep[i] = prop
+	logProp := g.localDepartLogDensity(i)
+	if !g.accept((logProp - logCur) - (c.logPDF(prop) - c.logPDF(cur))) {
+		es.Dep[i] = cur
+	}
 }
 
 // ---------------------------------------------------------------------------

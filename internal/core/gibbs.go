@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -17,11 +16,9 @@ type Gibbs struct {
 	set    *trace.EventSet
 	params Params
 
-	// arrivalMoves lists events whose arrival is latent (non-initial,
-	// unobserved); departMoves lists final events with latent departures.
-	arrivalMoves []int
-	departMoves  []int
-	sweeps       int // completed sweeps (drives the alternating scan order)
+	// moves lists the latent arrivals and final departures a sweep updates.
+	moves  latentMoves
+	sweeps int // completed sweeps (drives the alternating scan order)
 
 	// mc is the scan's move context; its RNG aliases the caller's.
 	mc moveCtx
@@ -114,21 +111,11 @@ func newGibbs(es *trace.EventSet, params Params, rng *xrand.RNG, sc *GibbsScratc
 	g := &Gibbs{set: es, params: params}
 	g.mc.rng = rng
 	if sc != nil {
-		g.arrivalMoves = sc.arrivalMoves[:0]
-		g.departMoves = sc.departMoves[:0]
+		g.moves = sc.moves
 	}
-	for i := range es.Events {
-		e := &es.Events[i]
-		if !e.Initial() && !e.ObsArrival {
-			g.arrivalMoves = append(g.arrivalMoves, i)
-		}
-		if e.Final() && !e.ObsDepart {
-			g.departMoves = append(g.departMoves, i)
-		}
-	}
+	g.moves.build(es)
 	if sc != nil {
-		sc.arrivalMoves = g.arrivalMoves
-		sc.departMoves = g.departMoves
+		sc.moves = g.moves
 	}
 	return g, nil
 }
@@ -150,134 +137,46 @@ func (g *Gibbs) Set() *trace.EventSet { return g.set }
 
 // NumLatent returns the number of latent variables the sampler updates per
 // sweep.
-func (g *Gibbs) NumLatent() int { return len(g.arrivalMoves) + len(g.departMoves) }
+func (g *Gibbs) NumLatent() int { return len(g.moves.arr) + len(g.moves.dep) }
 
 // Skipped returns how many degenerate (zero-width) conditionals were
 // encountered so far; a large fraction indicates ties in the observed data.
 func (g *Gibbs) Skipped() int { return g.mc.skipped }
 
-// Sweep resamples every latent arrival and departure once. The scan
-// alternates direction between calls: event indices are assigned in
-// roughly chronological order, and a backward scan lets a contraction of
-// late times propagate through a whole chain of coupled events within one
-// sweep (a forward scan does the same for expansions). Any fixed or
-// alternating scan order leaves the posterior invariant; alternating just
-// mixes dramatically faster when the state starts far from the posterior
-// mode — e.g. after initialization with a poor service-time target.
+// Sweep resamples every latent arrival and departure once, alternating
+// the scan direction between calls (see latentMoves.scan).
 func (g *Gibbs) Sweep() {
-	if g.sweeps%2 == 0 {
-		for _, i := range g.arrivalMoves {
-			resampleArrival(g.set, g.params.Rates, &g.mc, i)
-		}
-		for _, i := range g.departMoves {
-			resampleFinalDeparture(g.set, g.params.Rates, &g.mc, i)
-		}
-	} else {
-		for k := len(g.departMoves) - 1; k >= 0; k-- {
-			resampleFinalDeparture(g.set, g.params.Rates, &g.mc, g.departMoves[k])
-		}
-		for k := len(g.arrivalMoves) - 1; k >= 0; k-- {
-			resampleArrival(g.set, g.params.Rates, &g.mc, g.arrivalMoves[k])
-		}
-	}
+	g.moves.scan(g.sweeps%2 == 1, func(i int) {
+		resampleArrival(g.set, g.params.Rates, &g.mc, i)
+	}, func(i int) {
+		resampleFinalDeparture(g.set, g.params.Rates, &g.mc, i)
+	})
 	g.sweeps++
 	if g.stats != nil {
 		g.stats.merge(&g.mc)
 	}
 }
 
-// resampleArrival draws a_e (= d_{π(e)}) from its full conditional. The log
-// density collects the three affected service-time terms (paper Eq. 2):
-//
-//	s_e      = d_e − max(a, d_{ρ(e)})           rate µ_e
-//	s_{π(e)} = a − max(a_{π(e)}, d_{ρ(π(e))})   rate µ_{π(e)}
-//	s_{pn}   = d_{pn} − max(a_{pn}, a)          rate µ_{π(e)}, pn = ρ⁻¹(π(e))
-//
-// subject to L ≤ a ≤ U with
-//
-//	L = max(a_{π(e)}, d_{ρ(π(e))}, a_{ρ(e)})
-//	U = min(d_e, a_{ρ⁻¹(e)}, d_{pn}).
-//
-// When ρ(e) = π(e) (a task revisiting the same queue back-to-back with no
-// interleaved arrival), s_e and s_{pn} coincide and the terms cancel to a
-// uniform conditional; this falls out of the construction below.
+// resampleArrival draws a_e (= d_{π(e)}) from its full conditional
+// (arrivalCond), keeping the current value when the support is
+// degenerate.
 //
 // The resamplers are free functions of (event set, rates, move context)
 // rather than Gibbs methods because SlidingWindow.Sweep runs the same moves
 // over its own window and move context.
 func resampleArrival(es *trace.EventSet, rates []float64, mc *moveCtx, i int) {
-	e := &es.Events[i]
-	p := e.PrevT // always exists: initial events are never arrival moves
-	pe := &es.Events[p]
-	rateE := rates[e.Queue]
-	rateP := rates[pe.Queue]
-
-	// Bounds.
-	lo := es.Arr[p] // a ≥ a_{π(e)}
-	if pe.PrevQ != trace.None {
-		if d := es.Dep[pe.PrevQ]; d > lo {
-			lo = d
-		}
-	}
-	if e.PrevQ != trace.None && e.PrevQ != p {
-		if a := es.Arr[e.PrevQ]; a > lo {
-			lo = a
-		}
-	}
-	hi := es.Dep[i]
-	if e.NextQ != trace.None {
-		if a := es.Arr[e.NextQ]; a < hi {
-			hi = a
-		}
-	}
-	pn := pe.NextQ
-	if pn == i {
-		// e immediately follows π(e) in the same queue: s_e and s_{pn}
-		// are the same service time. No third term, and the s_e term
-		// (slope +µ_e from max(a, d_{ρ(e)}=a) = a) cancels the s_{π}
-		// term's −µ_π (= −µ_e, same queue).
-		pn = trace.None
-	}
-	if pn != trace.None {
-		if d := es.Dep[pn]; d < hi {
-			hi = d
-		}
-	}
-	if !(lo < hi) {
+	var c condSpec
+	if !arrivalCond(&c, es, rates, i) {
 		// Degenerate interval (ties); keep the current value.
 		mc.skipped++
 		return
 	}
-
-	var c condSpec
-	switch {
-	case e.PrevQ == p:
-		// Back-to-back same-queue revisit: uniform.
-		c.reset(lo, hi, 0)
-	default:
-		// Base slope: −µ_π from s_{π(e)} = a − const.
-		c.reset(lo, hi, -rateP)
-		if e.PrevQ == trace.None {
-			// Service of e starts at its own arrival: s_e = d_e − a.
-			c.baseSlope += rateE
-		} else {
-			c.addTerm(es.Dep[e.PrevQ], rateE)
-		}
-		if pn != trace.None {
-			c.addTerm(es.Arr[pn], rateP)
-		}
-	}
-	a := c.sample(mc.rng)
-	if a < lo {
-		a = lo
-	}
-	if a > hi {
-		a = hi
-	}
+	a := c.clamp(c.sample(mc.rng))
 	if mc.dSvc != nil {
 		// Writing a_e (= d_{π(e)}) perturbs exactly s_e, w_e, s_{π(e)}, and
 		// s/w of ρ⁻¹(π(e)).
-		mc.stage(es, i, p, pe.NextQ)
+		p := es.Events[i].PrevT
+		mc.stage(es, i, p, es.Events[p].NextQ)
 		es.SetArrival(i, a)
 		mc.commit(es)
 		return
@@ -285,42 +184,18 @@ func resampleArrival(es *trace.EventSet, rates []float64, mc *moveCtx, i int) {
 	es.SetArrival(i, a)
 }
 
-// resampleFinalDeparture draws the departure of a task's final event, whose
-// conditional involves its own service time and, when a later arrival to
-// the same queue exists, that event's service time:
-//
-//	f(d) = −µ_e(d − start_e) − µ_e(d_next − max(a_next, d))
-//
-// on (start_e, d_next), or (start_e, ∞) when the event is last in its
-// queue.
+// resampleFinalDeparture draws the departure of a task's final event from
+// its full conditional (finalDepartCond).
 func resampleFinalDeparture(es *trace.EventSet, rates []float64, mc *moveCtx, i int) {
-	e := &es.Events[i]
-	rateE := rates[e.Queue]
-
-	lo := es.ServiceStart(i)
-	hi := math.Inf(1)
-	if e.NextQ != trace.None {
-		hi = es.Dep[e.NextQ]
-	}
-	if !(lo < hi) {
+	var c condSpec
+	if !finalDepartCond(&c, es, rates, i) {
 		mc.skipped++
 		return
 	}
-	var c condSpec
-	c.reset(lo, hi, -rateE)
-	if e.NextQ != trace.None {
-		c.addTerm(es.Arr[e.NextQ], rateE)
-	}
-	d := c.sample(mc.rng)
-	if d < lo {
-		d = lo
-	}
-	if !math.IsInf(hi, 1) && d > hi {
-		d = hi
-	}
+	d := c.clamp(c.sample(mc.rng))
 	if mc.dSvc != nil {
 		// Writing d_e perturbs s_e and s/w of ρ⁻¹(e).
-		mc.stage(es, i, e.NextQ, trace.None)
+		mc.stage(es, i, es.Events[i].NextQ, trace.None)
 		es.SetFinalDepart(i, d)
 		mc.commit(es)
 		return

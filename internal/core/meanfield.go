@@ -99,8 +99,7 @@ type MeanFieldScratch struct {
 	caps     []float64
 
 	// Deterministic coordinate-pass move lists.
-	arrMoves []int32
-	depMoves []int32
+	moves latentMoves
 
 	// Rate iterates and the observed-response accumulators of the default
 	// initial-rate estimate.
@@ -162,14 +161,14 @@ func MeanFieldInto(sum *PosteriorSummary, params *Params, es *trace.EventSet, op
 	if err := sc.feasibleInit(es, sc.rates); err != nil {
 		return MeanFieldStats{}, err
 	}
-	sc.buildMoves(es)
+	sc.moves.build(es)
 
 	var stats MeanFieldStats
 	for iter := 1; iter <= opts.MaxIters; iter++ {
 		// Alternating deterministic coordinate passes, mirroring the Gibbs
 		// scan-order alternation: a backward pass propagates contractions of
 		// late times through coupled chains within one pass.
-		meanFieldPass(es, sc.rates, sc.arrMoves, sc.depMoves, iter%2 == 0)
+		meanFieldPass(es, sc.rates, &sc.moves, iter%2 == 0)
 		copy(sc.prevRates, sc.rates)
 		mleInto(sc.rates, es)
 		maxRel := 0.0
@@ -466,23 +465,6 @@ func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet, rates []float64) er
 	return es.Validate(1e-6)
 }
 
-// buildMoves fills the deterministic coordinate-pass move lists, matching
-// the Gibbs move enumeration (latent arrivals; final latent departures).
-func (sc *MeanFieldScratch) buildMoves(es *trace.EventSet) {
-	n := len(es.Events)
-	sc.arrMoves = resizeI32(sc.arrMoves, n)[:0]
-	sc.depMoves = resizeI32(sc.depMoves, n)[:0]
-	for i := range es.Events {
-		e := &es.Events[i]
-		if !e.Initial() && !e.ObsArrival {
-			sc.arrMoves = append(sc.arrMoves, int32(i))
-		}
-		if e.Final() && !e.ObsDepart {
-			sc.depMoves = append(sc.depMoves, int32(i))
-		}
-	}
-}
-
 // mleInto replaces rates in place with the complete-data MLE of the current
 // (imputed) event times — MLE without its allocation; queues with no events
 // keep their previous rate.
@@ -505,120 +487,24 @@ func mleInto(rates []float64, es *trace.EventSet) {
 
 // meanFieldPass runs one deterministic coordinate pass: every latent
 // arrival and final departure is replaced by the mean of its full
-// conditional, in the same alternating order as Gibbs.Sweep.
-func meanFieldPass(es *trace.EventSet, rates []float64, arr, dep []int32, backward bool) {
-	if !backward {
-		for _, i := range arr {
-			meanFieldArrival(es, rates, int(i))
+// conditional — the conditional resampleArrival and resampleFinalDeparture
+// draw from, with the same degenerate skip — in the same alternating order
+// as Gibbs.Sweep. Conditional *means* rather than modes: the modes of
+// piecewise-exponential conditionals sit on interval boundaries, which
+// collapses the state onto its constraints, while the mean stays strictly
+// interior and keeps the state feasible.
+func meanFieldPass(es *trace.EventSet, rates []float64, m *latentMoves, backward bool) {
+	m.scan(backward, func(i int) {
+		var c condSpec
+		if arrivalCond(&c, es, rates, i) {
+			es.SetArrival(i, c.clamp(c.mean()))
 		}
-		for _, i := range dep {
-			meanFieldFinalDeparture(es, rates, int(i))
+	}, func(i int) {
+		var c condSpec
+		if finalDepartCond(&c, es, rates, i) {
+			es.SetFinalDepart(i, c.clamp(c.mean()))
 		}
-		return
-	}
-	for k := len(dep) - 1; k >= 0; k-- {
-		meanFieldFinalDeparture(es, rates, int(dep[k]))
-	}
-	for k := len(arr) - 1; k >= 0; k-- {
-		meanFieldArrival(es, rates, int(arr[k]))
-	}
-}
-
-// meanFieldArrival sets a_e to the mean of the same full conditional
-// resampleArrival draws from (identical bounds, slopes, and degenerate
-// skip; see that function for the derivation). Conditional *means* rather
-// than modes: the modes of piecewise-exponential conditionals sit on
-// interval boundaries, which collapses the state onto its constraints,
-// while the mean stays strictly interior and keeps the state feasible.
-func meanFieldArrival(es *trace.EventSet, rates []float64, i int) {
-	e := &es.Events[i]
-	p := e.PrevT
-	pe := &es.Events[p]
-	rateE := rates[e.Queue]
-	rateP := rates[pe.Queue]
-
-	lo := es.Arr[p]
-	if pe.PrevQ != trace.None {
-		if d := es.Dep[pe.PrevQ]; d > lo {
-			lo = d
-		}
-	}
-	if e.PrevQ != trace.None && e.PrevQ != p {
-		if a := es.Arr[e.PrevQ]; a > lo {
-			lo = a
-		}
-	}
-	hi := es.Dep[i]
-	if e.NextQ != trace.None {
-		if a := es.Arr[e.NextQ]; a < hi {
-			hi = a
-		}
-	}
-	pn := pe.NextQ
-	if pn == i {
-		pn = trace.None
-	}
-	if pn != trace.None {
-		if d := es.Dep[pn]; d < hi {
-			hi = d
-		}
-	}
-	if !(lo < hi) {
-		return // degenerate interval (ties); keep the current value
-	}
-
-	var c condSpec
-	switch {
-	case e.PrevQ == p:
-		c.reset(lo, hi, 0)
-	default:
-		c.reset(lo, hi, -rateP)
-		if e.PrevQ == trace.None {
-			c.baseSlope += rateE
-		} else {
-			c.addTerm(es.Dep[e.PrevQ], rateE)
-		}
-		if pn != trace.None {
-			c.addTerm(es.Arr[pn], rateP)
-		}
-	}
-	a := c.mean()
-	if a < lo {
-		a = lo
-	}
-	if a > hi {
-		a = hi
-	}
-	es.SetArrival(i, a)
-}
-
-// meanFieldFinalDeparture sets a final event's departure to the mean of the
-// conditional resampleFinalDeparture draws from.
-func meanFieldFinalDeparture(es *trace.EventSet, rates []float64, i int) {
-	e := &es.Events[i]
-	rateE := rates[e.Queue]
-
-	lo := es.ServiceStart(i)
-	hi := math.Inf(1)
-	if e.NextQ != trace.None {
-		hi = es.Dep[e.NextQ]
-	}
-	if !(lo < hi) {
-		return
-	}
-	var c condSpec
-	c.reset(lo, hi, -rateE)
-	if e.NextQ != trace.None {
-		c.addTerm(es.Arr[e.NextQ], rateE)
-	}
-	d := c.mean()
-	if d < lo {
-		d = lo
-	}
-	if !math.IsInf(hi, 1) && d > hi {
-		d = hi
-	}
-	es.SetFinalDepart(i, d)
+	})
 }
 
 // fillMeanFieldSummary writes the fix point's per-queue mean service and
@@ -653,72 +539,4 @@ func fillMeanFieldSummary(sum *PosteriorSummary, es *trace.EventSet) {
 		sum.MeanWait[q] = wait / float64(len(ids))
 	}
 	sum.Sweeps = 0
-}
-
-// ---------------------------------------------------------------------------
-// Conditional means of the piecewise log-linear conditionals.
-
-// mean returns the mean of the normalized density exp(f) described by the
-// spec — the deterministic counterpart of sample: the same piece
-// construction and log-domain mass anchoring, with each piece contributing
-// its truncated-exponential mean instead of a draw. Requires lo < hi and,
-// when hi is +Inf, a negative final slope (both guaranteed by the move
-// constructions).
-func (c *condSpec) mean() float64 {
-	if c.nBreaks == 0 {
-		// Single piece — the common case; no log-domain machinery needed.
-		return c.lo + truncExpMean(c.baseSlope, c.hi-c.lo)
-	}
-	var edges [4]float64
-	var slopes [3]float64
-	np := 1
-	edges[0] = c.lo
-	slope := c.baseSlope
-	slopes[0] = slope
-	for b := 0; b < c.nBreaks; b++ {
-		edges[np] = c.breakAt[b]
-		slope += c.breakAdd[b]
-		slopes[np] = slope
-		np++
-	}
-	edges[np] = c.hi
-
-	var logZ [3]float64
-	f := 0.0
-	maxLZ := math.Inf(-1)
-	for i := 0; i < np; i++ {
-		w := edges[i+1] - edges[i]
-		logZ[i] = f + logIntExp(slopes[i], w)
-		if !math.IsInf(w, 1) {
-			f += slopes[i] * w
-		}
-		if logZ[i] > maxLZ {
-			maxLZ = logZ[i]
-		}
-	}
-	var total, acc float64
-	for i := 0; i < np; i++ {
-		wt := math.Exp(logZ[i] - maxLZ)
-		if wt == 0 {
-			continue // zero mass; its (possibly infinite-support) mean is moot
-		}
-		acc += wt * (edges[i] + truncExpMean(slopes[i], edges[i+1]-edges[i]))
-		total += wt
-	}
-	return acc / total
-}
-
-// truncExpMean returns the mean of the density ∝ exp(m·x) on (0, w):
-// w/(1−e^{−mw}) − 1/m, with the limits w/2 as mw → 0 and −1/m for w = +Inf
-// (m < 0). The closed form cancels catastrophically for small |mw| (both
-// terms ≈ 1/m), so that regime uses the series w/2·(1 + mw/6) + O((mw)²w).
-func truncExpMean(m, w float64) float64 {
-	if math.IsInf(w, 1) {
-		return -1 / m
-	}
-	mw := m * w
-	if math.Abs(mw) < 1e-4 {
-		return w * 0.5 * (1 + mw/6)
-	}
-	return w/(-math.Expm1(-mw)) - 1/m
 }

@@ -14,7 +14,7 @@ package core
 // EMResult.Sampler) after the scratch has been reused, and never share one
 // scratch between concurrent samplers. The zero value is ready to use.
 type GibbsScratch struct {
-	arrivalMoves, departMoves []int
+	moves latentMoves
 }
 
 // resizeI32 returns b with length n (contents unspecified), reusing its

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -35,13 +34,19 @@ func sliceSample(r *xrand.RNG, lo, hi, cur float64, logf func(x float64) float64
 	}
 	// Vertical slice: y = f(cur) · U, i.e. log y = log f(cur) + log U.
 	logy := fcur + math.Log(r.Float64Open())
+	return sliceShrink(r, lo, hi, cur, logy, logf)
+}
+
+// sliceShrink draws uniformly from (lo, hi), shrinking the interval toward
+// cur after each rejected point, until a point lies above the slice level
+// logy; it keeps cur if sliceMaxShrink draws all miss.
+func sliceShrink(r *xrand.RNG, lo, hi, cur, logy float64, logf func(x float64) float64) float64 {
 	l, h := lo, hi
 	for i := 0; i < sliceMaxShrink; i++ {
 		x := r.Uniform(l, h)
 		if logf(x) > logy {
 			return x
 		}
-		// Shrink toward the current point.
 		if x < cur {
 			l = x
 		} else {
@@ -55,121 +60,52 @@ func sliceSample(r *xrand.RNG, lo, hi, cur float64, logf func(x float64) float64
 // updates instead of Metropolis–Hastings. It may be freely interleaved
 // with Sweep (both leave the posterior invariant).
 func (g *GeneralGibbs) SweepSlice() {
-	if g.sweeps%2 == 0 {
-		for _, i := range g.arrivalMoves {
-			g.sliceArrival(i)
-		}
-		for _, i := range g.departMoves {
-			g.sliceFinalDeparture(i)
-		}
-	} else {
-		for k := len(g.departMoves) - 1; k >= 0; k-- {
-			g.sliceFinalDeparture(g.departMoves[k])
-		}
-		for k := len(g.arrivalMoves) - 1; k >= 0; k-- {
-			g.sliceArrival(g.arrivalMoves[k])
-		}
-	}
+	g.moves.scan(g.sweeps%2 == 1, g.sliceArrival, g.sliceFinalDeparture)
 	g.sweeps++
 }
 
 // sliceArrival updates one latent arrival with a slice move on its bounded
-// window.
+// window (arrivalBounds).
 func (g *GeneralGibbs) sliceArrival(i int) {
 	es := g.set
-	e := &es.Events[i]
-	p := e.PrevT
-	pe := &es.Events[p]
-
-	lo := es.Arr[p]
-	if pe.PrevQ != trace.None {
-		if d := es.Dep[pe.PrevQ]; d > lo {
-			lo = d
-		}
-	}
-	if e.PrevQ != trace.None && e.PrevQ != p {
-		if a := es.Arr[e.PrevQ]; a > lo {
-			lo = a
-		}
-	}
-	hi := es.Dep[i]
-	if e.NextQ != trace.None {
-		if a := es.Arr[e.NextQ]; a < hi {
-			hi = a
-		}
-	}
-	pn := pe.NextQ
-	if pn == i {
-		pn = trace.None
-	}
-	if pn != trace.None {
-		if d := es.Dep[pn]; d < hi {
-			hi = d
-		}
-	}
+	lo, hi := arrivalBounds(es, i)
 	if !(lo < hi) {
 		return
 	}
-	cur := es.Arr[i]
 	logf := func(x float64) float64 {
 		es.SetArrival(i, x)
 		return g.localArrivalLogDensity(i)
 	}
-	next := sliceSample(g.rng, lo, hi, cur, logf)
-	es.SetArrival(i, next)
+	es.SetArrival(i, sliceSample(g.rng, lo, hi, es.Arr[i], logf))
 }
 
-// sliceFinalDeparture updates one latent terminal departure. The support
-// may be unbounded above; the initial interval is then capped at the
-// current value plus a generous multiple of the model mean, and doubled
-// (stepping out) while the density at the cap still exceeds the slice —
-// bounded by the same iteration cap.
+// sliceFinalDeparture updates one latent terminal departure on its window
+// (finalDepartBounds). The support may be unbounded above; the initial
+// interval is then capped at the current value plus a generous multiple of
+// the model mean, and doubled (stepping out) while the density at the cap
+// still exceeds the slice — bounded by the same iteration cap.
 func (g *GeneralGibbs) sliceFinalDeparture(i int) {
 	es := g.set
-	e := &es.Events[i]
-	lo := es.ServiceStart(i)
-	hi := math.Inf(1)
-	if e.NextQ != trace.None {
-		hi = es.Dep[e.NextQ]
-	}
+	lo, hi := finalDepartBounds(es, i)
 	if !(lo < hi) {
 		return
 	}
 	cur := es.Dep[i]
 	logf := func(x float64) float64 {
 		es.Dep[i] = x
-		total := g.models[e.Queue].LogPDF(es.ServiceTime(i))
-		if e.NextQ != trace.None {
-			total += g.models[e.Queue].LogPDF(es.ServiceTime(e.NextQ))
-		}
-		return total
+		return g.localDepartLogDensity(i)
 	}
 	if math.IsInf(hi, 1) {
 		// Step out from a finite initial cap until the tail is covered.
-		hiCap := cur + 10*g.models[e.Queue].Mean()
+		hiCap := cur + 10*g.models[es.Events[i].Queue].Mean()
 		fcur := logf(cur)
 		logy := fcur + math.Log(g.rng.Float64Open())
 		for step := 0; step < sliceMaxShrink && logf(hiCap) > logy; step++ {
 			hiCap = lo + 2*(hiCap-lo)
 		}
 		// Shrink within (lo, hiCap) against the already-drawn slice level.
-		l, h := lo, hiCap
-		next := cur
-		for step := 0; step < sliceMaxShrink; step++ {
-			x := g.rng.Uniform(l, h)
-			if logf(x) > logy {
-				next = x
-				break
-			}
-			if x < cur {
-				l = x
-			} else {
-				h = x
-			}
-		}
-		es.Dep[i] = next
+		es.Dep[i] = sliceShrink(g.rng, lo, hiCap, cur, logy, logf)
 		return
 	}
-	next := sliceSample(g.rng, lo, hi, cur, logf)
-	es.Dep[i] = next
+	es.Dep[i] = sliceSample(g.rng, lo, hi, cur, logf)
 }

@@ -443,13 +443,7 @@ func (w *SlidingWindow) compact() {
 // depLatent reports whether event i's departure is free to move: a final
 // event's unobserved departure, or a non-final event whose task
 // successor's arrival (the same number) is unobserved.
-func (w *SlidingWindow) depLatent(i int) bool {
-	e := &w.set.Events[i]
-	if e.NextT == trace.None {
-		return !e.ObsDepart
-	}
-	return !w.set.Events[e.NextT].ObsArrival
-}
+func (w *SlidingWindow) depLatent(i int) bool { return !pinnedDepart(&w.set, i) }
 
 // setDep writes event i's departure through the coupled-storage rules
 // (SetArrival on the task successor, or SetFinalDepart), folding the
@@ -682,14 +676,14 @@ func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 	if w.sweeps%2 == 0 {
 		for q := 1; q < nq; q++ {
 			for i := w.qHead[q]; i != trace.None; i = es.Events[i].NextQ {
-				if e := &es.Events[i]; e.PrevT != trace.None && !e.ObsArrival {
+				if latentArrival(&es.Events[i]) {
 					resampleArrival(es, rates, &w.mc, i)
 				}
 			}
 		}
 		for q := 1; q < nq; q++ {
 			for i := w.qHead[q]; i != trace.None; i = es.Events[i].NextQ {
-				if e := &es.Events[i]; e.NextT == trace.None && !e.ObsDepart {
+				if latentFinalDepart(&es.Events[i]) {
 					resampleFinalDeparture(es, rates, &w.mc, i)
 				}
 			}
@@ -697,14 +691,14 @@ func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 	} else {
 		for q := nq - 1; q >= 1; q-- {
 			for i := w.qTail[q]; i != trace.None; i = es.Events[i].PrevQ {
-				if e := &es.Events[i]; e.NextT == trace.None && !e.ObsDepart {
+				if latentFinalDepart(&es.Events[i]) {
 					resampleFinalDeparture(es, rates, &w.mc, i)
 				}
 			}
 		}
 		for q := nq - 1; q >= 1; q-- {
 			for i := w.qTail[q]; i != trace.None; i = es.Events[i].PrevQ {
-				if e := &es.Events[i]; e.PrevT != trace.None && !e.ObsArrival {
+				if latentArrival(&es.Events[i]) {
 					resampleArrival(es, rates, &w.mc, i)
 				}
 			}

@@ -468,8 +468,6 @@ func (s *Server) crashForTest() {
 		s.ingestGate.Unlock()
 		s.cancel()
 		s.exec.close()
-		close(s.results)
-		s.collectorWG.Wait()
 		if s.wal == nil {
 			return
 		}

@@ -119,7 +119,7 @@ func newExecutor(s *Server, workers, depth int, scan, budget time.Duration) *exe
 // state is created (seeded from a WAL-restored estimate when present) and
 // the stream is queued for a first visit.
 func (e *executor) register(st *stream) {
-	wk := newWorker(st, e.s.results, e.s.metrics, e.s.tracer, e.s.freshnessSLO, e.s.meanField)
+	wk := newWorker(e.s, st)
 	if est := st.estimate.Load(); est != nil {
 		wk.seq = est.Seq
 		wk.lastEpoch = est.Epoch

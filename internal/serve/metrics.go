@@ -59,7 +59,7 @@ type serverMetrics struct {
 	// fast path.
 	meanFieldSolve *obs.Histogram
 
-	// Daemon totals, folded in by the fan-in collector.
+	// Daemon totals, folded in by each stream's worker.
 	estimates      *obs.Counter
 	estimateErrors *obs.Counter
 	sweeps         *obs.Counter

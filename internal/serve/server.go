@@ -74,8 +74,7 @@ type stream struct {
 }
 
 // Server is the qserved daemon core, independent of the HTTP listener: it
-// owns the streams, the shared inference executor, and the fan-in
-// collector. Create with New, mount Handler on an http.Server, and Close
+// owns the streams and the shared inference executor. Create with New, mount Handler on an http.Server, and Close
 // to drain.
 type Server struct {
 	defaults StreamConfig
@@ -102,10 +101,6 @@ type Server struct {
 	tracer       *obs.Tracer
 	freshnessSLO time.Duration
 
-	// meanField selects whether the deterministic fast path runs (see
-	// WithMeanField): MeanFieldOn or MeanFieldOff. Defaults to MeanFieldOn.
-	meanField string
-
 	// recovering is set while NewDurable replays the WAL; GET /readyz
 	// answers 503 until it clears (and again while draining).
 	recovering atomic.Bool
@@ -127,11 +122,9 @@ type Server struct {
 	varzStreams map[string]any
 	varzBlocks  map[string]map[string]any
 
-	ctx         context.Context
-	cancel      context.CancelFunc
-	results     chan workerResult
-	collectorWG sync.WaitGroup
-	closeOnce   sync.Once
+	ctx       context.Context
+	cancel    context.CancelFunc
+	closeOnce sync.Once
 
 	// exec is the shared inference executor: a fixed worker pool draining
 	// a priority queue over all streams (see executor.go). The option
@@ -201,39 +194,10 @@ func WithFreshnessSLO(d time.Duration) Option {
 	return func(s *Server) { s.freshnessSLO = d }
 }
 
-// Mean-field fast-path modes (WithMeanField, qserved's -meanfield flag).
-const (
-	// MeanFieldOn (the default) publishes a deterministic mean-field
-	// estimate on the first epoch of a stream with no snapshot yet —
-	// before any Gibbs sweep runs. Gibbs refinement overwrites it.
-	MeanFieldOn = "on"
-	// MeanFieldOff disables the fast path: every served estimate is
-	// Gibbs-refined.
-	MeanFieldOff = "off"
-)
-
-// ValidMeanFieldMode reports whether mode is one of the -meanfield values
-// (on, off); callers validate before WithMeanField, which panics on
-// unknown modes.
-func ValidMeanFieldMode(mode string) bool {
-	return mode == MeanFieldOn || mode == MeanFieldOff
-}
-
-// WithMeanField selects how the deterministic mean-field backend is used;
-// see the MeanField* constants. Unknown modes panic (qserved validates the
-// flag first and exits with a usable message).
-func WithMeanField(mode string) Option {
-	if !ValidMeanFieldMode(mode) {
-		panic(fmt.Sprintf("serve: unknown mean-field mode %q (want %s or %s)",
-			mode, MeanFieldOn, MeanFieldOff))
-	}
-	return func(s *Server) { s.meanField = mode }
-}
-
 // defaultTraceRing is the span ring capacity when WithTraceRing is unset.
 const defaultTraceRing = 4096
 
-// New returns a running Server (collector and executor started, no
+// New returns a running Server (executor started, no
 // streams yet). The defaults seed every stream's unset StreamConfig
 // fields.
 func New(defaults StreamConfig, opts ...Option) *Server {
@@ -241,7 +205,6 @@ func New(defaults StreamConfig, opts ...Option) *Server {
 		defaults:     defaults,
 		registry:     newStreamRegistry(),
 		maxLineBytes: defaultMaxLineBytes,
-		results:      make(chan workerResult, 64),
 		start:        time.Now(),
 		mux:          http.NewServeMux(),
 		log:          slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -252,9 +215,6 @@ func New(defaults StreamConfig, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.meanField == "" {
-		s.meanField = MeanFieldOn
-	}
 	ring := s.optTraceRing
 	if ring <= 0 {
 		ring = defaultTraceRing
@@ -264,8 +224,6 @@ func New(defaults StreamConfig, opts ...Option) *Server {
 	s.metrics = newServerMetrics(s)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.exec = newExecutor(s, s.optInfWorkers, s.optQueueDepth, s.optScanInterval, s.optVisitBudget)
-	s.collectorWG.Add(1)
-	go s.collect()
 	s.routes()
 	return s
 }
@@ -302,9 +260,9 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Close drains the daemon: new ingest is refused (503), in-flight ingest
 // requests finish (so their events are counted and durably logged), the
-// shared executor stops (in-flight visits finish their budget slice), the
-// collector shuts down, and — when running durably — a final snapshot is
-// written and the logs are fsynced and closed. It is idempotent.
+// shared executor stops (in-flight visits finish their budget slice), and
+// — when running durably — a final snapshot is written and the logs are
+// fsynced and closed. It is idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
@@ -312,33 +270,10 @@ func (s *Server) Close() {
 		s.ingestGate.Unlock() // draining keeps new ingest out from here on
 		s.cancel()
 		s.exec.close()
-		close(s.results)
-		s.collectorWG.Wait()
 		if s.wal != nil {
 			s.wal.shutdown(s)
 		}
 	})
-}
-
-// collect is the fan-in point: every worker's per-pass result arrives on
-// one channel and is folded into the daemon-wide totals.
-func (s *Server) collect() {
-	defer s.collectorWG.Done()
-	for res := range s.results {
-		if res.err != nil {
-			s.metrics.estimateErrors.Inc()
-			msg := fmt.Sprintf("stream %s: %v", res.stream, res.err)
-			now := time.Now()
-			s.lastErr.Store(&msg)
-			s.lastErrAt.Store(&now)
-			s.log.Error("estimate failed", "stream", res.stream, "err", res.err, "elapsed", res.elapsed)
-			continue
-		}
-		s.metrics.estimates.Inc()
-		s.metrics.sweeps.Add(res.sweeps)
-		s.log.Info("estimate published",
-			"stream", res.stream, "seq", res.seq, "epoch", res.epoch, "elapsed", res.elapsed)
-	}
 }
 
 func (s *Server) routes() {

@@ -193,6 +193,6 @@ func TestConcurrentIngestAndServe(t *testing.T) {
 	}
 	srv.Close() // drains workers; idempotent with the cleanup
 	if got := srv.metrics.estimates.Value(); got == 0 {
-		t.Error("collector recorded no estimates")
+		t.Error("daemon recorded no estimates")
 	}
 }

@@ -12,18 +12,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// workerResult is the fan-in record every published estimate (or failed
-// visit) sends to the server's collector goroutine, which aggregates
-// daemon-wide totals.
-type workerResult struct {
-	stream  string
-	seq     uint64
-	epoch   uint64
-	sweeps  uint64
-	elapsed time.Duration
-	err     error
-}
-
 // worker owns one stream's inference state. It has no goroutine of its
 // own: the shared executor calls visit() with a deadline, and the state
 // machine in executor.go guarantees at most one visit per stream is in
@@ -36,12 +24,16 @@ type workerResult struct {
 // estimation epoch's sweeps can be spent across many budgeted visits with
 // anytime snapshots between them. The mean-field first answer is solved
 // over a copy of the same window.
+//
+// The worker also folds its outcomes into the daemon-wide totals
+// (published estimates, failed passes, sweeps run, the last error) as it
+// counts them per stream.
 type worker struct {
-	st      *stream
-	results chan<- workerResult
-	sm      *serverMetrics
-	rng     *xrand.RNG
-	seq     uint64
+	s   *Server
+	st  *stream
+	sm  *serverMetrics
+	rng *xrand.RNG
+	seq uint64
 	// lastEpoch is the store epoch of the last published estimate;
 	// caughtEpoch is the latest store epoch whose epoch finished estimating
 	// (the executor's re-admission watermark).
@@ -56,20 +48,15 @@ type worker struct {
 	needRebuild  bool // poisoned window (panic/infeasible): Reset before reuse
 	epochElapsed time.Duration
 	sliceStart   time.Time
-	// pendingSweeps accumulates sweeps from visits that did not publish;
-	// they are flushed into the next result sent to the collector.
-	pendingSweeps uint64
-	sum           core.PosteriorSummary
-	rates         []float64
+	sum          core.PosteriorSummary
+	rates        []float64
 
-	// Mean-field fast path (DESIGN.md §18). meanField is set when the
-	// server runs in MeanFieldOn: the first epoch of a stream with no
-	// published snapshot solves the deterministic fix point over the synced
-	// window and publishes it before any sweep runs. mfWait retains the
-	// mean-field per-queue waits so later Gibbs publishes can report
-	// backend divergence.
-	meanField bool
-	mfWait    []float64
+	// Mean-field fast path (DESIGN.md §18): the first epoch of a stream
+	// with no published snapshot solves the deterministic fix point over
+	// the synced window and publishes it before any sweep runs. mfWait
+	// retains the mean-field per-queue waits so later Gibbs publishes can
+	// report backend divergence.
+	mfWait []float64
 
 	// Tracing + freshness. tr is the daemon's span recorder; sloNanos the
 	// seal→publish SLO (0 = no SLO accounting). traceRoot is the claimed
@@ -84,19 +71,18 @@ type worker struct {
 	visitStartNS int64
 }
 
-func newWorker(st *stream, results chan<- workerResult, sm *serverMetrics, tr *obs.Tracer, slo time.Duration, meanField string) *worker {
+func newWorker(s *Server, st *stream) *worker {
 	cfg := st.cfg
 	w := &worker{
-		st: st, results: results, sm: sm, rng: xrand.New(cfg.Seed), tr: tr,
-		meanField: meanField == MeanFieldOn,
+		s: s, st: st, sm: s.metrics, rng: xrand.New(cfg.Seed), tr: s.tracer,
 		warm: core.NewWarmEstimator(core.WarmConfig{
 			NumQueues:  cfg.NumQueues,
 			EMIters:    cfg.EMIters,
 			PostSweeps: cfg.PostSweeps,
 		}),
 	}
-	if slo > 0 {
-		w.sloNanos = slo.Nanoseconds()
+	if s.freshnessSLO > 0 {
+		w.sloNanos = s.freshnessSLO.Nanoseconds()
 	}
 	return w
 }
@@ -115,27 +101,19 @@ func (w *worker) visit(ctx context.Context, deadline time.Time, enqueuedNS int64
 		}
 	}
 	w.sliceStart = time.Now()
-	published, ran, err := w.warmSlice(ctx, deadline)
+	ran, err := w.warmSlice(ctx, deadline)
 	elapsed := time.Since(w.sliceStart)
 	w.epochElapsed += elapsed
 	w.sm.estimateLatency.Observe(elapsed.Seconds())
 	w.sm.visitSweeps.Observe(float64(ran))
 	if err != nil {
 		w.st.m.EstimateErrors.Inc()
-	}
-	if published || err != nil {
-		res := workerResult{
-			stream:  w.st.id,
-			seq:     w.seq,
-			epoch:   w.epochStart,
-			elapsed: elapsed,
-			err:     err,
-		}
-		res.sweeps, w.pendingSweeps = w.pendingSweeps, 0
-		select {
-		case w.results <- res:
-		case <-ctx.Done():
-		}
+		w.sm.estimateErrors.Inc()
+		msg := fmt.Sprintf("stream %s: %v", w.st.id, err)
+		now := time.Now()
+		w.s.lastErr.Store(&msg)
+		w.s.lastErrAt.Store(&now)
+		w.s.log.Error("estimate failed", "stream", w.st.id, "err", err, "elapsed", elapsed)
 	}
 	return w.epochOpen, w.caughtEpoch
 }
@@ -149,8 +127,8 @@ func (w *worker) visit(ctx context.Context, deadline time.Time, enqueuedNS int64
 // (lastEpoch/caughtEpoch are deliberately not advanced here, and
 // freshness accounting stays with the refined publish). Solve errors are
 // swallowed after counting: the stream just waits for Gibbs as it would
-// with the fast path off.
-func (w *worker) publishMeanField(ctx context.Context) {
+// without the fast path.
+func (w *worker) publishMeanField() {
 	es := w.warm.Window().EventSet()
 	start := time.Now()
 	origStart := es.TaskEntry(0)
@@ -189,14 +167,12 @@ func (w *worker) publishMeanField(ctx context.Context) {
 	w.st.estimate.Store(est)
 	w.sm.publishedMeanField.Inc()
 	w.st.m.Estimates.Inc()
+	w.sm.estimates.Inc()
+	w.s.log.Info("estimate published", "stream", w.st.id, "seq", w.seq, "epoch", w.appliedEpoch, "elapsed", elapsed)
 	w.st.m.updateQueueGauges(sum.MeanService, sum.MeanWait, sum.WaitChain)
 	if w.visitSpan != 0 {
 		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
 			Kind: spanPublish, Stream: w.st.id, StartNS: start.UnixNano(), EndNS: time.Now().UnixNano()})
-	}
-	select {
-	case w.results <- workerResult{stream: w.st.id, seq: w.seq, epoch: w.appliedEpoch, elapsed: elapsed}:
-	case <-ctx.Done():
 	}
 }
 
@@ -264,7 +240,7 @@ func (w *worker) recordFreshness(from, to uint64, publishNS int64) {
 // its parameters, and close the epoch when its schedule is exhausted. Panics from the
 // numerical stack poison the window (rebuilt on the next visit) instead
 // of killing the daemon.
-func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published bool, ran int, err error) {
+func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (ran int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("estimation panic: %v", r)
@@ -275,14 +251,14 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 	cfg := w.st.cfg
 	if !w.epochOpen {
 		if serr := w.syncWindow(); serr != nil {
-			return false, 0, serr
+			return 0, serr
 		}
 		if w.warm.Window().LiveTasks() < cfg.MinTasks {
 			w.st.m.SkippedRuns.Inc()
-			return false, 0, nil
+			return 0, nil
 		}
-		if w.meanField && w.st.estimate.Load() == nil {
-			w.publishMeanField(ctx)
+		if w.st.estimate.Load() == nil {
+			w.publishMeanField()
 		}
 		w.warm.BeginEpoch()
 		w.epochOpen = true
@@ -305,8 +281,8 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 				Kind: spanSweep, Stream: w.st.id, StartNS: t0.UnixNano(), EndNS: time.Now().UnixNano()})
 		}
 		ran += n
-		w.pendingSweeps += uint64(n)
 		w.st.m.SweepsRun.Add(uint64(n))
+		w.sm.sweeps.Add(uint64(n))
 		if cfg.SweepBatch > 0 && ran >= cfg.SweepBatch {
 			break
 		}
@@ -321,15 +297,14 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 	// estimate.
 	if w.warm.EpochSweeps() >= cfg.EMIters && w.warm.Window().LiveTasks() > 0 {
 		if perr := w.publishWarm(); perr != nil {
-			return false, ran, perr
+			return ran, perr
 		}
-		published = true
 	}
 	if w.warm.Done() {
 		w.epochOpen = false
 		w.caughtEpoch = w.epochStart
 	}
-	return published, ran, nil
+	return ran, nil
 }
 
 // syncWindow brings the warm window up to date with the store: the
@@ -417,8 +392,8 @@ func (w *worker) publishWarm() error {
 		if err != nil {
 			return fmt.Errorf("windowed stats: %w", err)
 		}
-		w.pendingSweeps += uint64(cfg.WindowSweeps)
 		w.st.m.SweepsRun.Add(uint64(cfg.WindowSweeps))
+		w.sm.sweeps.Add(uint64(cfg.WindowSweeps))
 		ws = w.buildWindowsSnapshot(stats)
 	}
 	w.rates = w.warm.RatesInto(w.rates)
@@ -459,6 +434,9 @@ func (w *worker) publishWarm() error {
 	}
 	w.lastEpoch = w.epochStart
 	w.st.m.Estimates.Inc()
+	w.sm.estimates.Inc()
+	w.s.log.Info("estimate published", "stream", w.st.id, "seq", w.seq, "epoch", w.epochStart,
+		"elapsed", time.Since(w.sliceStart))
 	w.st.m.updateQueueGauges(w.sum.MeanService, w.sum.MeanWait, w.sum.WaitChain)
 	if w.visitSpan != 0 {
 		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,

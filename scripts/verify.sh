@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
-# Full verification gate: vet, build everything (commands and examples
+# Full verification gate: gofmt, vet, build everything (commands and examples
 # included), run the test suite under the race detector, then run the
 # timing and allocation contracts without it (they skip under -race).
 set -eux
 
 cd "$(dirname "$0")/.."
 
+# Every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go vet ./...
 go build ./...
 go test -race ./...
