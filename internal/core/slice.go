@@ -41,16 +41,15 @@ func sliceSample(r *xrand.RNG, lo, hi, cur float64, logf func(x float64) float64
 // cur after each rejected point, until a point lies above the slice level
 // logy; it keeps cur if sliceMaxShrink draws all miss.
 func sliceShrink(r *xrand.RNG, lo, hi, cur, logy float64, logf func(x float64) float64) float64 {
-	l, h := lo, hi
 	for i := 0; i < sliceMaxShrink; i++ {
-		x := r.Uniform(l, h)
+		x := r.Uniform(lo, hi)
 		if logf(x) > logy {
 			return x
 		}
 		if x < cur {
-			l = x
+			lo = x
 		} else {
-			h = x
+			hi = x
 		}
 	}
 	return cur
