@@ -101,7 +101,7 @@ func TestMeanFieldFeasibleAndPreservesObservations(t *testing.T) {
 		scrambleLatent(working)
 		var sum PosteriorSummary
 		var params Params
-		if _, err := MeanFieldInto(&sum, &params, working, MeanFieldOptions{MaxIters: 40, Tol: 0.02}); err != nil {
+		if _, err := MeanFieldInto(&sum, &params, working, MeanFieldOptions{}); err != nil {
 			t.Fatalf("frac %v: %v", frac, err)
 		}
 		if err := working.Validate(1e-6); err != nil {
@@ -599,36 +599,42 @@ func BenchmarkColdPosterior(b *testing.B) {
 
 // TestMeanFieldGolden pins the mean-field solve bit for bit on seeded
 // traces at two observed fractions: the fix-point times, the solved rates
-// and mean waits, and the iteration count. Any refactor of the coordinate
-// moves, their conditionals or their scan must reproduce these exactly.
+// and mean waits, and the iteration count. Each trace is solved with the
+// default options (the ones qserved uses, which run to the iteration cap)
+// and with a loose tolerance that stops the solve before the cap, so the
+// convergence test's iteration count is pinned too. Any refactor of the
+// coordinate moves, their conditionals or their scan must reproduce these
+// exactly.
 func TestMeanFieldGolden(t *testing.T) {
+	loose := MeanFieldOptions{MaxIters: 40, Tol: 0.02}
 	want := []struct {
 		frac       float64
+		opts       MeanFieldOptions
 		fix, rates uint64
 		iterations int
 	}{
-		{0.1, 0x6c9ace48c72e22a6, 0xfd6904720052789b, 7},
-		{0.5, 0x10538400e21a26b5, 0x9e946f3b3feb5793, 6},
+		{0.1, MeanFieldOptions{}, 0xecbf4d976719f8ff, 0xd5a017ce07cd9d39, 8},
+		{0.5, MeanFieldOptions{}, 0x657736c958148cce, 0x26d3170146274ee9, 8},
+		{0.1, loose, 0x6c9ace48c72e22a6, 0xfd6904720052789b, 7},
+		{0.5, loose, 0x10538400e21a26b5, 0x9e946f3b3feb5793, 6},
 	}
 	for _, g := range want {
 		seed := uint64(800 + int(g.frac*100))
 		working, _, _ := initializedWorking(t, [3]int{1, 2, 4}, 300, g.frac, seed)
 		var sum PosteriorSummary
 		var params Params
-		// A loose tolerance stops both solves before the cap, so the
-		// iteration count is pinned too.
-		stats, err := MeanFieldInto(&sum, &params, working, MeanFieldOptions{MaxIters: 40, Tol: 0.02})
+		stats, err := MeanFieldInto(&sum, &params, working, g.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := hashFloats(working.Arr, working.Dep); got != g.fix {
-			t.Errorf("frac %v: fix-point hash %#x, want %#x", g.frac, got, g.fix)
+			t.Errorf("frac %v %+v: fix-point hash %#x, want %#x", g.frac, g.opts, got, g.fix)
 		}
 		if got := hashFloats(params.Rates, sum.MeanWait); got != g.rates {
-			t.Errorf("frac %v: rates/wait hash %#x, want %#x", g.frac, got, g.rates)
+			t.Errorf("frac %v %+v: rates/wait hash %#x, want %#x", g.frac, g.opts, got, g.rates)
 		}
 		if stats.Iterations != g.iterations {
-			t.Errorf("frac %v: %d iterations, want %d", g.frac, stats.Iterations, g.iterations)
+			t.Errorf("frac %v %+v: %d iterations, want %d", g.frac, g.opts, stats.Iterations, g.iterations)
 		}
 	}
 }

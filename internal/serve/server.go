@@ -74,8 +74,8 @@ type stream struct {
 }
 
 // Server is the qserved daemon core, independent of the HTTP listener: it
-// owns the streams and the shared inference executor. Create with New, mount Handler on an http.Server, and Close
-// to drain.
+// owns the streams and the shared inference executor. Create with New,
+// mount Handler on an http.Server, and Close to drain.
 type Server struct {
 	defaults StreamConfig
 

@@ -31,7 +31,6 @@ import (
 type worker struct {
 	s   *Server
 	st  *stream
-	sm  *serverMetrics
 	rng *xrand.RNG
 	seq uint64
 	// lastEpoch is the store epoch of the last published estimate;
@@ -58,12 +57,11 @@ type worker struct {
 	// report backend divergence.
 	mfWait []float64
 
-	// Tracing + freshness. tr is the daemon's span recorder; sloNanos the
+	// Tracing + freshness. sloNanos is the
 	// seal→publish SLO (0 = no SLO accounting). traceRoot is the claimed
 	// ingest root span whose chain this worker completes at the next
 	// publish; visitSpan/visitParent/visitStartNS frame the visit span in
 	// flight (all zero on untraced visits — the common case).
-	tr           *obs.Tracer
 	sloNanos     int64
 	traceRoot    uint64
 	visitSpan    uint64
@@ -74,7 +72,7 @@ type worker struct {
 func newWorker(s *Server, st *stream) *worker {
 	cfg := st.cfg
 	w := &worker{
-		s: s, st: st, sm: s.metrics, rng: xrand.New(cfg.Seed), tr: s.tracer,
+		s: s, st: st, rng: xrand.New(cfg.Seed),
 		warm: core.NewWarmEstimator(core.WarmConfig{
 			NumQueues:  cfg.NumQueues,
 			EMIters:    cfg.EMIters,
@@ -101,19 +99,22 @@ func (w *worker) visit(ctx context.Context, deadline time.Time, enqueuedNS int64
 		}
 	}
 	w.sliceStart = time.Now()
-	ran, err := w.warmSlice(ctx, deadline)
+	published, ran, err := w.warmSlice(ctx, deadline)
 	elapsed := time.Since(w.sliceStart)
 	w.epochElapsed += elapsed
-	w.sm.estimateLatency.Observe(elapsed.Seconds())
-	w.sm.visitSweeps.Observe(float64(ran))
+	w.s.metrics.estimateLatency.Observe(elapsed.Seconds())
+	w.s.metrics.visitSweeps.Observe(float64(ran))
 	if err != nil {
 		w.st.m.EstimateErrors.Inc()
-		w.sm.estimateErrors.Inc()
+		w.s.metrics.estimateErrors.Inc()
 		msg := fmt.Sprintf("stream %s: %v", w.st.id, err)
 		now := time.Now()
 		w.s.lastErr.Store(&msg)
 		w.s.lastErrAt.Store(&now)
 		w.s.log.Error("estimate failed", "stream", w.st.id, "err", err, "elapsed", elapsed)
+	}
+	if published {
+		w.s.log.Info("estimate published", "stream", w.st.id, "seq", w.seq, "epoch", w.epochStart, "elapsed", elapsed)
 	}
 	return w.epochOpen, w.caughtEpoch
 }
@@ -144,7 +145,7 @@ func (w *worker) publishMeanField() {
 		return
 	}
 	elapsed := time.Since(start)
-	w.sm.meanFieldSolve.Observe(elapsed.Seconds())
+	w.s.metrics.meanFieldSolve.Observe(elapsed.Seconds())
 	w.mfWait = append(w.mfWait[:0], sum.MeanWait...)
 	w.seq++
 	est := &Estimate{
@@ -165,13 +166,13 @@ func (w *worker) publishMeanField() {
 		Backend:      BackendMeanField,
 	}
 	w.st.estimate.Store(est)
-	w.sm.publishedMeanField.Inc()
+	w.s.metrics.publishedMeanField.Inc()
 	w.st.m.Estimates.Inc()
-	w.sm.estimates.Inc()
+	w.s.metrics.estimates.Inc()
 	w.s.log.Info("estimate published", "stream", w.st.id, "seq", w.seq, "epoch", w.appliedEpoch, "elapsed", elapsed)
 	w.st.m.updateQueueGauges(sum.MeanService, sum.MeanWait, sum.WaitChain)
 	if w.visitSpan != 0 {
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
+		w.s.tracer.Record(obs.Span{ID: w.s.tracer.Child(w.visitSpan), Parent: w.visitSpan,
 			Kind: spanPublish, Stream: w.st.id, StartNS: start.UnixNano(), EndNS: time.Now().UnixNano()})
 	}
 }
@@ -190,11 +191,11 @@ func (w *worker) beginVisitSpan(enqueuedNS int64) {
 	}
 	now := time.Now().UnixNano()
 	if enqueuedNS > 0 && enqueuedNS <= now {
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.traceRoot), Parent: w.traceRoot,
+		w.s.tracer.Record(obs.Span{ID: w.s.tracer.Child(w.traceRoot), Parent: w.traceRoot,
 			Kind: spanQueueWait, Stream: w.st.id, StartNS: enqueuedNS, EndNS: now})
 	}
 	w.visitParent = w.traceRoot
-	w.visitSpan = w.tr.Child(w.traceRoot)
+	w.visitSpan = w.s.tracer.Child(w.traceRoot)
 	w.visitStartNS = now
 }
 
@@ -205,7 +206,7 @@ func (w *worker) endVisitSpan() {
 	if w.visitSpan == 0 {
 		return
 	}
-	w.tr.Record(obs.Span{ID: w.visitSpan, Parent: w.visitParent,
+	w.s.tracer.Record(obs.Span{ID: w.visitSpan, Parent: w.visitParent,
 		Kind: spanVisit, Stream: w.st.id, StartNS: w.visitStartNS, EndNS: time.Now().UnixNano()})
 	w.visitSpan = 0
 }
@@ -237,10 +238,10 @@ func (w *worker) recordFreshness(from, to uint64, publishNS int64) {
 // synced window, publish the mean-field first answer when the stream has
 // none yet), spend sweeps until the deadline or the stream's SweepBatch
 // cap, publish the best-so-far snapshot once the StEM phase has finalized
-// its parameters, and close the epoch when its schedule is exhausted. Panics from the
-// numerical stack poison the window (rebuilt on the next visit) instead
-// of killing the daemon.
-func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (ran int, err error) {
+// its parameters, and close the epoch when its schedule is exhausted.
+// Panics from the numerical stack poison the window (rebuilt on the next
+// visit) instead of killing the daemon.
+func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published bool, ran int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("estimation panic: %v", r)
@@ -251,11 +252,11 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (ran int, er
 	cfg := w.st.cfg
 	if !w.epochOpen {
 		if serr := w.syncWindow(); serr != nil {
-			return 0, serr
+			return false, 0, serr
 		}
 		if w.warm.Window().LiveTasks() < cfg.MinTasks {
 			w.st.m.SkippedRuns.Inc()
-			return 0, nil
+			return false, 0, nil
 		}
 		if w.st.estimate.Load() == nil {
 			w.publishMeanField()
@@ -275,14 +276,14 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (ran int, er
 		if n == 0 {
 			break
 		}
-		w.sm.sweep.Observe(time.Since(t0).Seconds())
+		w.s.metrics.sweep.Observe(time.Since(t0).Seconds())
 		if w.visitSpan != 0 {
-			w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
+			w.s.tracer.Record(obs.Span{ID: w.s.tracer.Child(w.visitSpan), Parent: w.visitSpan,
 				Kind: spanSweep, Stream: w.st.id, StartNS: t0.UnixNano(), EndNS: time.Now().UnixNano()})
 		}
 		ran += n
 		w.st.m.SweepsRun.Add(uint64(n))
-		w.sm.sweeps.Add(uint64(n))
+		w.s.metrics.sweeps.Add(uint64(n))
 		if cfg.SweepBatch > 0 && ran >= cfg.SweepBatch {
 			break
 		}
@@ -297,14 +298,15 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (ran int, er
 	// estimate.
 	if w.warm.EpochSweeps() >= cfg.EMIters && w.warm.Window().LiveTasks() > 0 {
 		if perr := w.publishWarm(); perr != nil {
-			return ran, perr
+			return false, ran, perr
 		}
+		published = true
 	}
 	if w.warm.Done() {
 		w.epochOpen = false
 		w.caughtEpoch = w.epochStart
 	}
-	return ran, nil
+	return published, ran, nil
 }
 
 // syncWindow brings the warm window up to date with the store: the
@@ -324,7 +326,7 @@ func (w *worker) syncWindow() error {
 	for attempt := 0; ; attempt++ {
 		if rebuild {
 			if win.LiveTasks() > 0 || w.needRebuild {
-				w.sm.rebuilds.Inc()
+				w.s.metrics.rebuilds.Inc()
 			}
 			w.warm.Reset()
 			w.needRebuild = false
@@ -346,14 +348,14 @@ func (w *worker) syncWindow() error {
 	for i := range tasks {
 		newEv += len(tasks[i].Events) + 1 // + the synthetic q0 entry
 	}
-	w.sm.slideNew.Add(uint64(newEv))
-	w.sm.slideWindow.Add(uint64(win.LiveEvents()))
+	w.s.metrics.slideNew.Add(uint64(newEv))
+	w.s.metrics.slideWindow.Add(uint64(win.LiveEvents()))
 	if w.visitSpan != 0 {
 		kind := spanSlide
 		if rebuild {
 			kind = spanRebuild
 		}
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
+		w.s.tracer.Record(obs.Span{ID: w.s.tracer.Child(w.visitSpan), Parent: w.visitSpan,
 			Kind: kind, Stream: w.st.id, StartNS: t0, EndNS: time.Now().UnixNano()})
 	}
 	return nil
@@ -393,7 +395,7 @@ func (w *worker) publishWarm() error {
 			return fmt.Errorf("windowed stats: %w", err)
 		}
 		w.st.m.SweepsRun.Add(uint64(cfg.WindowSweeps))
-		w.sm.sweeps.Add(uint64(cfg.WindowSweeps))
+		w.s.metrics.sweeps.Add(uint64(cfg.WindowSweeps))
 		ws = w.buildWindowsSnapshot(stats)
 	}
 	w.rates = w.warm.RatesInto(w.rates)
@@ -421,7 +423,7 @@ func (w *worker) publishWarm() error {
 		w.st.windows.Store(ws)
 	}
 	w.st.estimate.Store(est)
-	w.sm.publishedGibbs.Inc()
+	w.s.metrics.publishedGibbs.Inc()
 	if w.mfWait != nil {
 		w.st.m.updateDivergence(w.mfWait, w.sum.MeanWait)
 	}
@@ -434,12 +436,10 @@ func (w *worker) publishWarm() error {
 	}
 	w.lastEpoch = w.epochStart
 	w.st.m.Estimates.Inc()
-	w.sm.estimates.Inc()
-	w.s.log.Info("estimate published", "stream", w.st.id, "seq", w.seq, "epoch", w.epochStart,
-		"elapsed", time.Since(w.sliceStart))
+	w.s.metrics.estimates.Inc()
 	w.st.m.updateQueueGauges(w.sum.MeanService, w.sum.MeanWait, w.sum.WaitChain)
 	if w.visitSpan != 0 {
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
+		w.s.tracer.Record(obs.Span{ID: w.s.tracer.Child(w.visitSpan), Parent: w.visitSpan,
 			Kind: spanPublish, Stream: w.st.id, StartNS: p0, EndNS: time.Now().UnixNano()})
 		w.traceRoot = 0 // the ingest→publish chain is complete
 	}
