@@ -74,17 +74,26 @@ func (c *condSpec) clamp(x float64) float64 {
 	return x
 }
 
-// condPieces is a condSpec laid out as its linear pieces.
+// condPieces is a condSpec laid out as its linear pieces, with each
+// piece's mass held in a scaled linear domain: with the log density
+// anchored at f(lo) = 0, piece i integrates to exp(logScale)·mass[i].
+// logScale is the largest value f takes at an edge; every piece peaks at
+// one of its edges, so the dominant piece's mass needs no exp and no mass
+// overflows. A piece that lies more than ~745 below the peak gets mass 0.
 type condPieces struct {
-	n      int
-	edges  [4]float64 // piece i spans (edges[i], edges[i+1])
-	slopes [3]float64
-	logZ   [3]float64 // log mass of each piece, log density anchored at f(lo) = 0
-	maxLZ  float64    // largest logZ
+	n        int
+	edges    [4]float64 // piece i spans (edges[i], edges[i+1])
+	slopes   [3]float64
+	em1      [3]float64 // expm1(slope·width) of each finite piece
+	mass     [3]float64 // mass of each piece over exp(logScale)
+	total    float64    // sum of mass
+	logScale float64
 }
 
-// pieces lays out the spec's pieces and their log masses into p, the
-// construction sample, mean and logPDF share.
+// pieces lays out the spec's pieces and their masses into p, the
+// construction sample, mean and logPDF share. It costs one expm1 per
+// finite piece and one exp per piece other than the dominant one; em1 is
+// kept so sample's inverse CDF and mean's truncExpMean reuse it.
 func (c *condSpec) pieces(p *condPieces) {
 	p.n = 1
 	p.edges[0] = c.lo
@@ -98,17 +107,50 @@ func (c *condSpec) pieces(p *condPieces) {
 	}
 	p.edges[p.n] = c.hi
 
+	var peak [3]float64 // f at the edge where piece i peaks
 	f := 0.0
-	p.maxLZ = math.Inf(-1)
+	p.logScale = math.Inf(-1)
 	for i := 0; i < p.n; i++ {
-		w := p.edges[i+1] - p.edges[i]
-		p.logZ[i] = f + logIntExp(p.slopes[i], w)
-		if !math.IsInf(w, 1) {
-			f += p.slopes[i] * w
+		peak[i] = f
+		if w := p.edges[i+1] - p.edges[i]; !math.IsInf(w, 1) {
+			mw := p.slopes[i] * w
+			p.em1[i] = math.Expm1(mw)
+			f += mw
+			if mw > 0 {
+				peak[i] = f
+			}
 		}
-		if p.logZ[i] > p.maxLZ {
-			p.maxLZ = p.logZ[i]
+		if peak[i] > p.logScale {
+			p.logScale = peak[i]
 		}
+	}
+	p.total = 0
+	for i := 0; i < p.n; i++ {
+		m := peakMass(p.slopes[i], p.edges[i+1]-p.edges[i], p.em1[i])
+		if peak[i] != p.logScale {
+			m *= math.Exp(peak[i] - p.logScale)
+		}
+		p.mass[i] = m
+		p.total += m
+	}
+}
+
+// peakMass returns ∫_0^w exp(m·x) dx divided by the integrand's peak,
+// e^{max(0, mw)}, given em1 = expm1(m·w): em1/m for m < 0, and
+// (1 − e^{−mw})/m = em1/(1+em1)/m for m > 0, which is exactly 1/m once
+// e^{mw} overflows. An infinite piece (m < 0) has −1/m, and a flat one w.
+func peakMass(m, w, em1 float64) float64 {
+	switch {
+	case math.IsInf(w, 1):
+		return -1 / m
+	case em1 == 0: // m = 0, or m·w below the smallest float
+		return w
+	case m < 0:
+		return em1 / m
+	case math.IsInf(em1, 1):
+		return 1 / m
+	default:
+		return em1 / (1 + em1) / m
 	}
 }
 
@@ -118,17 +160,10 @@ func (c *condSpec) pieces(p *condPieces) {
 func (c *condSpec) sample(r *xrand.RNG) float64 {
 	var p condPieces
 	c.pieces(&p)
-	// Select a piece proportionally to exp(logZ).
-	var total float64
-	var wts [3]float64
-	for i := 0; i < p.n; i++ {
-		wts[i] = math.Exp(p.logZ[i] - p.maxLZ)
-		total += wts[i]
-	}
-	u := r.Float64() * total
+	u := r.Float64() * p.total
 	pick := p.n - 1
 	for i := 0; i < p.n; i++ {
-		u -= wts[i]
+		u -= p.mass[i]
 		if u < 0 {
 			pick = i
 			break
@@ -139,33 +174,55 @@ func (c *condSpec) sample(r *xrand.RNG) float64 {
 	if math.IsInf(w, 1) {
 		return lo + r.Exp(-p.slopes[pick])
 	}
-	// Density ∝ exp(slope·t) on (0,w) is TruncExp with rate -slope.
-	return lo + r.TruncExp(-p.slopes[pick], w)
+	return lo + truncExpInv(r.Float64(), p.slopes[pick], w, p.em1[pick])
+}
+
+// truncExpInv is the inverse CDF at u of the density ∝ exp(m·x) on (0, w),
+// given em1 = expm1(m·w). It computes exactly what xrand.TruncExp(−m, w)
+// does from the same u, reusing em1 instead of recomputing it; once
+// e^{mw} overflows (there TruncExp would return w) it inverts from the
+// right end instead, where e^{−mw} is 0.
+func truncExpInv(u, m, w, em1 float64) float64 {
+	if m == 0 {
+		return u * w
+	}
+	var x float64
+	if math.IsInf(em1, 1) {
+		x = w + math.Log1p(-u)/m
+	} else {
+		rate := -m
+		x = -math.Log1p(u*em1) / rate
+	}
+	if x < 0 {
+		return 0
+	}
+	if x > w {
+		return w
+	}
+	return x
 }
 
 // mean returns the mean of the normalized density exp(f) described by the
-// spec — the deterministic counterpart of sample: the same piece
-// construction and log-domain mass anchoring, with each piece contributing
-// its truncated-exponential mean instead of a draw. Requires lo < hi and,
-// when hi is +Inf, a negative final slope (both guaranteed by the move
-// constructions).
+// spec — the deterministic counterpart of sample: the same pieces and
+// masses, with each piece contributing its truncated-exponential mean
+// instead of a draw. Requires lo < hi and, when hi is +Inf, a negative
+// final slope (both guaranteed by the move constructions).
 func (c *condSpec) mean() float64 {
 	if c.nBreaks == 0 {
-		// Single piece — the common case; no log-domain machinery needed.
-		return c.lo + truncExpMean(c.baseSlope, c.hi-c.lo)
+		// One piece — the common case; its mass is moot.
+		w := c.hi - c.lo
+		return c.lo + truncExpMean(c.baseSlope, w, math.Expm1(c.baseSlope*w))
 	}
 	var p condPieces
 	c.pieces(&p)
-	var total, acc float64
+	var acc float64
 	for i := 0; i < p.n; i++ {
-		wt := math.Exp(p.logZ[i] - p.maxLZ)
-		if wt == 0 {
+		if p.mass[i] == 0 {
 			continue // zero mass; its (possibly infinite-support) mean is moot
 		}
-		acc += wt * (p.edges[i] + truncExpMean(p.slopes[i], p.edges[i+1]-p.edges[i]))
-		total += wt
+		acc += p.mass[i] * (p.edges[i] + truncExpMean(p.slopes[i], p.edges[i+1]-p.edges[i], p.em1[i]))
 	}
-	return acc / total
+	return acc / p.total
 }
 
 // logPDF evaluates the normalized log density at x (the MH proposal
@@ -176,11 +233,7 @@ func (c *condSpec) logPDF(x float64) float64 {
 	}
 	var p condPieces
 	c.pieces(&p)
-	var s float64
-	for i := 0; i < p.n; i++ {
-		s += math.Exp(p.logZ[i] - p.maxLZ)
-	}
-	logTot := p.maxLZ + math.Log(s)
+	logTot := p.logScale + math.Log(p.total)
 	f := 0.0
 	for i := 0; i < p.n; i++ {
 		if x <= p.edges[i+1] || i == p.n-1 {
@@ -191,28 +244,13 @@ func (c *condSpec) logPDF(x float64) float64 {
 	return math.Inf(-1) // unreachable
 }
 
-// logIntExp returns log ∫_0^w exp(m·x) dx for w > 0 (possibly +Inf with
-// m < 0), matching internal/piecewise.
-func logIntExp(m, w float64) float64 {
-	if math.IsInf(w, 1) {
-		return -math.Log(-m)
-	}
-	mw := m * w
-	switch {
-	case mw == 0:
-		return math.Log(w)
-	case mw > 0:
-		return mw + math.Log(-math.Expm1(-mw)/m)
-	default:
-		return math.Log(math.Expm1(mw) / m)
-	}
-}
-
-// truncExpMean returns the mean of the density ∝ exp(m·x) on (0, w):
-// w/(1−e^{−mw}) − 1/m, with the limits w/2 as mw → 0 and −1/m for w = +Inf
-// (m < 0). The closed form cancels catastrophically for small |mw| (both
-// terms ≈ 1/m), so that regime uses the series w/2·(1 + mw/6) + O((mw)²w).
-func truncExpMean(m, w float64) float64 {
+// truncExpMean returns the mean of the density ∝ exp(m·x) on (0, w) given
+// em1 = expm1(m·w): w/(1−e^{−mw}) − 1/m = w·(1+em1)/em1 − 1/m, with the
+// limits w/2 as mw → 0, w − 1/m once e^{mw} overflows, and −1/m for
+// w = +Inf (m < 0). The closed form cancels catastrophically for small
+// |mw| (both terms ≈ 1/m), so that regime uses the series
+// w/2·(1 + mw/6) + O((mw)²w).
+func truncExpMean(m, w, em1 float64) float64 {
 	if math.IsInf(w, 1) {
 		return -1 / m
 	}
@@ -220,7 +258,10 @@ func truncExpMean(m, w float64) float64 {
 	if math.Abs(mw) < 1e-4 {
 		return w * 0.5 * (1 + mw/6)
 	}
-	return w/(-math.Expm1(-mw)) - 1/m
+	if math.IsInf(em1, 1) {
+		return w - 1/m
+	}
+	return w*(1+em1)/em1 - 1/m
 }
 
 // ---------------------------------------------------------------------------

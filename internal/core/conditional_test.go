@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,9 +29,14 @@ func buildEquivalent(t *testing.T, c *condSpec) *piecewise.LogLinear {
 	return d
 }
 
-// TestCondSpecMatchesPiecewise draws random specs and checks that logPDF
-// agrees with the general-purpose implementation everywhere, and that
-// sampling matches the piecewise CDF.
+// TestCondSpecMatchesPiecewise checks condSpec against the log-domain
+// reference, piecewise.LogLinear: logPDF at probes across the support, the
+// empirical CDF of 20k samples at the reference's quartiles and deciles,
+// and mean() against the reference's mean. The inputs are random specs
+// plus extreme-range ones: |slope·width| from 1e-12 to 800 on either side
+// of the expm1 overflow at ~709.8, piece log-masses more than 709 apart
+// (so a scaled mass underflows to 0), zero-slope pieces, and infinite last
+// pieces.
 func TestCondSpecMatchesPiecewise(t *testing.T) {
 	r := xrand.New(31)
 	for trial := 0; trial < 200; trial++ {
@@ -44,37 +50,141 @@ func TestCondSpecMatchesPiecewise(t *testing.T) {
 			// Some breakpoints inside, some outside.
 			c.addTerm(r.Uniform(lo-1, hi+1), r.Uniform(0.1, 6))
 		}
-		d := buildEquivalent(t, &c)
-		for probe := 0; probe < 20; probe++ {
-			x := r.Uniform(lo, hi)
-			got := c.logPDF(x)
-			want := d.LogPDF(x)
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("trial %d: logPDF(%v) = %v, piecewise %v (spec %+v)", trial, x, got, want, c)
+		checkCondSpec(t, fmt.Sprintf("trial %d", trial), &c, r)
+	}
+	type spec struct {
+		name   string
+		lo, hi float64
+		base   float64
+		terms  [][2]float64 // (at, add)
+	}
+	var extreme []spec
+	for _, mw := range []float64{1e-12, 1e-8, 1e-4, 1, 37, 709, 710, 800} {
+		for _, sign := range []float64{1, -1} {
+			m := sign * mw
+			extreme = append(extreme,
+				spec{fmt.Sprintf("one piece m·w=%g", m), 2, 3, m, nil},
+				spec{fmt.Sprintf("flat then m·w=%g", m), 0, 2, 0, [][2]float64{{1, m}}},
+				spec{fmt.Sprintf("m·w=%g, -m·w, m·w", m), -1, 2, m, [][2]float64{{0, -2 * m}, {1, 2 * m}}},
+			)
+		}
+	}
+	extreme = append(extreme,
+		// Piece 0 peaks at f = 0, piece 1 at f = 799: piece 0's scaled
+		// mass underflows.
+		spec{"log-masses 799 apart", 0, 2, -1, [][2]float64{{1, 801}}},
+		spec{"log-masses 799 apart, mirrored", 0, 2, 800, [][2]float64{{1, -801}}},
+		// The middle piece sits 800 below both outer peaks.
+		spec{"middle piece 800 down", 0, 3, -800, [][2]float64{{1, 800}, {2, 800}}},
+		spec{"zero, down, zero", 0, 3, 0, [][2]float64{{1, -2}, {2, 2}}},
+		spec{"down, zero, up", 0, 3, -3, [][2]float64{{1, 3}, {2, 1.5}}},
+		spec{"infinite tail", 1, math.Inf(1), -800, nil},
+		spec{"infinite shallow tail", 1, math.Inf(1), -1e-3, nil},
+		spec{"up then infinite tail", 0, math.Inf(1), 5, [][2]float64{{1, -5.5}}},
+		spec{"flat then infinite tail", 0, math.Inf(1), 0, [][2]float64{{2, -1}}},
+		spec{"down, flat, infinite tail", 0, math.Inf(1), -2, [][2]float64{{1, 2}, {3, -700}}},
+		spec{"up 800 then infinite tail", 0, math.Inf(1), 800, [][2]float64{{1, -801}}},
+	)
+	for _, sp := range extreme {
+		var c condSpec
+		c.reset(sp.lo, sp.hi, sp.base)
+		for _, tm := range sp.terms {
+			c.addTerm(tm[0], tm[1])
+		}
+		checkCondSpec(t, sp.name, &c, r)
+	}
+}
+
+// checkCondSpec compares one spec's logPDF, sample CDF and mean with the
+// piecewise.LogLinear of the same pieces.
+func checkCondSpec(t *testing.T, name string, c *condSpec, r *xrand.RNG) {
+	t.Helper()
+	d := buildEquivalent(t, c)
+	// Quantiles of the reference by bisection; a finite span to probe.
+	quantile := func(p float64) float64 {
+		a, b := c.lo, c.hi
+		if math.IsInf(b, 1) {
+			for b = c.lo + 1; d.CDF(b) < p; b = c.lo + 2*(b-c.lo) {
 			}
 		}
-		// KS-style check on a coarse grid using 20k samples.
-		const n = 20000
-		checks := []float64{lo + 0.25*width, lo + 0.5*width, lo + 0.75*width}
-		counts := make([]int, len(checks))
-		for s := 0; s < n; s++ {
-			x := c.sample(r)
-			if x < lo || x > hi {
-				t.Fatalf("trial %d: sample %v outside (%v,%v)", trial, x, lo, hi)
+		for k := 0; k < 200 && a < b; k++ {
+			mid := a + (b-a)/2
+			if d.CDF(mid) < p {
+				a = mid
+			} else {
+				b = mid
 			}
-			for j, cp := range checks {
-				if x <= cp {
-					counts[j]++
-				}
-			}
+		}
+		return b
+	}
+	hi := c.hi
+	if math.IsInf(hi, 1) {
+		hi = quantile(1 - 1e-9)
+	}
+	for probe := 0; probe <= 20; probe++ {
+		x := c.lo + float64(probe)/20*(hi-c.lo)
+		got, want := c.logPDF(x), d.LogPDF(x)
+		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Fatalf("%s: logPDF(%v) = %v, piecewise %v (spec %+v)", name, x, got, want, *c)
+		}
+	}
+	ps := []float64{0.1, 0.25, 0.5, 0.75, 0.9}
+	checks := make([]float64, len(ps))
+	for j, p := range ps {
+		checks[j] = quantile(p)
+	}
+	const n = 20000
+	counts := make([]int, len(checks))
+	for s := 0; s < n; s++ {
+		x := c.sample(r)
+		if x < c.lo || x > c.hi {
+			t.Fatalf("%s: sample %v outside (%v,%v)", name, x, c.lo, c.hi)
 		}
 		for j, cp := range checks {
-			got := float64(counts[j]) / n
-			want := d.CDF(cp)
-			if math.Abs(got-want) > 0.02 {
-				t.Fatalf("trial %d: empirical CDF(%v)=%v, want %v", trial, cp, got, want)
+			if x <= cp {
+				counts[j]++
 			}
 		}
+	}
+	for j, cp := range checks {
+		got, want := float64(counts[j])/n, d.CDF(cp)
+		if math.Abs(got-want) > 0.02 {
+			t.Fatalf("%s: empirical CDF(%v) = %v, want %v (spec %+v)", name, cp, got, want, *c)
+		}
+	}
+	// The reference mean as lo + ∫(1 − CDF): Simpson's rule on every finite
+	// piece, and the exact exponential tail beyond an infinite piece's left
+	// edge. (piecewise.Mean's closed form cancels for tiny |slope·width|.)
+	edges := []float64{c.lo}
+	for b := 0; b < c.nBreaks; b++ {
+		edges = append(edges, c.breakAt[b])
+	}
+	edges = append(edges, c.hi)
+	want := c.lo
+	for i := 0; i+1 < len(edges); i++ {
+		a, b := edges[i], edges[i+1]
+		if math.IsInf(b, 1) {
+			slope := c.baseSlope
+			for k := 0; k < c.nBreaks; k++ {
+				slope += c.breakAdd[k]
+			}
+			want += (1 - d.CDF(a)) / -slope
+			break
+		}
+		const steps = 4000
+		h := (b - a) / steps
+		sum := 2 - d.CDF(a) - d.CDF(b)
+		for k := 1; k < steps; k++ {
+			wt := 2.0
+			if k%2 == 1 {
+				wt = 4
+			}
+			sum += wt * (1 - d.CDF(a+float64(k)*h))
+		}
+		want += sum * h / 3
+	}
+	if got := c.mean(); math.Abs(got-want) > 1e-7*(hi-c.lo) {
+		t.Fatalf("%s: mean() = %v, reference %v (spec %+v)", name, got, want, *c)
 	}
 }
 
@@ -214,15 +324,38 @@ func TestConditionalsMatchJointLikelihood(t *testing.T) {
 	t.Logf("checked %d points and %d bound sides", points, sides)
 }
 
+var condSink float64
+
+// BenchmarkCondSpecSample builds and samples 1-, 2- and 3-piece
+// conditionals (the shapes an arrival move builds), and takes the 3-piece
+// one's mean, the mean-field update.
 func BenchmarkCondSpecSample(b *testing.B) {
-	r := xrand.New(1)
-	var c condSpec
-	for i := 0; i < b.N; i++ {
+	build := func(c *condSpec, pieces int) {
 		c.reset(0, 3, -2)
-		c.addTerm(1, 2.5)
-		c.addTerm(2, 1.5)
-		_ = c.sample(r)
+		if pieces > 1 {
+			c.addTerm(1, 2.5)
+		}
+		if pieces > 2 {
+			c.addTerm(2, 1.5)
+		}
 	}
+	for pieces := 1; pieces <= 3; pieces++ {
+		b.Run(fmt.Sprintf("pieces%d", pieces), func(b *testing.B) {
+			r := xrand.New(1)
+			var c condSpec
+			for i := 0; i < b.N; i++ {
+				build(&c, pieces)
+				condSink = c.sample(r)
+			}
+		})
+	}
+	b.Run("mean3", func(b *testing.B) {
+		var c condSpec
+		for i := 0; i < b.N; i++ {
+			build(&c, 3)
+			condSink = c.mean()
+		}
+	})
 }
 
 func BenchmarkPiecewiseEquivalentSample(b *testing.B) {

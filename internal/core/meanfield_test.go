@@ -341,7 +341,7 @@ func TestTruncExpMeanLimits(t *testing.T) {
 		{-3, math.Inf(1), 1.0 / 3, 1e-12}, // infinite support
 	}
 	for _, tc := range cases {
-		if got := truncExpMean(tc.m, tc.w); math.Abs(got-tc.want) > tc.tol {
+		if got := truncExpMean(tc.m, tc.w, math.Expm1(tc.m*tc.w)); math.Abs(got-tc.want) > tc.tol {
 			t.Errorf("truncExpMean(%v, %v) = %v, want %v", tc.m, tc.w, got, tc.want)
 		}
 	}
@@ -349,10 +349,10 @@ func TestTruncExpMeanLimits(t *testing.T) {
 	// switch, the closed form's cancellation error is still ≈ ulp/mw ≈ 1e-12).
 	for _, mw := range []float64{2e-4, -2e-4} {
 		series := mw * 0.5 * (1 + mw/6) // truncExpMean's small-|mw| branch at w=|mw|/|m| with m=±1
-		closed := truncExpMean(1, mw)
+		closed := truncExpMean(1, mw, math.Expm1(mw))
 		if mw < 0 {
 			series = -mw * 0.5 * (1 + mw/6)
-			closed = truncExpMean(-1, -mw)
+			closed = truncExpMean(-1, -mw, math.Expm1(mw))
 		}
 		if math.Abs(series-closed) > 1e-9 {
 			t.Errorf("mw=%v: series %v vs closed form %v", mw, series, closed)
