@@ -613,10 +613,10 @@ func TestMeanFieldGolden(t *testing.T) {
 		fix, rates uint64
 		iterations int
 	}{
-		{0.1, MeanFieldOptions{}, 0xecbf4d976719f8ff, 0xd5a017ce07cd9d39, 8},
-		{0.5, MeanFieldOptions{}, 0x657736c958148cce, 0x26d3170146274ee9, 8},
-		{0.1, loose, 0x6c9ace48c72e22a6, 0xfd6904720052789b, 7},
-		{0.5, loose, 0x10538400e21a26b5, 0x9e946f3b3feb5793, 6},
+		{0.1, MeanFieldOptions{}, 0x53c03754b2fe58e0, 0xf34d21cb34dca862, 8},
+		{0.5, MeanFieldOptions{}, 0xa785d31043d3ca38, 0x0cbe5c6047f3e24d, 8},
+		{0.1, loose, 0xdc0b684b86167a19, 0x8cb37527658de2fc, 7},
+		{0.5, loose, 0xd3d9f2e2e5dcb5a3, 0xea1a5e81b6d465d9, 6},
 	}
 	for _, g := range want {
 		seed := uint64(800 + int(g.frac*100))
