@@ -91,7 +91,6 @@ func main() {
 	emIters := flag.Int("em-iters", 300, "default StEM iterations per window")
 	postSweeps := flag.Int("post-sweeps", 40, "default posterior sweeps per window")
 	windows := flag.Int("windows", 6, "default windowed-stats buckets")
-	windowSweeps := flag.Int("window-sweeps", 30, "default windowed-stats sweeps")
 	infWorkers := flag.Int("inference-workers", -1, "shared inference executor pool size (-1 = one per CPU)")
 	queueDepth := flag.Int("queue-depth", 0, "inference queue bound; excess streams are shed and re-admitted (0 = max(64, 4x pool))")
 	visitBudget := flag.Duration("visit-budget", 50*time.Millisecond, "wall-clock budget of one inference visit")
@@ -155,14 +154,13 @@ func main() {
 	}
 
 	defaults := serve.StreamConfig{
-		WindowTasks:  *window,
-		MinTasks:     *minTasks,
-		EMIters:      *emIters,
-		PostSweeps:   *postSweeps,
-		Windows:      *windows,
-		WindowSweeps: *windowSweeps,
-		SweepBatch:   *sweepBatch,
-		Seed:         *seed,
+		WindowTasks: *window,
+		MinTasks:    *minTasks,
+		EMIters:     *emIters,
+		PostSweeps:  *postSweeps,
+		Windows:     *windows,
+		SweepBatch:  *sweepBatch,
+		Seed:        *seed,
 	}
 	serverOpts := []serve.Option{
 		serve.WithInferenceWorkers(*infWorkers),

@@ -11,7 +11,9 @@ import (
 // WarmConfig sizes one estimation epoch of a WarmEstimator: a StEM phase
 // of EMIters sweep+M-step iterations (parameters averaged after EMBurnIn)
 // followed by PostSweeps fixed-parameter posterior sweeps (means
-// accumulated after PostBurnIn). Zero values take the same defaults as
+// accumulated after PostBurnIn). Windows > 0 also accumulates, over the
+// same kept sweeps, per-queue means in that many equal time buckets of the
+// epoch's window span (WindowsInto). Zero values take the same defaults as
 // EMOptions/PosteriorOptions; NoBurnIn disables a burn-in.
 type WarmConfig struct {
 	NumQueues  int
@@ -19,6 +21,7 @@ type WarmConfig struct {
 	EMBurnIn   int
 	PostSweeps int
 	PostBurnIn int
+	Windows    int
 }
 
 func (c WarmConfig) withDefaults() WarmConfig {
@@ -76,8 +79,12 @@ type WarmEstimator struct {
 
 	scratchSvc, scratchWait []float64
 
-	winPass [][]trace.WindowStats
-	winCnt  [][]int
+	// The windowed summary: the span fixed at BeginEpoch, one pass's
+	// bucket sums, and per bucket the sum of the kept sweeps' means and
+	// the number of kept sweeps in which it had events.
+	winLo, winHi    float64
+	winPass, winSum [][]trace.WindowStats
+	winCnt          [][]int
 }
 
 // NewWarmEstimator returns an estimator over an empty window.
@@ -100,6 +107,16 @@ func NewWarmEstimator(cfg WarmConfig) *WarmEstimator {
 	}
 	for q := range we.rates {
 		we.rates[q] = 1
+	}
+	if n := cfg.Windows; n > 0 {
+		we.winPass = make([][]trace.WindowStats, nq)
+		we.winSum = make([][]trace.WindowStats, nq)
+		we.winCnt = make([][]int, nq)
+		for q := 0; q < nq; q++ {
+			we.winPass[q] = make([]trace.WindowStats, n)
+			we.winSum[q] = make([]trace.WindowStats, n)
+			we.winCnt[q] = make([]int, n)
+		}
 	}
 	return we
 }
@@ -128,8 +145,9 @@ func (we *WarmEstimator) Reset() {
 }
 
 // BeginEpoch starts a new estimation epoch over the current window
-// contents: EM and posterior debts are reset, accumulators cleared, and
-// the parameters warm-start from the previous epoch (or, on the first
+// contents: EM and posterior debts are reset, accumulators cleared, the
+// windowed summary's span fixed to the window's, and the parameters
+// warm-start from the previous epoch (or, on the first
 // epoch, from the maximum-likelihood rates of the seeded latent state —
 // the warm path's cold start needs no separate initializer because the
 // window was constructed feasible).
@@ -146,6 +164,8 @@ func (we *WarmEstimator) BeginEpoch() {
 		we.waitSum[q] = 0
 		we.waitChain[q] = we.waitChain[q][:0]
 	}
+	we.winLo, we.winHi = we.win.Span()
+	we.clearWindows()
 }
 
 // EpochSweeps returns the sweeps run so far this epoch.
@@ -207,6 +227,7 @@ func (we *WarmEstimator) Step(rng *xrand.RNG, maxSweeps int) int {
 					we.waitChain[q] = append(we.waitChain[q], we.scratchWait[q])
 				}
 			}
+			we.foldWindows()
 			we.postKept++
 		}
 	}
@@ -250,78 +271,86 @@ func (we *WarmEstimator) SnapshotInto(sum *PosteriorSummary) {
 	}
 }
 
-// PosteriorWindows continues the chain with the current parameters for
-// sweeps sweeps and averages time-windowed per-queue summaries over the
-// post-burn-in ones — the warm-path equivalent of core.PosteriorWindows
-// (same accumulation rules; q0 events bucket by entry time since every
-// q0 arrival is 0).
-func (we *WarmEstimator) PosteriorWindows(rng *xrand.RNG, sweeps, burnIn int, lo, hi float64, n int) ([][]trace.WindowStats, error) {
-	if !(lo < hi) || n <= 0 {
-		return nil, fmt.Errorf("core: invalid windows [%v,%v) x %d", lo, hi, n)
+// WindowsInto writes the epoch's best-so-far windowed summary into dst,
+// growing it as needed, and returns it: per queue, Windows equal time
+// buckets of the span fixed at BeginEpoch, each averaging the per-sweep
+// means over the kept posterior sweeps in which it had events (the
+// accumulation rules of core.PosteriorWindows; q0 events bucket by entry
+// time since every q0 arrival is 0), or, like SnapshotInto, the one-shot
+// means of the current latent state before any sweep is kept. Buckets
+// without events are NaN. It reads the chain without advancing it.
+func (we *WarmEstimator) WindowsInto(dst [][]trace.WindowStats) ([][]trace.WindowStats, error) {
+	n := we.cfg.Windows
+	if n <= 0 {
+		return dst, fmt.Errorf("core: windowed stats need WarmConfig.Windows > 0")
 	}
-	if burnIn == NoBurnIn {
-		burnIn = 0
-	} else if burnIn == 0 {
-		burnIn = sweeps / 5
+	lo, hi := we.winLo, we.winHi
+	if !(lo < hi) {
+		return dst, fmt.Errorf("core: degenerate window span [%v,%v)", lo, hi)
 	}
-	if burnIn >= sweeps {
-		return nil, fmt.Errorf("core: burn-in %d >= sweeps %d", burnIn, sweeps)
+	if we.postKept == 0 {
+		// The accumulators are still empty: fold in the current state
+		// alone, and empty them again for the first kept sweep.
+		we.foldWindows()
+		defer we.clearWindows()
 	}
 	nq := we.cfg.NumQueues
-	acc := make([][]trace.WindowStats, nq)
-	counts := make([][]int, nq)
-	if len(we.winPass) != nq {
-		we.winPass = make([][]trace.WindowStats, nq)
+	if cap(dst) < nq {
+		dst = make([][]trace.WindowStats, nq)
 	}
+	dst = dst[:nq]
 	width := (hi - lo) / float64(n)
 	for q := 0; q < nq; q++ {
-		acc[q] = make([]trace.WindowStats, n)
-		counts[q] = make([]int, n)
-		if cap(we.winPass[q]) < n {
-			we.winPass[q] = make([]trace.WindowStats, n)
+		if cap(dst[q]) < n {
+			dst[q] = make([]trace.WindowStats, n)
 		}
-		we.winPass[q] = we.winPass[q][:n]
+		dst[q] = dst[q][:n]
 		for b := 0; b < n; b++ {
-			acc[q][b] = trace.WindowStats{Queue: q, Lo: lo + float64(b)*width, Hi: lo + float64(b+1)*width}
+			cell := trace.WindowStats{Queue: q, Lo: lo + float64(b)*width, Hi: lo + float64(b+1)*width,
+				MeanService: math.NaN(), MeanWait: math.NaN()}
+			if k := we.winCnt[q][b]; k > 0 {
+				c := float64(k)
+				sum := we.winSum[q][b]
+				cell.Events = int(math.Round(float64(sum.Events) / c))
+				cell.MeanService = sum.MeanService / c
+				cell.MeanWait = sum.MeanWait / c
+			}
+			dst[q][b] = cell
 		}
 	}
-	for s := 0; s < sweeps; s++ {
-		we.win.Sweep(we.rates, rng)
-		if s < burnIn {
-			continue
-		}
-		for q := 0; q < nq; q++ {
-			for b := range we.winPass[q] {
-				we.winPass[q][b] = trace.WindowStats{}
-			}
-		}
-		we.win.windowedStatsInto(lo, hi, n, we.winPass)
-		for q := 0; q < nq; q++ {
-			for b := 0; b < n; b++ {
-				cell := we.winPass[q][b]
-				if cell.Events == 0 {
-					continue
-				}
-				c := float64(cell.Events)
-				acc[q][b].Events += cell.Events
-				acc[q][b].MeanService += cell.MeanService / c
-				acc[q][b].MeanWait += cell.MeanWait / c
-				counts[q][b]++
-			}
-		}
+	return dst, nil
+}
+
+// foldWindows adds one pass of the current latent state to the windowed
+// accumulators: each bucket with events adds its event count and its
+// per-event mean service and wait, and counts one sweep.
+func (we *WarmEstimator) foldWindows() {
+	if we.winSum == nil || !(we.winLo < we.winHi) {
+		return
 	}
-	for q := range acc {
-		for b := range acc[q] {
-			if counts[q][b] == 0 {
-				acc[q][b].MeanService = math.NaN()
-				acc[q][b].MeanWait = math.NaN()
+	for q := range we.winPass {
+		clear(we.winPass[q])
+	}
+	we.win.windowedStatsInto(we.winLo, we.winHi, we.cfg.Windows, we.winPass)
+	for q := range we.winPass {
+		for b, cell := range we.winPass[q] {
+			if cell.Events == 0 {
 				continue
 			}
-			c := float64(counts[q][b])
-			acc[q][b].MeanService /= c
-			acc[q][b].MeanWait /= c
-			acc[q][b].Events = int(math.Round(float64(acc[q][b].Events) / c))
+			c := float64(cell.Events)
+			sum := &we.winSum[q][b]
+			sum.Events += cell.Events
+			sum.MeanService += cell.MeanService / c
+			sum.MeanWait += cell.MeanWait / c
+			we.winCnt[q][b]++
 		}
 	}
-	return acc, nil
+}
+
+// clearWindows empties the windowed accumulators.
+func (we *WarmEstimator) clearWindows() {
+	for q := range we.winSum {
+		clear(we.winSum[q])
+		clear(we.winCnt[q])
+	}
 }

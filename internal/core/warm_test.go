@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -19,9 +20,12 @@ func warmFill(t *testing.T, we *WarmEstimator, tasks []SlideTask) {
 // TestWarmStepBatchingInvariant: spending an epoch in many small Step
 // batches must be bit-identical to one full pass — that is what lets the
 // shared executor slice sweeps across visits without changing estimates.
+// The batched chains read the snapshot and the windowed summary between
+// batches, as every anytime publish does; the reads must not advance the
+// chain either, down to one sweep per batch.
 func TestWarmStepBatchingInvariant(t *testing.T) {
 	const nq = 3
-	cfg := WarmConfig{NumQueues: nq, EMIters: 40, PostSweeps: 20}
+	cfg := WarmConfig{NumQueues: nq, EMIters: 40, PostSweeps: 20, Windows: 4}
 	gen := newSlideGen(3, nq, 2.0, 3.0, 0.5)
 	tasks := gen.take(50)
 
@@ -35,48 +39,65 @@ func TestWarmStepBatchingInvariant(t *testing.T) {
 	if !full.Done() {
 		t.Fatal("full pass not done")
 	}
-
-	batched := NewWarmEstimator(cfg)
-	warmFill(t, batched, tasks)
-	batched.BeginEpoch()
-	rngB := xrand.New(8)
-	steps := 0
-	for !batched.Done() {
-		ran := batched.Step(rngB, 7)
-		if ran == 0 {
-			t.Fatal("Step made no progress")
-		}
-		steps++
-	}
-	if steps != 9 { // ceil(60/7)
-		t.Fatalf("batched pass took %d steps, want 9", steps)
-	}
-
-	var sumF, sumB PosteriorSummary
+	var sumF PosteriorSummary
 	full.SnapshotInto(&sumF)
-	batched.SnapshotInto(&sumB)
-	if sumF.Sweeps != sumB.Sweeps {
-		t.Fatalf("kept sweeps differ: %d vs %d", sumF.Sweeps, sumB.Sweeps)
-	}
-	for q := 0; q < nq; q++ {
-		if sumF.MeanService[q] != sumB.MeanService[q] {
-			t.Fatalf("queue %d mean service %v vs %v", q, sumF.MeanService[q], sumB.MeanService[q])
-		}
-		if sumF.MeanWait[q] != sumB.MeanWait[q] && !(math.IsNaN(sumF.MeanWait[q]) && math.IsNaN(sumB.MeanWait[q])) {
-			t.Fatalf("queue %d mean wait %v vs %v", q, sumF.MeanWait[q], sumB.MeanWait[q])
-		}
-		if len(sumF.WaitChain[q]) != len(sumB.WaitChain[q]) {
-			t.Fatalf("queue %d wait chain length %d vs %d", q, len(sumF.WaitChain[q]), len(sumB.WaitChain[q]))
-		}
+	winF, err := full.WindowsInto(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rF := full.RatesInto(nil)
-	rB := batched.RatesInto(nil)
-	for q := range rF {
-		if rF[q] != rB[q] {
-			t.Fatalf("queue %d rate %v vs %v", q, rF[q], rB[q])
+
+	for _, batch := range []int{7, 1} {
+		batched := NewWarmEstimator(cfg)
+		warmFill(t, batched, tasks)
+		batched.BeginEpoch()
+		rngB := xrand.New(8)
+		var sumB PosteriorSummary
+		var winB [][]trace.WindowStats
+		steps := 0
+		for !batched.Done() {
+			ran := batched.Step(rngB, batch)
+			if ran == 0 {
+				t.Fatal("Step made no progress")
+			}
+			steps++
+			batched.SnapshotInto(&sumB)
+			if winB, err = batched.WindowsInto(winB); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := (60 + batch - 1) / batch; steps != want {
+			t.Fatalf("batch %d: pass took %d steps, want %d", batch, steps, want)
+		}
+		if sumF.Sweeps != sumB.Sweeps {
+			t.Fatalf("batch %d: kept sweeps differ: %d vs %d", batch, sumF.Sweeps, sumB.Sweeps)
+		}
+		for q := 0; q < nq; q++ {
+			if !sameFloat(sumF.MeanService[q], sumB.MeanService[q]) || !sameFloat(sumF.MeanWait[q], sumB.MeanWait[q]) {
+				t.Fatalf("batch %d: queue %d means (%v, %v) vs (%v, %v)", batch, q,
+					sumF.MeanService[q], sumF.MeanWait[q], sumB.MeanService[q], sumB.MeanWait[q])
+			}
+			if len(sumF.WaitChain[q]) != len(sumB.WaitChain[q]) {
+				t.Fatalf("batch %d: queue %d wait chain length %d vs %d", batch, q, len(sumF.WaitChain[q]), len(sumB.WaitChain[q]))
+			}
+			for b := range winF[q] {
+				f, g := winF[q][b], winB[q][b]
+				if f.Events != g.Events || !sameFloat(f.MeanService, g.MeanService) || !sameFloat(f.MeanWait, g.MeanWait) {
+					t.Fatalf("batch %d: bucket %d/%d %+v vs %+v", batch, q, b, f, g)
+				}
+			}
+		}
+		rB := batched.RatesInto(nil)
+		for q := range rF {
+			if rF[q] != rB[q] {
+				t.Fatalf("batch %d: queue %d rate %v vs %v", batch, q, rF[q], rB[q])
+			}
 		}
 	}
 }
+
+// sameFloat reports whether a and b are bit-identical (NaN equals NaN).
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestWarmIncrementalMatchesColdClone is the satellite regression test:
 // after slides, a *cold* estimator constructed over a clone of the warm
@@ -84,7 +105,7 @@ func TestWarmStepBatchingInvariant(t *testing.T) {
 // RNG — the incremental path loses nothing against a cold pass.
 func TestWarmIncrementalMatchesColdClone(t *testing.T) {
 	const nq = 3
-	cfg := WarmConfig{NumQueues: nq, EMIters: 30, PostSweeps: 15}
+	cfg := WarmConfig{NumQueues: nq, EMIters: 30, PostSweeps: 15, Windows: 4}
 	gen := newSlideGen(19, nq, 2.0, 3.0, 0.5)
 	warmup := gen.take(60)
 	stream := gen.take(25)
@@ -135,13 +156,12 @@ func TestWarmIncrementalMatchesColdClone(t *testing.T) {
 		}
 	}
 
-	// The windowed posterior continuation is part of the contract too.
-	lo, hi := warm.Window().Span()
-	ww, err := warm.PosteriorWindows(xrand.New(9), 10, NoBurnIn, lo, hi, 4)
+	// The windowed summary is part of the contract too.
+	ww, err := warm.WindowsInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := cold.PosteriorWindows(xrand.New(9), 10, NoBurnIn, lo, hi, 4)
+	wc, err := cold.WindowsInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +209,88 @@ func TestWarmAnytimeSnapshots(t *testing.T) {
 	if got := we.EpochSweeps(); got != 40 {
 		t.Fatalf("epoch sweeps %d, want 40", got)
 	}
+}
+
+// TestWarmWindowsMatchTraceBuckets ties WindowsInto to the reference
+// bucketing, trace.WindowedStats of the window's event set, on every
+// service queue. Before any kept sweep it is one pass of the current
+// state. After the epoch it is, per bucket, the average of the kept
+// sweeps' means over the sweeps in which the bucket had events, and the
+// rounded average event count; the one-shot read must leave nothing in
+// the accumulators.
+func TestWarmWindowsMatchTraceBuckets(t *testing.T) {
+	const nq, n = 3, 5
+	cfg := WarmConfig{NumQueues: nq, EMIters: 10, PostSweeps: 12, PostBurnIn: NoBurnIn, Windows: n}
+	gen := newSlideGen(33, nq, 2.0, 3.0, 0.4)
+	we := NewWarmEstimator(cfg)
+	warmFill(t, we, gen.take(60))
+	we.BeginEpoch()
+	rng := xrand.New(5)
+	we.Step(rng, cfg.EMIters)
+	pass := func() [][]trace.WindowStats {
+		lo, hi := we.Window().Span()
+		ws, err := we.Window().EventSet().WindowedStats(lo, hi, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ws
+	}
+	compare := func(when string, want [][]trace.WindowStats) {
+		t.Helper()
+		got, err := we.WindowsInto(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		near := func(a, b float64) bool {
+			return math.IsNaN(a) && math.IsNaN(b) || math.Abs(a-b) <= 1e-12*math.Abs(b)
+		}
+		for q := 1; q < nq; q++ {
+			for b := 0; b < n; b++ {
+				g, w := got[q][b], want[q][b]
+				if g.Events != w.Events || g.Lo != w.Lo || g.Hi != w.Hi ||
+					!near(g.MeanService, w.MeanService) || !near(g.MeanWait, w.MeanWait) {
+					t.Fatalf("%s: bucket %d/%d is %+v, want %+v", when, q, b, g, w)
+				}
+			}
+		}
+	}
+	compare("one-shot", pass())
+
+	want := pass()
+	events := make([][]int, nq)
+	kept := make([][]int, nq)
+	for q := range want {
+		events[q], kept[q] = make([]int, n), make([]int, n)
+		for b := range want[q] {
+			want[q][b].MeanService, want[q][b].MeanWait = 0, 0
+		}
+	}
+	for !we.Done() {
+		we.Step(rng, 1)
+		for q, cells := range pass() {
+			for b, c := range cells {
+				if c.Events > 0 {
+					events[q][b] += c.Events
+					kept[q][b]++
+					want[q][b].MeanService += c.MeanService
+					want[q][b].MeanWait += c.MeanWait
+				}
+			}
+		}
+	}
+	for q := range want {
+		for b := range want[q] {
+			if kept[q][b] == 0 {
+				want[q][b].MeanService, want[q][b].MeanWait = math.NaN(), math.NaN()
+				continue
+			}
+			k := float64(kept[q][b])
+			want[q][b].Events = int(math.Round(float64(events[q][b]) / k))
+			want[q][b].MeanService /= k
+			want[q][b].MeanWait /= k
+		}
+	}
+	compare("after the epoch", want)
 }
 
 // TestWarmResetLifecycle covers the stream-gap story: Reset drops the

@@ -16,9 +16,9 @@ import (
 // StreamConfig configures one event stream. The zero value of every field
 // except NumQueues means "use the daemon default"; NumQueues (including
 // the arrival queue q0) is required and must be at least 2. Unknown JSON
-// fields are ignored, so configs that still carry the retired "workers"
-// and "interval_ms" fields (older clients, older WAL records) decode
-// unchanged.
+// fields are ignored, so configs that still carry the retired "workers",
+// "interval_ms" and "window_sweeps" fields (older clients, older WAL
+// records) decode unchanged.
 type StreamConfig struct {
 	// NumQueues is the number of queues including q0 (required, >= 2).
 	NumQueues int `json:"num_queues"`
@@ -33,10 +33,9 @@ type StreamConfig struct {
 	// PostSweeps sizes the per-window posterior pass (default 40).
 	PostSweeps int `json:"post_sweeps,omitempty"`
 	// Windows is the number of time buckets of the windowed-stats endpoint
-	// (default 6).
+	// (default 6). Their per-queue means are averaged over the same kept
+	// posterior sweeps as the estimate's, at no extra sweeps.
 	Windows int `json:"windows,omitempty"`
-	// WindowSweeps sizes the windowed-stats posterior pass (default 30).
-	WindowSweeps int `json:"window_sweeps,omitempty"`
 	// SweepBatch caps the Gibbs sweeps one executor visit may spend on
 	// the stream. 0 (the default) leaves the visit bounded by the
 	// executor's wall-clock budget alone; small values interleave many
@@ -62,9 +61,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Windows == 0 {
 		c.Windows = 6
 	}
-	if c.WindowSweeps == 0 {
-		c.WindowSweeps = 30
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -81,7 +77,7 @@ func (c StreamConfig) validate() error {
 	if c.MinTasks < 2 {
 		return fmt.Errorf("serve: min_tasks must be >= 2, got %d", c.MinTasks)
 	}
-	if c.EMIters < 0 || c.PostSweeps < 0 || c.Windows < 0 || c.WindowSweeps < 0 || c.SweepBatch < 0 {
+	if c.EMIters < 0 || c.PostSweeps < 0 || c.Windows < 0 || c.SweepBatch < 0 {
 		return fmt.Errorf("serve: negative option in stream config")
 	}
 	return nil

@@ -56,7 +56,7 @@ func TestEndToEndTandemReplay(t *testing.T) {
 	// that follows — tens of milliseconds the watcher below cannot miss.
 	cfg := StreamConfig{
 		NumQueues: truth.NumQueues, WindowTasks: tasks, MinTasks: tasks,
-		EMIters: 250, PostSweeps: 30, Windows: 4, WindowSweeps: 10,
+		EMIters: 250, PostSweeps: 30, Windows: 4,
 	}
 	if err := c.CreateStream(ctx, "tandem", cfg); err != nil {
 		t.Fatal(err)
@@ -171,8 +171,9 @@ func TestEndToEndTandemReplay(t *testing.T) {
 
 // TestEndToEndTandemReplayParallel replays a smaller tandem trace through
 // a stream created with the raw JSON a client of the retired parallel
-// engine sends ("workers": 4, "interval_ms": 50). Both fields are gone
-// from StreamConfig and the decoder ignores them, so the stream must run
+// engine sends ("workers": 4, "interval_ms": 50, and the since-retired
+// "window_sweeps"). These fields are gone from StreamConfig and the
+// decoder ignores them, so the stream must run
 // the one warm path end to end and serve the same answers. Under -race it
 // stays in the daemon-level race gate (the name matches its "Parallel"
 // pattern).

@@ -142,7 +142,7 @@ func TestExecutorAnytimeEstimates(t *testing.T) {
 
 	cfg := StreamConfig{
 		NumQueues: 2, WindowTasks: 64, MinTasks: 8,
-		EMIters: 24, PostSweeps: 12, Windows: 2, WindowSweeps: 4,
+		EMIters: 24, PostSweeps: 12, Windows: 2,
 		SweepBatch: 4,
 	}
 	execPut(t, srv, "a", cfg)

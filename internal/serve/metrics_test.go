@@ -48,7 +48,7 @@ func startEstimatingServer(t *testing.T) (*Server, string) {
 	ctx := context.Background()
 	cfg := StreamConfig{
 		NumQueues: truth.NumQueues, WindowTasks: 200, MinTasks: 20,
-		EMIters: 40, PostSweeps: 12, Windows: 2, WindowSweeps: 6,
+		EMIters: 40, PostSweeps: 12, Windows: 2,
 	}
 	if err := c.CreateStream(ctx, "m", cfg); err != nil {
 		t.Fatal(err)
@@ -62,6 +62,31 @@ func startEstimatingServer(t *testing.T) (*Server, string) {
 		t.Fatal(err)
 	}
 	return srv, ts.URL
+}
+
+// TestSweepCountersAgree drains a stream through its epochs and checks
+// that every sweep the daemon counts is also timed and attributed to a
+// visit: qserved_sweeps_total equals the qserved_sweep_seconds count, the
+// qserved_inference_visit_sweeps sum and the stream's
+// qserved_stream_sweeps_total.
+func TestSweepCountersAgree(t *testing.T) {
+	srv, _ := startEstimatingServer(t)
+	st := srv.lookup("m")
+	srv.Close() // drain: no visit is in flight from here on
+	m := srv.metrics
+	total := m.sweeps.Value()
+	if total == 0 {
+		t.Fatal("no sweeps counted")
+	}
+	if got := m.sweep.Count(); got != total {
+		t.Errorf("qserved_sweep_seconds count %d, qserved_sweeps_total %d", got, total)
+	}
+	if got := m.visitSweeps.Sum(); got != float64(total) {
+		t.Errorf("qserved_inference_visit_sweeps sum %v, qserved_sweeps_total %d", got, total)
+	}
+	if got := st.m.SweepsRun.Value(); got != total {
+		t.Errorf("qserved_stream_sweeps_total %d, qserved_sweeps_total %d", got, total)
+	}
 }
 
 func get(t *testing.T, url string) string {

@@ -132,7 +132,7 @@ func TestConcurrentIngestAndServe(t *testing.T) {
 	ctx := context.Background()
 	cfg := StreamConfig{
 		NumQueues: 3, WindowTasks: 200, MinTasks: 10,
-		EMIters: 30, PostSweeps: 8, Windows: 3, WindowSweeps: 6,
+		EMIters: 30, PostSweeps: 8, Windows: 3,
 	}
 	if err := c.CreateStream(ctx, "hot", cfg); err != nil {
 		t.Fatal(err)

@@ -48,6 +48,7 @@ type worker struct {
 	epochElapsed time.Duration
 	sliceStart   time.Time
 	sum          core.PosteriorSummary
+	winStats     [][]trace.WindowStats
 	rates        []float64
 
 	// Mean-field fast path (DESIGN.md §18): the first epoch of a stream
@@ -77,6 +78,7 @@ func newWorker(s *Server, st *stream) *worker {
 			NumQueues:  cfg.NumQueues,
 			EMIters:    cfg.EMIters,
 			PostSweeps: cfg.PostSweeps,
+			Windows:    cfg.Windows,
 		}),
 	}
 	if s.freshnessSLO > 0 {
@@ -374,7 +376,8 @@ func (w *worker) applySlides(tasks []core.SlideTask, window int) error {
 	return nil
 }
 
-// publishWarm stores the epoch's best-so-far snapshots. The windowed
+// publishWarm stores the epoch's best-so-far snapshots, both read from
+// the epoch's own posterior sweeps without running any. The windowed
 // snapshot is stored before the estimate so a reader that observes the
 // new estimate epoch is guaranteed a windowed snapshot at least as new.
 func (w *worker) publishWarm() error {
@@ -382,20 +385,15 @@ func (w *worker) publishWarm() error {
 	if w.visitSpan != 0 {
 		p0 = time.Now().UnixNano()
 	}
-	cfg := w.st.cfg
 	win := w.warm.Window()
 	lo, hi := win.Span()
 	var ws *WindowsSnapshot
-	if cfg.Windows > 0 {
-		if !(lo < hi) {
-			return fmt.Errorf("windowed stats: degenerate window span [%v,%v)", lo, hi)
-		}
-		stats, err := w.warm.PosteriorWindows(w.rng, cfg.WindowSweeps, 0, lo, hi, cfg.Windows)
+	if w.st.cfg.Windows > 0 {
+		stats, err := w.warm.WindowsInto(w.winStats)
 		if err != nil {
 			return fmt.Errorf("windowed stats: %w", err)
 		}
-		w.st.m.SweepsRun.Add(uint64(cfg.WindowSweeps))
-		w.s.metrics.sweeps.Add(uint64(cfg.WindowSweeps))
+		w.winStats = stats
 		ws = w.buildWindowsSnapshot(stats)
 	}
 	w.rates = w.warm.RatesInto(w.rates)
