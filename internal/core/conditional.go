@@ -126,12 +126,12 @@ func (c *condSpec) pieces(p *condPieces) {
 	}
 	p.total = 0
 	for i := 0; i < p.n; i++ {
-		m := peakMass(p.slopes[i], p.edges[i+1]-p.edges[i], p.em1[i])
+		mass := peakMass(p.slopes[i], p.edges[i+1]-p.edges[i], p.em1[i])
 		if peak[i] != p.logScale {
-			m *= math.Exp(peak[i] - p.logScale)
+			mass *= math.Exp(peak[i] - p.logScale)
 		}
-		p.mass[i] = m
-		p.total += m
+		p.mass[i] = mass
+		p.total += mass
 	}
 }
 

@@ -147,10 +147,10 @@ func (we *WarmEstimator) Reset() {
 // BeginEpoch starts a new estimation epoch over the current window
 // contents: EM and posterior debts are reset, accumulators cleared, the
 // windowed summary's span fixed to the window's, and the parameters
-// warm-start from the previous epoch (or, on the first
-// epoch, from the maximum-likelihood rates of the seeded latent state —
-// the warm path's cold start needs no separate initializer because the
-// window was constructed feasible).
+// warm-start from the previous epoch (or, on the first epoch, from the
+// maximum-likelihood rates of the seeded latent state — the warm path's
+// cold start needs no separate initializer because the window was
+// constructed feasible).
 func (we *WarmEstimator) BeginEpoch() {
 	if !we.haveRates && we.win.LiveTasks() > 0 {
 		we.win.MLERatesInto(we.rates)

@@ -201,7 +201,8 @@ type WindowCell struct {
 
 // WindowsSnapshot is served by GET /v1/streams/{id}/windows: posterior
 // waiting times bucketed over the window's time span — the retrospective
-// "what was the bottleneck a minute ago?" view.
+// "what was the bottleneck a minute ago?" view. Each publish takes the
+// buckets from the same kept posterior sweeps as its Estimate.
 type WindowsSnapshot struct {
 	Stream string `json:"stream"`
 	Seq    uint64 `json:"seq"`
