@@ -190,8 +190,7 @@ func truncExpInv(u, m, w, em1 float64) float64 {
 	if math.IsInf(em1, 1) {
 		x = w + math.Log1p(-u)/m
 	} else {
-		rate := -m
-		x = -math.Log1p(u*em1) / rate
+		x = math.Log1p(u*em1) / m // TruncExp's −log1p(u·em1)/rate, rate = −m
 	}
 	if x < 0 {
 		return 0
