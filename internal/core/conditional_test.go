@@ -124,7 +124,7 @@ func checkCondSpec(t *testing.T, name string, c *condSpec, r *xrand.RNG) {
 	for probe := 0; probe <= 20; probe++ {
 		x := c.lo + float64(probe)/20*(hi-c.lo)
 		got, want := c.logPDF(x), d.LogPDF(x)
-		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("%s: logPDF(%v) = %v, piecewise %v (spec %+v)", name, x, got, want, *c)
 		}
 	}
