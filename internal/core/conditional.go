@@ -208,9 +208,15 @@ func truncExpInv(u, m, w, em1 float64) float64 {
 // final slope (both guaranteed by the move constructions).
 func (c *condSpec) mean() float64 {
 	if c.nBreaks == 0 {
-		// One piece — the common case; its mass is moot.
+		// One piece — the common case; its mass is moot. Most such moves
+		// are flat or narrow, where truncExpMean takes its series and
+		// needs no expm1.
 		w := c.hi - c.lo
-		return c.lo + truncExpMean(c.baseSlope, w, math.Expm1(c.baseSlope*w))
+		var em1 float64
+		if mw := c.baseSlope * w; math.Abs(mw) >= truncExpSeriesMW {
+			em1 = math.Expm1(mw)
+		}
+		return c.lo + truncExpMean(c.baseSlope, w, em1)
 	}
 	var p condPieces
 	c.pieces(&p)
@@ -247,14 +253,14 @@ func (c *condSpec) logPDF(x float64) float64 {
 // em1 = expm1(m·w): w/(1−e^{−mw}) − 1/m = w·(1+em1)/em1 − 1/m, with the
 // limits w/2 as mw → 0, w − 1/m once e^{mw} overflows, and −1/m for
 // w = +Inf (m < 0). The closed form cancels catastrophically for small
-// |mw| (both terms ≈ 1/m), so that regime uses the series
-// w/2·(1 + mw/6) + O((mw)²w).
+// |mw| (both terms ≈ 1/m), so below truncExpSeriesMW it uses the series
+// w/2·(1 + mw/6) + O((mw)²w) and leaves em1 unread.
 func truncExpMean(m, w, em1 float64) float64 {
 	if math.IsInf(w, 1) {
 		return -1 / m
 	}
 	mw := m * w
-	if math.Abs(mw) < 1e-4 {
+	if math.Abs(mw) < truncExpSeriesMW {
 		return w * 0.5 * (1 + mw/6)
 	}
 	if math.IsInf(em1, 1) {
@@ -262,6 +268,9 @@ func truncExpMean(m, w, em1 float64) float64 {
 	}
 	return w*(1+em1)/em1 - 1/m
 }
+
+// truncExpSeriesMW is the |m·w| below which truncExpMean uses its series.
+const truncExpSeriesMW = 1e-4
 
 // ---------------------------------------------------------------------------
 // The two full conditionals.
