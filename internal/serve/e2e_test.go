@@ -171,12 +171,11 @@ func TestEndToEndTandemReplay(t *testing.T) {
 
 // TestEndToEndTandemReplayParallel replays a smaller tandem trace through
 // a stream created with the raw JSON a client of the retired parallel
-// engine sends ("workers": 4, "interval_ms": 50, and the since-retired
-// "window_sweeps"). These fields are gone from StreamConfig and the
-// decoder ignores them, so the stream must run
-// the one warm path end to end and serve the same answers. Under -race it
-// stays in the daemon-level race gate (the name matches its "Parallel"
-// pattern).
+// engine sends ("workers": 4, "interval_ms": 50), plus a "window_sweeps".
+// All three fields are gone from StreamConfig and the decoder ignores
+// them, so the stream must run the one warm path end to end and serve the
+// same answers. Under -race it stays in the daemon-level race gate (the
+// name matches its "Parallel" pattern).
 func TestEndToEndTandemReplayParallel(t *testing.T) {
 	const (
 		lambda  = 4.0

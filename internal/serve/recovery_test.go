@@ -259,9 +259,10 @@ func TestRecoveryIdempotentRestart(t *testing.T) {
 
 // TestRecoveryLegacyConfigRecord recovers a WAL whose stream-creation
 // record still carries the retired "workers", "interval_ms" and
-// "window_sweeps" fields, as a log written before they were removed does. Recovery must decode it
-// (unknown fields are ignored) into the config a fresh PUT of the same
-// JSON yields, and the recovered stream must serve estimates.
+// "window_sweeps" fields, as a log written before they were removed does.
+// Recovery must decode it (unknown fields are ignored) into the config a
+// fresh PUT of the same JSON yields, and the recovered stream must serve
+// estimates.
 func TestRecoveryLegacyConfigRecord(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
