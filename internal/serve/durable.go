@@ -2,12 +2,13 @@ package serve
 
 // Durable event store: NewDurable wires a per-registry-shard write-ahead
 // log (internal/wal) under the ingest data plane. Every accepted event
-// batch is appended to its shard's log — as the canonical NDJSON encoding
-// the ingest path already speaks — before it is applied to the store, and
-// every stream creation logs its config the same way. Periodic per-shard
-// snapshots capture exact store state plus the published estimate/window
-// snapshots; recovery is snapshot + log-suffix replay through the same
-// batched-apply path, reproducing the pre-crash stores bit for bit.
+// batch is appended to its shard's log — as the NDJSON lines it arrived
+// as, which replay decodes with the same DecodeEventLine — before it is
+// applied to the store, and every stream creation logs its config the
+// same way. Periodic per-shard snapshots capture exact store state plus
+// the published estimate/window snapshots; recovery is snapshot +
+// log-suffix replay through the same batched-apply path, reproducing the
+// pre-crash stores bit for bit.
 //
 // What is NOT durable: the estimation workers' RNG and warm-start state.
 // After a restart a stream serves its last published estimate unchanged,
@@ -51,7 +52,8 @@ type WALConfig struct {
 }
 
 // Record kinds: 'C' carries a stream's StreamConfig JSON, 'E' a batch of
-// canonical NDJSON event lines. Both are prefixed with the stream id.
+// NDJSON event lines, each terminated by '\n'. Both are prefixed with the
+// stream id.
 const (
 	walRecConfig byte = 'C'
 	walRecEvents byte = 'E'
@@ -76,17 +78,17 @@ func appendRecordHeader(dst []byte, kind byte, id string) []byte {
 }
 
 // appendEventRecord encodes one applied batch as a WAL record: header plus
-// every event re-encoded to its canonical NDJSON line (the same grammar
-// the ingest path decodes), so replay runs through DecodeEventLine again.
-func appendEventRecord(dst []byte, id string, batch []batchEvent) ([]byte, error) {
+// every event's line as received, each followed by '\n', so replay runs
+// the same bytes through the same DecodeEventLine. Canonical clients
+// (AppendEvents) send exactly trace.AppendWireEvent's lines, so for them
+// the record is the canonical re-encoding of the batch, byte for byte.
+func appendEventRecord(dst []byte, id string, batch []batchEvent) []byte {
 	dst = appendRecordHeader(dst, walRecEvents, id)
 	for i := range batch {
-		var err error
-		if dst, err = trace.AppendRawEvent(dst, &batch[i].ev); err != nil {
-			return dst, err
-		}
+		dst = append(dst, batch[i].raw...)
+		dst = append(dst, '\n')
 	}
-	return dst, nil
+	return dst
 }
 
 func decodeRecordHeader(rec []byte) (kind byte, id string, rest []byte, err error) {

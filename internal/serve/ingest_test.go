@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -35,6 +36,40 @@ func ingestTestBody(t testing.TB, prefix string, tasks, hops, numQueues int) ([]
 				Depart:     dep,
 				ObsArrival: h == 0,
 				ObsDepart:  h == hops-1,
+				Final:      h == hops-1,
+			})
+			at = dep
+		}
+	}
+	body, err := AppendEvents(nil, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, len(events)
+}
+
+// simIngestBody is ingestTestBody with simulator-like times: Poisson
+// arrivals at rate 4 and exponential hops at rate 5 from seed, so nearly
+// every time carries the 16–17 significant digits a simulator or an
+// instrumented service sends (ingestTestBody's times have at most 6).
+func simIngestBody(t testing.TB, prefix string, tasks, hops, numQueues int, seed uint64) ([]byte, int) {
+	t.Helper()
+	rng := xrand.New(seed)
+	var events []IngestEvent
+	entry := 0.0
+	for k := 0; k < tasks; k++ {
+		name := fmt.Sprintf("%s-t%d", prefix, k)
+		entry += rng.Exp(4)
+		at := entry
+		for h := 0; h < hops; h++ {
+			dep := at + rng.Exp(5)
+			events = append(events, IngestEvent{
+				Task:       name,
+				Queue:      1 + h%(numQueues-1),
+				Arrival:    at,
+				Depart:     dep,
+				ObsArrival: h == 0 && k%10 == 0,
+				ObsDepart:  k%10 == 0,
 				Final:      h == hops-1,
 			})
 			at = dep
@@ -345,27 +380,33 @@ func oldIngestBody(st *stream, body []byte) (sum IngestSummary) {
 	return sum
 }
 
+// Shape of the BenchmarkIngestBody fixtures: 512 four-hop tasks on 4
+// queues into a window of twice that.
+const (
+	benchTasks = 512
+	benchHops  = 4
+	benchNQ    = 4
+)
+
 // ingestBench is the one-stream fixture of BenchmarkIngestBody and its
 // gates: a fresh server, one ingest-only stream named variant, and a body
-// of 512 four-hop tasks on 4 queues with its event count.
+// of benchTasks tasks with its event count.
 func ingestBench(tb testing.TB, variant string) (*Server, *stream, []byte, int) {
 	tb.Helper()
-	const (
-		tasks = 512
-		hops  = 4
-		nq    = 4
-	)
-	body, n := ingestTestBody(tb, "bench", tasks, hops, nq)
+	body, n := ingestTestBody(tb, "bench", benchTasks, benchHops, benchNQ)
 	srv := New(StreamConfig{})
 	tb.Cleanup(srv.Close)
-	return srv, benchStream(tb, srv, variant, nq, 2*tasks), body, n
+	return srv, benchStream(tb, srv, variant, benchNQ, 2*benchTasks), body, n
 }
 
 // BenchmarkIngestBody measures the full server-side ingest data plane on
 // one stream: line split, decode, validation, batched store application.
 // "fast" is the production path; "stdlib" is the pre-batching baseline.
 // TestIngestBodySpeedVsStdlib gates fast at >= 2x stdlib and
-// TestIngestBodyAllocs its allocations per event.
+// TestIngestBodyAllocs its allocations per event. "sim" feeds the
+// production path simulator-like 16–17-digit times, which is what clients
+// send and what the float parse costs on; "durable" does the same on a
+// server with a write-ahead log (SyncBatch: one fsync per body).
 func BenchmarkIngestBody(b *testing.B) {
 	report := func(b *testing.B, sum IngestSummary, n int) {
 		if sum.Rejected != 0 {
@@ -373,14 +414,14 @@ func BenchmarkIngestBody(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "events/op")
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/event")
 	}
-	b.Run("fast", func(b *testing.B) {
-		srv, st, body, n := ingestBench(b, "fast")
+	// run warms the pools and the store's task freelist before the timed
+	// loop (b.Loop starts the timer on its first call), so allocs/op
+	// reflects the steady state at any -benchtime.
+	run := func(b *testing.B, srv *Server, st *stream, body []byte, n int) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
-		// Warm the pools and the store's task freelist before the timed
-		// loop (b.Loop starts the timer on its first call), so allocs/op
-		// reflects the steady state at any -benchtime.
 		var sum IngestSummary
 		for i := 0; i < 2; i++ {
 			sum, _, _ = srv.ingestBody(st, body)
@@ -389,6 +430,27 @@ func BenchmarkIngestBody(b *testing.B) {
 			sum, _, _ = srv.ingestBody(st, body)
 		}
 		report(b, sum, n)
+	}
+	b.Run("fast", func(b *testing.B) {
+		srv, st, body, n := ingestBench(b, "fast")
+		run(b, srv, st, body, n)
+	})
+	b.Run("sim", func(b *testing.B) {
+		body, n := simIngestBody(b, "bench", benchTasks, benchHops, benchNQ, 1)
+		srv := New(StreamConfig{})
+		b.Cleanup(srv.Close)
+		run(b, srv, benchStream(b, srv, "sim", benchNQ, 2*benchTasks), body, n)
+	})
+	b.Run("durable", func(b *testing.B) {
+		body, n := simIngestBody(b, "bench", benchTasks, benchHops, benchNQ, 1)
+		srv, err := NewDurable(StreamConfig{}, WALConfig{
+			Dir: b.TempDir(), Sync: wal.SyncBatch, SnapshotInterval: -1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(srv.Close)
+		run(b, srv, benchStream(b, srv, "durable", benchNQ, 2*benchTasks), body, n)
 	})
 	b.Run("stdlib", func(b *testing.B) {
 		_, st, body, n := ingestBench(b, "stdlib")

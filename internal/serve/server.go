@@ -385,11 +385,12 @@ const defaultMaxLineBytes = 1 << 20
 const ingestChunk = 4096
 
 // ingestChunkBytes additionally flushes a batch once its input lines
-// exceed this many bytes, bounding one WAL record (the canonical
-// re-encoding of a batch) well below the log's 64 MiB record cap even for
-// maximum-length lines. The rule depends only on the body bytes — not on
-// whether a WAL is attached — so durable and in-memory servers chunk, and
-// therefore apply, identically.
+// exceed this many bytes. That bounds one WAL record, which holds the
+// batch's lines as received: at most these bytes plus one line, one '\n'
+// per line and the record header, well below the log's 64 MiB record cap
+// at the default line limit. The rule depends only on the body bytes — not
+// on whether a WAL is attached — so durable and in-memory servers chunk,
+// and therefore apply, identically.
 const ingestChunkBytes = 8 << 20
 
 // bodyPool recycles whole-request read buffers across ingest requests;
@@ -511,8 +512,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // number (events on earlier lines have already been applied). Factored off
 // the HTTP handler so benchmarks can drive the data plane directly.
 // When the server is durable (NewDurable), each flushed batch is first
-// encoded as one WAL record — the canonical NDJSON re-encoding of its
-// events — and appended to the stream's shard log inside the store lock;
+// encoded as one WAL record — its accepted lines as received — and
+// appended to the stream's shard log inside the store lock;
 // one group-commit Sync covers the whole request before it returns. A WAL
 // failure aborts the body with a non-nil error.
 func (s *Server) ingestBody(st *stream, body []byte) (sum IngestSummary, tooLongLine int, err error) {
@@ -557,12 +558,8 @@ func (s *Server) ingestTraced(st *stream, body []byte, root uint64) (sum IngestS
 			bt0 = time.Now().UnixNano()
 		}
 		if wa != nil {
-			rec, rerr := appendEventRecord((*walBuf)[:0], st.id, batch)
-			*walBuf = rec
-			if rerr != nil {
-				return rerr
-			}
-			wa.rec = rec
+			*walBuf = appendEventRecord((*walBuf)[:0], st.id, batch)
+			wa.rec = *walBuf
 		}
 		s.metrics.batchEvents.Observe(float64(len(batch)))
 		_, lockWait, aerr := st.store.appendBatch(batch, &sum, wa)
@@ -603,7 +600,7 @@ func (s *Server) ingestTraced(st *stream, body []byte, root uint64) (sum IngestS
 			tooLongLine = line
 			break
 		}
-		batch = append(batch, batchEvent{line: line})
+		batch = append(batch, batchEvent{raw: ln, line: line})
 		be := &batch[len(batch)-1]
 		err := trace.DecodeEventLine(ln, &be.ev)
 		if err == nil {

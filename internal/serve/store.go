@@ -49,14 +49,22 @@ type store struct {
 
 	nextSeq uint64
 	open    map[string]*taskBuf
-	sealed  []*taskBuf
-	free    []*taskBuf // recycled taskBufs (slid or evicted)
+	// sealed[sealedHead:] is the window, oldest first. The slots before
+	// sealedHead belonged to tasks that slid off; they are nil, and the
+	// dead prefix is compacted away once it reaches the window size, so a
+	// slide costs O(1) amortized.
+	sealed     []*taskBuf
+	sealedHead int
+	free       []*taskBuf // recycled taskBufs (slid or evicted)
 	// epoch counts tasks sealed over the stream's lifetime; workers use it
 	// to skip re-estimating an unchanged window.
 	epoch uint64
 
 	slidTasks   uint64 // sealed tasks that slid off the window
 	evictedOpen uint64 // open tasks evicted for exceeding the open cap
+	// compactMoves counts the window slots compactSealedLocked has moved;
+	// TestStoreSealWorkScalesFlat gates it per seal.
+	compactMoves uint64
 
 	// sealNanos is the freshness ring: the wall-clock seal time of epoch e
 	// lives at slot (e-1) % len(sealNanos). Sized at twice the window (so a
@@ -130,14 +138,16 @@ func (s *store) append(ev IngestEvent) (sealed bool, err error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(&raw)
+	return s.appendLocked(&raw, time.Now().UnixNano())
 }
 
 // batchEvent is one decoded, statelessly-validated event queued for batch
-// application, with its body line number for error reporting. ev.Task
-// borrows the request body buffer, which outlives the batch.
+// application, with its body line number for error reporting and, on the
+// ingest path, the line itself (raw), which is what the WAL logs. raw and
+// ev.Task borrow the request body buffer, which outlives the batch.
 type batchEvent struct {
 	ev   trace.RawEvent
+	raw  []byte
 	line int
 }
 
@@ -147,7 +157,9 @@ type batchEvent struct {
 // Results (accepted/rejected/sealed counts, per-line errors) accumulate
 // into sum exactly as the per-event path would have produced them. The
 // returned duration is how long acquiring the store lock took, which feeds
-// the per-shard lock-wait counter.
+// the per-shard lock-wait counter. Every seal of the batch is stamped with
+// the one clock read taken once the lock is held: no later than the true
+// seal, so freshness is overstated by at most the batch's apply time.
 // When wa is non-nil the batch's WAL record is appended INSIDE the store
 // lock, before application: the per-stream record order in the log is then
 // exactly the apply order, which is what lets replay reproduce this store
@@ -158,7 +170,9 @@ func (s *store) appendBatch(batch []batchEvent, sum *IngestSummary, wa *walAppen
 	}
 	t0 := time.Now()
 	s.mu.Lock()
-	lockWait = time.Since(t0)
+	now := time.Now()
+	lockWait = now.Sub(t0)
+	sealNS := now.UnixNano()
 	if wa != nil {
 		var at0 int64
 		if wa.root != 0 {
@@ -177,7 +191,7 @@ func (s *store) appendBatch(batch []batchEvent, sum *IngestSummary, wa *walAppen
 	}
 	for i := range batch {
 		be := &batch[i]
-		didSeal, err := s.appendLocked(&be.ev)
+		didSeal, err := s.appendLocked(&be.ev, sealNS)
 		if err != nil {
 			sum.reject(be.line, err)
 			continue
@@ -199,17 +213,19 @@ func (s *store) appendBatch(batch []batchEvent, sum *IngestSummary, wa *walAppen
 // at original ingest.
 func (s *store) applyRecovered(batch []batchEvent, lsn uint64) {
 	s.mu.Lock()
+	sealNS := time.Now().UnixNano()
 	for i := range batch {
-		_, _ = s.appendLocked(&batch[i].ev)
+		_, _ = s.appendLocked(&batch[i].ev, sealNS)
 	}
 	s.appliedLSN = lsn
 	s.mu.Unlock()
 }
 
-// appendLocked adds one statelessly-validated event to its task. ev.Task is
-// only materialized into a string for tasks not yet open (the map lookup
-// itself compiles to an alloc-free string view).
-func (s *store) appendLocked(ev *trace.RawEvent) (sealed bool, err error) {
+// appendLocked adds one statelessly-validated event to its task; a seal is
+// stamped with sealNS for freshness accounting. ev.Task is only
+// materialized into a string for tasks not yet open (the map lookup itself
+// compiles to an alloc-free string view).
+func (s *store) appendLocked(ev *trace.RawEvent, sealNS int64) (sealed bool, err error) {
 	tb, ok := s.open[string(ev.Task)]
 	if !ok {
 		if ev.Arrival < 0 {
@@ -239,18 +255,32 @@ func (s *store) appendLocked(ev *trace.RawEvent) (sealed bool, err error) {
 	delete(s.open, tb.id)
 	s.sealed = append(s.sealed, tb)
 	s.epoch++
-	s.sealNanos[(s.epoch-1)%uint64(len(s.sealNanos))] = time.Now().UnixNano()
-	if over := len(s.sealed) - s.windowTasks; over > 0 {
-		for _, old := range s.sealed[:over] {
-			s.recycleLocked(old)
-		}
-		n := copy(s.sealed, s.sealed[over:])
-		clear(s.sealed[n:]) // drop stale pointers so slid tasks can be collected
-		s.sealed = s.sealed[:n]
-		s.slidTasks += uint64(over)
+	s.sealNanos[(s.epoch-1)%uint64(len(s.sealNanos))] = sealNS
+	for len(s.sealed)-s.sealedHead > s.windowTasks {
+		s.recycleLocked(s.sealed[s.sealedHead])
+		s.sealed[s.sealedHead] = nil // drop the stale pointer so the slid task can be collected
+		s.sealedHead++
+		s.slidTasks++
+	}
+	if s.sealedHead > 0 && s.sealedHead >= s.windowTasks {
+		s.compactSealedLocked()
 	}
 	return true, nil
 }
+
+// compactSealedLocked moves the window to the front of sealed, dropping
+// the dead prefix. It runs once per windowTasks slides and moves at most
+// windowTasks slots, so each slide costs O(1) amortized.
+func (s *store) compactSealedLocked() {
+	n := copy(s.sealed, s.sealed[s.sealedHead:])
+	clear(s.sealed[n:])
+	s.sealed = s.sealed[:n]
+	s.sealedHead = 0
+	s.compactMoves += uint64(n)
+}
+
+// windowLocked returns the sealed tasks in the window, oldest first.
+func (s *store) windowLocked() []*taskBuf { return s.sealed[s.sealedHead:] }
 
 // newTaskLocked takes a taskBuf from the freelist (or allocates one) and
 // claims the next sequence number for it.
@@ -301,7 +331,7 @@ func (s *store) capOpenLocked() {
 func (s *store) counts() (sealed, open int, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sealed), len(s.open), s.epoch
+	return len(s.windowLocked()), len(s.open), s.epoch
 }
 
 // dropStats returns the cumulative slid/evicted counters.
@@ -377,7 +407,8 @@ func (s *store) delta(since uint64, dst []core.SlideTask) (tasks []core.SlideTas
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	epoch = s.epoch
-	window = len(s.sealed)
+	sealed := s.windowLocked()
+	window = len(sealed)
 	n := int(epoch - since)
 	ok = since <= epoch && n <= window
 	if !ok {
@@ -390,7 +421,7 @@ func (s *store) delta(since uint64, dst []core.SlideTask) (tasks []core.SlideTas
 		dst = grown
 	}
 	dst = dst[:n]
-	for i, tb := range s.sealed[window-n:] {
+	for i, tb := range sealed[window-n:] {
 		d := &dst[i]
 		entry := tb.events[0]
 		d.Entry = entry.arrival
@@ -463,7 +494,7 @@ func (s *store) snapshot() storeSnap {
 		sn.Open = append(sn.Open, snapTask(tb))
 	}
 	sort.Slice(sn.Open, func(i, j int) bool { return sn.Open[i].Seq < sn.Open[j].Seq })
-	for _, tb := range s.sealed {
+	for _, tb := range s.windowLocked() {
 		sn.Sealed = append(sn.Sealed, snapTask(tb))
 	}
 	return sn

@@ -153,3 +153,49 @@ func TestStoreWindowCarriesObservationMask(t *testing.T) {
 		t.Errorf("observed arrivals %d, want 1", es.NumObservedArrivals())
 	}
 }
+
+// TestStoreSealWorkScalesFlat is the O(1)-amortized slide gate: once the
+// window is full every seal slides one task off, and the window slots the
+// store moves per seal must stay at most one whatever windowTasks is (a
+// window-long copy per seal reads windowTasks-1). The window must still be
+// the newest windowTasks tasks, oldest first.
+func TestStoreSealWorkScalesFlat(t *testing.T) {
+	const seals = 8000
+	for _, window := range []int{8, 500, 4000} {
+		s := newStore(2, window)
+		seal := func(k int) {
+			at := float64(k)
+			mustAppend(t, s, IngestEvent{Task: fmt.Sprintf("t%d", k), Queue: 1, Arrival: at, Depart: at + 0.5, Final: true})
+		}
+		for k := 0; k < window; k++ {
+			seal(k)
+		}
+		before := s.compactMoves
+		for k := window; k < window+seals; k++ {
+			seal(k)
+		}
+		perSeal := float64(s.compactMoves-before) / seals
+		t.Logf("window %d: %.3f slots moved per seal", window, perSeal)
+		if perSeal > 1 {
+			t.Fatalf("window %d: %.3f slots moved per seal, want <= 1", window, perSeal)
+		}
+		if slid, _ := s.dropStats(); slid != seals {
+			t.Fatalf("window %d: slid %d tasks, want %d", window, slid, seals)
+		}
+		sn := s.snapshot()
+		if len(sn.Sealed) != window {
+			t.Fatalf("window %d: snapshot holds %d sealed tasks", window, len(sn.Sealed))
+		}
+		for i, ts := range sn.Sealed {
+			if want := fmt.Sprintf("t%d", seals+i); ts.ID != want {
+				t.Fatalf("window %d: sealed[%d] = %s, want %s", window, i, ts.ID, want)
+			}
+		}
+		tasks, epoch, n, ok := s.delta(uint64(window+seals-3), nil)
+		if !ok || n != window || epoch != uint64(window+seals) || len(tasks) != 3 ||
+			tasks[2].Entry != float64(window+seals-1) {
+			t.Fatalf("window %d: delta of the last 3 seals: %d tasks, epoch %d, window %d, ok %v",
+				window, len(tasks), epoch, n, ok)
+		}
+	}
+}

@@ -6,10 +6,11 @@ package trace
 //	[4-byte little-endian payload length][4-byte CRC32-C of payload][payload]
 //
 // — exactly enough structure to detect a torn tail (a crash mid-write) and
-// silent corruption, while keeping the payload opaque: the WAL's payloads
-// are the canonical NDJSON wire events (AppendWireEvent), so the zero-alloc
-// decoder is also the log reader. The helpers live here, next to the wire
-// codec, so internal/wal stays a generic segmented log.
+// silent corruption, while keeping the payload opaque: the WAL's event
+// payloads are NDJSON lines as ingest received them (for canonical
+// clients, exactly AppendWireEvent's lines), so the zero-alloc decoder is
+// also the log reader. The helpers live here, next to the wire codec, so
+// internal/wal stays a generic segmented log.
 
 import (
 	"encoding/binary"

@@ -4,7 +4,8 @@ package trace
 // object describing one arrival/departure pair of one task at one queue.
 // This file holds the wire struct (WireEvent), a hand-rolled decoder that
 // parses canonical lines with zero allocations (DecodeEventLine), and the
-// matching encoder (AppendWireEvent).
+// matching encoder (AppendWireEvent). Numbers are validated and
+// accumulated in one pass and converted by eisel_lemire.go.
 //
 // The decoder's contract is differential: for every input it accepts or
 // rejects exactly as encoding/json does when unmarshalling into a
@@ -16,6 +17,7 @@ package trace
 // encoding/json itself, so exotic inputs are merely slow, never wrong.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -255,48 +257,133 @@ func scanSimpleJSONString(b []byte, i int, allowHigh bool) (s []byte, next int, 
 	return nil, 0, false
 }
 
+// jsonNumber is what scanJSONNumber accumulates while it validates one
+// number token. The value is (-1)^neg × mant × 10^exp10 exactly, unless
+// trunc is set: then mant holds only the first maxMantDigits significant
+// digits, and a nonzero digit after them was dropped.
+type jsonNumber struct {
+	mant  uint64
+	exp10 int
+	neg   bool
+	trunc bool
+	isInt bool // no fraction or exponent part
+}
+
+// maxMantDigits is how many significant decimal digits always fit in a
+// uint64 mantissa.
+const maxMantDigits = 19
+
 // scanJSONNumber scans a token satisfying the JSON number grammar starting
-// at b[i] and returns the index after it. The grammar check runs first so
-// that literals like "+1" or "01" — which strconv accepts but JSON rejects
-// — fail exactly as they do in encoding/json's scanner.
-func scanJSONNumber(b []byte, i int) (next int, ok bool) {
+// at b[i] and returns the index after it. It checks the grammar and
+// accumulates the decimal mantissa and exponent into n in the same pass,
+// so literals like "+1" or "01" — which strconv accepts but JSON rejects —
+// fail exactly as they do in encoding/json's scanner, and no digit is read
+// twice.
+func scanJSONNumber(b []byte, i int, n *jsonNumber) (next int, ok bool) {
+	var (
+		mant  uint64
+		nd    int // significant digits; the first maxMantDigits are in mant
+		trunc bool
+	)
 	j := i
-	if j < len(b) && b[j] == '-' {
+	neg := j < len(b) && b[j] == '-'
+	if neg {
 		j++
 	}
 	switch {
 	case j < len(b) && b[j] == '0':
 		j++
 	case j < len(b) && b[j] >= '1' && b[j] <= '9':
-		j++
-		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-			j++
+		for ; j < len(b) && b[j] >= '0' && b[j] <= '9'; j++ {
+			if nd++; nd <= maxMantDigits {
+				mant = mant*10 + uint64(b[j]-'0')
+			} else if b[j] != '0' {
+				trunc = true
+			}
 		}
 	default:
 		return 0, false
 	}
+	dp := nd // decimal point position, counted in significant digits
+	isInt := true
 	if j < len(b) && b[j] == '.' {
+		isInt = false
 		j++
 		if j >= len(b) || b[j] < '0' || b[j] > '9' {
 			return 0, false
 		}
-		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-			j++
+		if nd == 0 {
+			for ; j < len(b) && b[j] == '0'; j++ {
+				dp-- // a leading zero only moves the point
+			}
+		}
+		// The digits from here on are significant. Fractions carry most of
+		// a time's digits, so they are read eight at a time first.
+		for nd <= maxMantDigits-8 {
+			v, ok := eightDigits(b, j)
+			if !ok {
+				break
+			}
+			mant = mant*1e8 + v
+			nd += 8
+			j += 8
+		}
+		for ; j < len(b) && b[j] >= '0' && b[j] <= '9'; j++ {
+			if nd++; nd <= maxMantDigits {
+				mant = mant*10 + uint64(b[j]-'0')
+			} else if b[j] != '0' {
+				trunc = true
+			}
 		}
 	}
 	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		isInt = false
 		j++
+		eneg := false
 		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			eneg = b[j] == '-'
 			j++
 		}
 		if j >= len(b) || b[j] < '0' || b[j] > '9' {
 			return 0, false
 		}
-		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-			j++
+		e := 0
+		for ; j < len(b) && b[j] >= '0' && b[j] <= '9'; j++ {
+			if e < 10000 { // far outside float64's range either way
+				e = e*10 + int(b[j]-'0')
+			}
 		}
+		if eneg {
+			e = -e
+		}
+		dp += e
 	}
+	// Field by field: a composite literal is built on the stack and copied
+	// with wide moves that stall on the narrow stores just made.
+	n.mant = mant
+	n.exp10 = dp - min(nd, maxMantDigits)
+	n.neg = neg
+	n.trunc = trunc
+	n.isInt = isInt
 	return j, true
+}
+
+// eightDigits reads b[j:j+8] as eight ASCII digits, when it is, and
+// returns their value: one load, one check and three multiplies instead of
+// eight dependent multiply-adds (Lemire, arXiv:2101.11408, §5).
+func eightDigits(b []byte, j int) (uint64, bool) {
+	if len(b)-j < 8 {
+		return 0, false
+	}
+	v := binary.LittleEndian.Uint64(b[j:])
+	// A byte below '0' sets its top bit in v-'0'; one above '9' in v+0x46.
+	if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
+		return 0, false
+	}
+	v -= 0x3030303030303030
+	v = v*10 + v>>8 // each byte pair now holds a two-digit value
+	const mask = 0x000000FF000000FF
+	return ((v&mask)*(100+1000000<<32) + (v>>16&mask)*(1+10000<<32)) >> 32, true
 }
 
 // bytesToString views b as a string without copying. The view must not
@@ -312,54 +399,58 @@ func bytesToString(b []byte) string {
 
 // parseJSONInt decodes an integer field like encoding/json: the token must
 // satisfy the JSON number grammar AND parse as a base-10 integer, so "1.5",
-// "1e2", "01" and "+1" are all rejected. The digit loop is hand-rolled
-// because strconv.ParseInt allocates a NumError on failure, which would
-// break the zero-alloc guarantee on rejected lines.
+// "1e2", "01" and "+1" are all rejected. The value comes straight from the
+// scanned mantissa: strconv.ParseInt would allocate a NumError on failure,
+// which would break the zero-alloc guarantee on rejected lines.
 func parseJSONInt(b []byte, i int) (int, int, error) {
-	j, ok := scanJSONNumber(b, i)
+	var n jsonNumber
+	j, ok := scanJSONNumber(b, i, &n)
 	if !ok {
 		return 0, 0, errNDJSONType
 	}
-	tok := b[i:j]
-	neg := false
-	if tok[0] == '-' {
-		neg = true
-		tok = tok[1:]
-	}
-	var u uint64
-	for _, c := range tok {
-		if c < '0' || c > '9' {
-			// A fraction or exponent part: valid JSON number, invalid int —
-			// exactly strconv.ParseInt's syntax error inside encoding/json.
-			return 0, 0, errNDJSONNumber
-		}
-		d := uint64(c - '0')
-		if u > (math.MaxUint64-d)/10 {
-			return 0, 0, errNDJSONNumber
-		}
-		u = u*10 + d
-	}
-	limit := uint64(math.MaxInt) // magnitude of MinInt is one larger
-	if neg {
-		limit++
-	}
-	if u > limit {
+	// A fraction or exponent part makes a valid JSON number but an invalid
+	// int — exactly strconv.ParseInt's syntax error inside encoding/json.
+	// Without them exp10 counts the digits past maxMantDigits, and JSON
+	// integers have no leading zeros, so exp10 > 0 means at least 1e19,
+	// beyond any int64.
+	if !n.isInt || n.exp10 != 0 {
 		return 0, 0, errNDJSONNumber
 	}
-	v := int(u) // wraps to math.MinInt exactly when u == MaxInt+1
-	if neg {
+	limit := uint64(math.MaxInt) // magnitude of MinInt is one larger
+	if n.neg {
+		limit++
+	}
+	if n.mant > limit {
+		return 0, 0, errNDJSONNumber
+	}
+	v := int(n.mant) // wraps to math.MinInt exactly when mant == MaxInt+1
+	if n.neg {
 		v = -v // -MinInt wraps back to MinInt, which is the right answer
 	}
 	return v, j, nil
 }
 
+// parseJSONFloat decodes a float field like encoding/json. The scanned
+// mantissa and exponent are converted as strconv does it: exactly in
+// float64 arithmetic when both operands are exact, else by Eisel–Lemire.
+// The few tokens neither can decide — more than maxMantDigits significant digits, subnormal or
+// out-of-range results, exact halfway ties — are re-parsed by
+// strconv.ParseFloat, which also rejects overflow as encoding/json does.
 func parseJSONFloat(b []byte, i int) (float64, int, error) {
-	j, ok := scanJSONNumber(b, i)
+	var n jsonNumber
+	j, ok := scanJSONNumber(b, i, &n)
 	if !ok {
 		return 0, 0, errNDJSONType
 	}
-	// ParseFloat only fails on range here (the grammar is pre-validated),
-	// which encoding/json also treats as an error.
+	if !n.trunc {
+		if v, ok := exactFloat64(n.mant, n.exp10, n.neg); ok {
+			return v, j, nil
+		}
+		if v, ok := eiselLemire64(n.mant, n.exp10, n.neg); ok {
+			return v, j, nil
+		}
+	}
+	// ParseFloat only fails on range here (the grammar is pre-validated).
 	v, err := strconv.ParseFloat(bytesToString(b[i:j]), 64)
 	if err != nil {
 		return 0, 0, errNDJSONNumber
@@ -397,45 +488,29 @@ var errBadTaskUTF8 = errors.New("trace: task id is not valid UTF-8")
 // non-finite times or non-UTF-8 task ids are rejected, mirroring
 // encoding/json.
 func AppendWireEvent(dst []byte, ev *WireEvent) ([]byte, error) {
-	return appendEventLine(dst, ev.Task, ev.State, ev.Queue, ev.Arrival, ev.Depart,
-		ev.ObsArrival, ev.ObsDepart, ev.Final)
-}
-
-// AppendRawEvent encodes a decoded RawEvent back to its canonical NDJSON
-// line without materializing the task id as a string — the WAL's append
-// path re-encodes whole decoded batches, so this must not allocate per
-// event. The task bytes are copied into dst before the call returns, so the
-// borrowed view never outlives its buffer.
-func AppendRawEvent(dst []byte, ev *RawEvent) ([]byte, error) {
-	return appendEventLine(dst, bytesToString(ev.Task), ev.State, ev.Queue, ev.Arrival, ev.Depart,
-		ev.ObsArrival, ev.ObsDepart, ev.Final)
-}
-
-func appendEventLine(dst []byte, task string, state, queue int, arrival, depart float64,
-	obsArr, obsDep, final bool) ([]byte, error) {
-	if isNonFinite(arrival) || isNonFinite(depart) {
+	if isNonFinite(ev.Arrival) || isNonFinite(ev.Depart) {
 		return dst, errNonFinite
 	}
-	if !utf8.ValidString(task) {
+	if !utf8.ValidString(ev.Task) {
 		return dst, errBadTaskUTF8
 	}
 	dst = append(dst, `{"task":`...)
-	dst = appendJSONString(dst, task)
+	dst = appendJSONString(dst, ev.Task)
 	dst = append(dst, `,"state":`...)
-	dst = strconv.AppendInt(dst, int64(state), 10)
+	dst = strconv.AppendInt(dst, int64(ev.State), 10)
 	dst = append(dst, `,"queue":`...)
-	dst = strconv.AppendInt(dst, int64(queue), 10)
+	dst = strconv.AppendInt(dst, int64(ev.Queue), 10)
 	dst = append(dst, `,"arrival":`...)
-	dst = strconv.AppendFloat(dst, arrival, 'g', -1, 64)
+	dst = strconv.AppendFloat(dst, ev.Arrival, 'g', -1, 64)
 	dst = append(dst, `,"depart":`...)
-	dst = strconv.AppendFloat(dst, depart, 'g', -1, 64)
-	if obsArr {
+	dst = strconv.AppendFloat(dst, ev.Depart, 'g', -1, 64)
+	if ev.ObsArrival {
 		dst = append(dst, `,"obs_arrival":true`...)
 	}
-	if obsDep {
+	if ev.ObsDepart {
 		dst = append(dst, `,"obs_depart":true`...)
 	}
-	if final {
+	if ev.Final {
 		dst = append(dst, `,"final":true`...)
 	}
 	dst = append(dst, '}', '\n')

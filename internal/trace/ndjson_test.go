@@ -64,6 +64,18 @@ var ndjsonSeedCorpus = []string{
 	`{"state":9223372036854775807,"queue":-9223372036854775808}`,
 	`{"arrival":1.7976931348623157e308,"depart":-1.7976931348623157e308}`,
 	`{"arrival":5e-324,"depart":1e-999}`,
+	// number conversion edges: subnormal halfway, overflow, 19/20-digit
+	// mantissas, long zero runs, ties, simulator-like 17-digit times
+	`{"arrival":2.4703282292062327e-324,"depart":2.4703282292062328e-324}`,
+	`{"arrival":1e309}`,
+	`{"depart":-1e309}`,
+	`{"arrival":1234567890123456789,"depart":12345678901234567890}`,
+	`{"arrival":0.1234567890123456789,"depart":1.00000000000000000001}`,
+	`{"arrival":0.0000000000000000000000000000000000000001,"depart":100000000000000000000000000000000000000000}`,
+	`{"arrival":9007199254740993,"depart":1.7976931348623159e308}`,
+	`{"arrival":12.345678901234567,"depart":1.2345678901234567E+01}`,
+	`{"arrival":0e999999999,"depart":-0.0}`,
+	`{"state":10000000000000000000,"queue":-9223372036854775809}`,
 	// null field values (accepted, leave the field untouched)
 	`{"task":null,"state":null,"queue":null,"arrival":null,"depart":null,"obs_arrival":null,"obs_depart":null,"final":null}`,
 	`{"task":"keep","task":null}`,

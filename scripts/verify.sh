@@ -31,3 +31,8 @@ go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|M
 # same-run timing ratios (fast ingest vs stdlib, Gibbs sweep vs window
 # sweep, slide cost flat in the window, mean-field vs the cold posterior).
 go test -count=1 -run 'Allocs|AllocFree|ZeroBytes|WorkScales|Speed' ./...
+
+# The NDJSON decoder converts numbers itself (Eisel–Lemire with a strconv
+# fallback), so its differential contract with encoding/json is fuzzed on
+# every full verify, starting from the seed corpus.
+go test -run '^$' -fuzz FuzzNDJSONDecode -fuzztime 15s ./internal/trace
