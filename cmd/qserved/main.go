@@ -88,7 +88,7 @@ func main() {
 	addr := flag.String("addr", ":8645", "listen address")
 	window := flag.Int("window", 500, "default sliding window size (sealed tasks per stream)")
 	minTasks := flag.Int("min-tasks", 40, "default minimum sealed tasks before estimating")
-	emIters := flag.Int("em-iters", 300, "default StEM iterations per window")
+	emIters := flag.Int("em-iters", 300, "default StEM iterations of a cold epoch (warm epochs run fewer, capped by it)")
 	postSweeps := flag.Int("post-sweeps", 40, "default posterior sweeps per window")
 	windows := flag.Int("windows", 6, "default windowed-stats buckets")
 	infWorkers := flag.Int("inference-workers", -1, "shared inference executor pool size (-1 = one per CPU)")

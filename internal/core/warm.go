@@ -8,12 +8,16 @@ import (
 	"repro/internal/xrand"
 )
 
-// WarmConfig sizes one estimation epoch of a WarmEstimator: a StEM phase
-// of EMIters sweep+M-step iterations (parameters averaged after EMBurnIn)
-// followed by PostSweeps fixed-parameter posterior sweeps (means
-// accumulated after PostBurnIn). Windows > 0 also accumulates, over the
-// same kept sweeps, per-queue means in that many equal time buckets of the
-// epoch's window span (WindowsInto). Zero values take the same defaults as
+// WarmConfig sizes the estimation epochs of a WarmEstimator. A cold epoch
+// (the first, and the first after Reset) runs a StEM phase of EMIters
+// sweep+M-step iterations, its parameters the average of the iterates
+// after EMBurnIn. A warm epoch runs a shorter StEM phase sized by the
+// fraction of the window that slid since the previous epoch, and carries
+// that previous average forward (BeginEpoch); EMIters caps it. Every epoch
+// then runs PostSweeps fixed-parameter posterior sweeps (means accumulated
+// after PostBurnIn). Windows > 0 also accumulates, over the same kept
+// sweeps, per-queue means in that many equal time buckets of the epoch's
+// window span (WindowsInto). Zero values take the same defaults as
 // EMOptions/PosteriorOptions; NoBurnIn disables a burn-in.
 type WarmConfig struct {
 	NumQueues  int
@@ -64,9 +68,18 @@ type WarmEstimator struct {
 	rates     []float64
 	haveRates bool
 
-	emDone int
-	emSum  []float64
-	emKept int
+	// This epoch's StEM schedule, and its progress. emSum is the weighted
+	// sum of the kept rate iterates and emWeight its total weight: on a
+	// warm epoch both start from the previous epoch's, discounted.
+	emIters, emBurnIn int
+	emDone            int
+	emSum             []float64
+	emWeight          float64
+	// appended counts the tasks appended since the last BeginEpoch, and
+	// carried reports that emSum/emWeight hold a finished StEM phase's
+	// average: together they decide whether the next epoch runs warm.
+	appended int
+	carried  bool
 
 	postDone int
 	svcSum   []float64
@@ -97,6 +110,8 @@ func NewWarmEstimator(cfg WarmConfig) *WarmEstimator {
 	we := &WarmEstimator{
 		cfg:         cfg,
 		win:         NewSlidingWindow(nq),
+		emIters:     cfg.EMIters,
+		emBurnIn:    cfg.EMBurnIn,
 		rates:       make([]float64, nq),
 		emSum:       make([]float64, nq),
 		svcSum:      make([]float64, nq),
@@ -127,7 +142,13 @@ func (we *WarmEstimator) Window() *SlidingWindow { return we.win }
 
 // Append slides one task in; see SlidingWindow.Append. On
 // ErrInfeasibleSlide the caller must Reset and rebuild cold.
-func (we *WarmEstimator) Append(t SlideTask) error { return we.win.Append(t) }
+func (we *WarmEstimator) Append(t SlideTask) error {
+	if err := we.win.Append(t); err != nil {
+		return err
+	}
+	we.appended++
+	return nil
+}
 
 // EvictOldest slides the oldest task out.
 func (we *WarmEstimator) EvictOldest() { we.win.EvictOldest() }
@@ -144,22 +165,62 @@ func (we *WarmEstimator) Reset() {
 	we.BeginEpoch()
 }
 
+// The warm-epoch schedule. A warm epoch whose window slid by a fraction f
+// of its tasks discounts the carried StEM sums by max(0, 1 − f/warmMemory)
+// and runs max(warmMinIters, ⌈K·f/warmMemory⌉) iterations without burn-in,
+// where K = EMIters − EMBurnIn is a cold epoch's kept count. In steady
+// state the rates then rest on K·max(1, warmMinIters·warmMemory/(K·f))
+// iterates, never fewer than a cold epoch's. warmMemory is the span of the
+// carried average as a fraction of the window, and it must be small: in
+// the accuracy probe of DESIGN §16 (three tiers {1,2,4}, a 500-task
+// window, 30 epochs, rates against a 3000-iteration epoch on the same
+// window), forgetting over a whole window turnover (warmMemory = 1) erred
+// 1.8–2.6× as much as the cold schedule at 30% observed with 10-task
+// slides, because the carried iterates came from windows that had slid
+// away. At 0.02 and 30, with 1-, 2- and 10-task slides, the pooled error
+// was 6.09% against the cold schedule's 6.90% at 10% observed and 1.98%
+// against 2.10% at 30%, at 79–195 sweeps an epoch instead of 340.
+const (
+	warmMemory   = 0.02
+	warmMinIters = 30
+)
+
 // BeginEpoch starts a new estimation epoch over the current window
-// contents: EM and posterior debts are reset, accumulators cleared, the
-// windowed summary's span fixed to the window's, and the parameters
-// warm-start from the previous epoch (or, on the first epoch, from the
-// maximum-likelihood rates of the seeded latent state — the warm path's
-// cold start needs no separate initializer because the window was
+// contents: EM and posterior debts are reset, the posterior accumulators
+// cleared, the windowed summary's span fixed to the window's, and the
+// parameters warm-start from the previous epoch (or, on the first epoch,
+// from the maximum-likelihood rates of the seeded latent state — the warm
+// path's cold start needs no separate initializer because the window was
 // constructed feasible).
+//
+// The epoch runs warm when the previous epoch finished its StEM phase and
+// the warm schedule (warmMemory) is shorter than EMIters: the carried
+// StEM sums are discounted and the epoch adds its iterates to them, with
+// no burn-in. Otherwise it runs cold: EMIters iterations, EMBurnIn of
+// them burn-in, from empty sums.
 func (we *WarmEstimator) BeginEpoch() {
 	if !we.haveRates && we.win.LiveTasks() > 0 {
 		we.win.MLERatesInto(we.rates)
 		we.haveRates = true
 	}
-	we.emDone, we.emKept = 0, 0
+	iters, keep, warm := we.warmSchedule()
+	if warm {
+		we.emIters, we.emBurnIn = iters, 0
+		we.emWeight *= keep
+	} else {
+		we.emIters, we.emBurnIn = we.cfg.EMIters, we.cfg.EMBurnIn
+		we.emWeight = 0
+	}
+	we.carried = false
+	we.appended = 0
+	we.emDone = 0
 	we.postDone, we.postKept = 0, 0
 	for q := range we.emSum {
-		we.emSum[q] = 0
+		if warm {
+			we.emSum[q] *= keep
+		} else {
+			we.emSum[q] = 0
+		}
 		we.svcSum[q] = 0
 		we.waitSum[q] = 0
 		we.waitChain[q] = we.waitChain[q][:0]
@@ -168,12 +229,41 @@ func (we *WarmEstimator) BeginEpoch() {
 	we.clearWindows()
 }
 
+// warmSchedule sizes the epoch about to begin if it can run warm: its
+// StEM iterations and the factor that discounts the carried sums.
+func (we *WarmEstimator) warmSchedule() (iters int, keep float64, ok bool) {
+	live := we.win.LiveTasks()
+	if !we.carried || live == 0 {
+		return 0, 0, false
+	}
+	f := math.Min(1, float64(we.appended)/float64(live))
+	kept := we.cfg.EMIters - we.cfg.EMBurnIn
+	iters = max(warmMinIters, int(math.Ceil(float64(kept)*f/warmMemory)))
+	if iters >= we.cfg.EMIters {
+		return 0, 0, false
+	}
+	return iters, math.Max(0, 1-f/warmMemory), true
+}
+
+// EMFinal reports whether this epoch's StEM phase is complete, so that
+// RatesInto returns the epoch's final average rather than one iterate.
+func (we *WarmEstimator) EMFinal() bool { return we.emDone >= we.emIters }
+
+// EMIters returns this epoch's StEM iterations: EMIters on a cold epoch,
+// fewer on a warm one.
+func (we *WarmEstimator) EMIters() int { return we.emIters }
+
+// EMWeight returns the effective number of StEM iterates behind the rates
+// so far this epoch: the kept count on a cold epoch, and on a warm one the
+// carried weight after discounting plus this epoch's iterates.
+func (we *WarmEstimator) EMWeight() float64 { return we.emWeight }
+
 // EpochSweeps returns the sweeps run so far this epoch.
 func (we *WarmEstimator) EpochSweeps() int { return we.emDone + we.postDone }
 
 // Remaining returns the sweeps left in the current epoch's schedule.
 func (we *WarmEstimator) Remaining() int {
-	return (we.cfg.EMIters - we.emDone) + (we.cfg.PostSweeps - we.postDone)
+	return (we.emIters - we.emDone) + (we.cfg.PostSweeps - we.postDone)
 }
 
 // Done reports whether the epoch's schedule is exhausted.
@@ -197,21 +287,22 @@ func (we *WarmEstimator) Step(rng *xrand.RNG, maxSweeps int) int {
 		maxSweeps = we.Remaining()
 	}
 	ran := 0
-	for ran < maxSweeps && we.emDone < we.cfg.EMIters {
+	for ran < maxSweeps && we.emDone < we.emIters {
 		we.win.Sweep(we.rates, rng)
 		we.win.MLERatesInto(we.rates)
 		we.emDone++
 		ran++
-		if we.emDone > we.cfg.EMBurnIn {
+		if we.emDone > we.emBurnIn {
 			for q := range we.emSum {
 				we.emSum[q] += we.rates[q]
 			}
-			we.emKept++
+			we.emWeight++
 		}
-		if we.emDone == we.cfg.EMIters && we.emKept > 0 {
+		if we.emDone == we.emIters && we.emWeight > 0 {
 			for q := range we.rates {
-				we.rates[q] = we.emSum[q] / float64(we.emKept)
+				we.rates[q] = we.emSum[q] / we.emWeight
 			}
+			we.carried = true
 		}
 	}
 	for ran < maxSweeps && we.postDone < we.cfg.PostSweeps {
@@ -235,7 +326,7 @@ func (we *WarmEstimator) Step(rng *xrand.RNG, maxSweeps int) int {
 }
 
 // RatesInto writes the current parameter estimate (the finalized epoch
-// average once EM is complete, the current StEM iterate before that)
+// average once EMFinal, the current StEM iterate before that)
 // into dst, growing it as needed, and returns it.
 func (we *WarmEstimator) RatesInto(dst []float64) []float64 {
 	dst = resizeFloats(dst, len(we.rates))

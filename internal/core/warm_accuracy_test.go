@@ -1,0 +1,159 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/qnet"
+	"repro/internal/xrand"
+)
+
+// scheduleProbe sizes one run of the warm-schedule accuracy probe: a
+// window of the paper's three-tier network {1,2,4} (λ = 4, µ = 5) slides
+// by a fixed number of tasks before every epoch, and each epoch's served
+// rates are compared with a long cold StEM epoch on a clone of the same
+// window.
+type scheduleProbe struct {
+	window, epochs, refIters int
+	seeds                    []uint64
+	fracs                    []float64
+	slides                   []int
+}
+
+// probeCell is one (observed fraction, slide, seed) run: the sum of the
+// squared relative service-rate errors over every epoch but the first
+// (which is cold on both schedules), how many terms it has,
+// the StEM+posterior sweeps of each epoch, and the infeasible slides that
+// forced a rebuild.
+type probeCell struct {
+	frac       float64
+	slide      int
+	seed       uint64
+	sqErr      float64
+	terms      int
+	sweeps     []int
+	infeasible int
+}
+
+func (c probeCell) rms() float64 { return math.Sqrt(c.sqErr / float64(c.terms)) }
+
+// run drives every cell with the daemon's default stream schedule
+// (EMIters 300, PostSweeps 40). An infeasible slide is handled the way
+// qserved's worker handles it: Reset, then rebuild from the last window
+// of tasks.
+func (p scheduleProbe) run(t *testing.T) []probeCell {
+	t.Helper()
+	net := must(qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4}))
+	var cells []probeCell
+	for _, frac := range p.fracs {
+		for _, slide := range p.slides {
+			for _, seed := range p.seeds {
+				truth, _, _ := simulateObserved(t, net, p.window+p.epochs*slide, frac, seed)
+				tasks := slideTasksOf(truth)
+				nq := truth.NumQueues
+				we := NewWarmEstimator(WarmConfig{NumQueues: nq, EMIters: 300, PostSweeps: 40})
+				warmFill(t, we, tasks[:p.window])
+				rng := xrand.New(seed + 1)
+				cell := probeCell{frac: frac, slide: slide, seed: seed}
+				hi := p.window
+				for e := 0; e < p.epochs; e++ {
+					if e > 0 {
+						if err := probeSlide(we, tasks[hi:hi+slide], p.window); err != nil {
+							if !errors.Is(err, ErrInfeasibleSlide) {
+								t.Fatal(err)
+							}
+							cell.infeasible++
+							we.Reset()
+							warmFill(t, we, tasks[hi+slide-p.window:hi+slide])
+						}
+						hi += slide
+					}
+					var ref *WarmEstimator
+					if e > 0 {
+						ref = NewWarmEstimator(WarmConfig{NumQueues: nq, EMIters: p.refIters, PostSweeps: 1})
+						ref.win = we.win.Clone()
+					}
+					we.BeginEpoch()
+					cell.sweeps = append(cell.sweeps, we.Step(rng, 0))
+					if ref == nil {
+						continue
+					}
+					ref.BeginEpoch()
+					ref.Step(xrand.New(seed*1000+uint64(e)), 0)
+					got, want := we.RatesInto(nil), ref.RatesInto(nil)
+					for q := 1; q < nq; q++ {
+						d := (got[q] - want[q]) / want[q]
+						cell.sqErr += d * d
+						cell.terms++
+					}
+				}
+				cells = append(cells, cell)
+			}
+		}
+	}
+	return cells
+}
+
+// probeSlide appends tasks to the window, evicting the oldest past size.
+func probeSlide(we *WarmEstimator, tasks []SlideTask, size int) error {
+	for _, task := range tasks {
+		if err := we.Append(task); err != nil {
+			return err
+		}
+		for we.Window().LiveTasks() > size {
+			we.EvictOldest()
+		}
+	}
+	return nil
+}
+
+// pooledRMS is the rms relative rate error over every cell at one
+// observed fraction.
+func pooledRMS(cells []probeCell, frac float64) float64 {
+	sq, n := 0.0, 0
+	for _, c := range cells {
+		if c.frac == frac {
+			sq += c.sqErr
+			n += c.terms
+		}
+	}
+	return math.Sqrt(sq / float64(n))
+}
+
+// TestWarmScheduleAccuracy is the accuracy contract of the warm-epoch
+// schedule: served service rates, against a 1200-iteration StEM epoch on
+// a clone of the same window, must err no more than 15% beyond the cold
+// schedule's (every epoch 300 StEM iterations, 150 of them burn-in),
+// pooled over two seeds and 1- and 10-task slides of a 300-task window at
+// each observed fraction.
+//
+// The cold schedule's pooled rms errors were measured once with this
+// harness at commit 4712933, where every epoch ran it: 12.081% at 10%
+// observed and 3.216% at 30%. Most of the 10% figure is the noise of the
+// 1200-iteration reference itself. The two fractions run in parallel.
+func TestWarmScheduleAccuracy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("accuracy contract: skipped under -race")
+	}
+	coldRMS := map[float64]float64{0.1: 0.12081, 0.3: 0.03216}
+	for _, frac := range []float64{0.1, 0.3} {
+		t.Run(fmt.Sprintf("observed=%v", frac), func(t *testing.T) {
+			t.Parallel()
+			p := scheduleProbe{window: 300, epochs: 8, refIters: 1200,
+				seeds: []uint64{5, 6}, fracs: []float64{frac}, slides: []int{1, 10}}
+			cells := p.run(t)
+			for _, c := range cells {
+				t.Logf("slide %2d, seed %d: rms %.2f%%, sweeps %v, infeasible %d",
+					c.slide, c.seed, 100*c.rms(), c.sweeps, c.infeasible)
+			}
+			got, bound := pooledRMS(cells, frac), 1.15*coldRMS[frac]
+			t.Logf("pooled rms %.3f%% (cold schedule %.3f%%, bound %.3f%%)", 100*got, 100*coldRMS[frac], 100*bound)
+			if got > bound {
+				t.Errorf("pooled rms rate error %.3f%% exceeds %.3f%% (1.15× the cold schedule's %.3f%%)",
+					100*got, 100*bound, 100*coldRMS[frac])
+			}
+		})
+	}
+}

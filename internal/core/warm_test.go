@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/qnet"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -22,75 +23,112 @@ func warmFill(t *testing.T, we *WarmEstimator, tasks []SlideTask) {
 // shared executor slice sweeps across visits without changing estimates.
 // The batched chains read the snapshot and the windowed summary between
 // batches, as every anytime publish does; the reads must not advance the
-// chain either, down to one sweep per batch.
+// chain either, down to one sweep per batch. The chains run a cold epoch
+// and then three warm ones with a one-task slide before each, so the StEM
+// average carried across epochs is covered too.
 func TestWarmStepBatchingInvariant(t *testing.T) {
-	const nq = 3
+	const nq, epochs = 3, 4
 	cfg := WarmConfig{NumQueues: nq, EMIters: 40, PostSweeps: 20, Windows: 4}
 	gen := newSlideGen(3, nq, 2.0, 3.0, 0.5)
-	tasks := gen.take(50)
+	const window = 80
+	tasks := gen.take(window + epochs - 1)
 
+	// epoch advances est to its next epoch: the window slides by one task
+	// (none before the first epoch) and a new epoch begins.
+	epoch := func(est *WarmEstimator, e int) {
+		t.Helper()
+		if e == 0 {
+			warmFill(t, est, tasks[:window])
+		} else {
+			warmFill(t, est, tasks[window-1+e:window+e])
+			est.EvictOldest()
+		}
+		est.BeginEpoch()
+	}
+
+	type result struct {
+		sweeps int
+		sum    PosteriorSummary
+		win    [][]trace.WindowStats
+		rates  []float64
+	}
 	full := NewWarmEstimator(cfg)
-	warmFill(t, full, tasks)
-	full.BeginEpoch()
 	rngF := xrand.New(8)
-	if ran := full.Step(rngF, 0); ran != 60 {
-		t.Fatalf("full pass ran %d sweeps, want 60", ran)
+	var fullRes []result
+	for e := 0; e < epochs; e++ {
+		epoch(full, e)
+		if e > 0 && full.EMIters() >= cfg.EMIters {
+			t.Fatalf("epoch %d ran cold: %d StEM iterations", e, full.EMIters())
+		}
+		ran := full.Step(rngF, 0)
+		if e == 0 && ran != 60 {
+			t.Fatalf("full pass ran %d sweeps, want 60", ran)
+		}
+		if !full.Done() {
+			t.Fatal("full pass not done")
+		}
+		if e > 0 && !(full.EMWeight() > float64(full.EMIters())) {
+			t.Fatalf("epoch %d carried nothing: weight %v after %d iterations", e, full.EMWeight(), full.EMIters())
+		}
+		var r result
+		r.sweeps = ran
+		full.SnapshotInto(&r.sum)
+		var err error
+		if r.win, err = full.WindowsInto(nil); err != nil {
+			t.Fatal(err)
+		}
+		r.rates = full.RatesInto(nil)
+		fullRes = append(fullRes, r)
 	}
-	if !full.Done() {
-		t.Fatal("full pass not done")
-	}
-	var sumF PosteriorSummary
-	full.SnapshotInto(&sumF)
-	winF, err := full.WindowsInto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rF := full.RatesInto(nil)
 
 	for _, batch := range []int{7, 1} {
 		batched := NewWarmEstimator(cfg)
-		warmFill(t, batched, tasks)
-		batched.BeginEpoch()
 		rngB := xrand.New(8)
-		var sumB PosteriorSummary
-		var winB [][]trace.WindowStats
-		steps := 0
-		for !batched.Done() {
-			ran := batched.Step(rngB, batch)
-			if ran == 0 {
-				t.Fatal("Step made no progress")
-			}
-			steps++
-			batched.SnapshotInto(&sumB)
-			if winB, err = batched.WindowsInto(winB); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if want := (60 + batch - 1) / batch; steps != want {
-			t.Fatalf("batch %d: pass took %d steps, want %d", batch, steps, want)
-		}
-		if sumF.Sweeps != sumB.Sweeps {
-			t.Fatalf("batch %d: kept sweeps differ: %d vs %d", batch, sumF.Sweeps, sumB.Sweeps)
-		}
-		for q := 0; q < nq; q++ {
-			if !sameFloat(sumF.MeanService[q], sumB.MeanService[q]) || !sameFloat(sumF.MeanWait[q], sumB.MeanWait[q]) {
-				t.Fatalf("batch %d: queue %d means (%v, %v) vs (%v, %v)", batch, q,
-					sumF.MeanService[q], sumF.MeanWait[q], sumB.MeanService[q], sumB.MeanWait[q])
-			}
-			if len(sumF.WaitChain[q]) != len(sumB.WaitChain[q]) {
-				t.Fatalf("batch %d: queue %d wait chain length %d vs %d", batch, q, len(sumF.WaitChain[q]), len(sumB.WaitChain[q]))
-			}
-			for b := range winF[q] {
-				f, g := winF[q][b], winB[q][b]
-				if f.Events != g.Events || !sameFloat(f.MeanService, g.MeanService) || !sameFloat(f.MeanWait, g.MeanWait) {
-					t.Fatalf("batch %d: bucket %d/%d %+v vs %+v", batch, q, b, f, g)
+		for e := 0; e < epochs; e++ {
+			epoch(batched, e)
+			f := fullRes[e]
+			var sumB PosteriorSummary
+			var winB [][]trace.WindowStats
+			var err error
+			steps := 0
+			for !batched.Done() {
+				ran := batched.Step(rngB, batch)
+				if ran == 0 {
+					t.Fatal("Step made no progress")
+				}
+				steps++
+				batched.SnapshotInto(&sumB)
+				if winB, err = batched.WindowsInto(winB); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		rB := batched.RatesInto(nil)
-		for q := range rF {
-			if rF[q] != rB[q] {
-				t.Fatalf("batch %d: queue %d rate %v vs %v", batch, q, rF[q], rB[q])
+			if want := (f.sweeps + batch - 1) / batch; steps != want {
+				t.Fatalf("batch %d epoch %d: pass took %d steps, want %d", batch, e, steps, want)
+			}
+			sumF, winF := f.sum, f.win
+			if sumF.Sweeps != sumB.Sweeps {
+				t.Fatalf("batch %d epoch %d: kept sweeps differ: %d vs %d", batch, e, sumF.Sweeps, sumB.Sweeps)
+			}
+			for q := 0; q < nq; q++ {
+				if !sameFloat(sumF.MeanService[q], sumB.MeanService[q]) || !sameFloat(sumF.MeanWait[q], sumB.MeanWait[q]) {
+					t.Fatalf("batch %d epoch %d: queue %d means (%v, %v) vs (%v, %v)", batch, e, q,
+						sumF.MeanService[q], sumF.MeanWait[q], sumB.MeanService[q], sumB.MeanWait[q])
+				}
+				if len(sumF.WaitChain[q]) != len(sumB.WaitChain[q]) {
+					t.Fatalf("batch %d epoch %d: queue %d wait chain length %d vs %d", batch, e, q, len(sumF.WaitChain[q]), len(sumB.WaitChain[q]))
+				}
+				for b := range winF[q] {
+					f, g := winF[q][b], winB[q][b]
+					if f.Events != g.Events || !sameFloat(f.MeanService, g.MeanService) || !sameFloat(f.MeanWait, g.MeanWait) {
+						t.Fatalf("batch %d epoch %d: bucket %d/%d %+v vs %+v", batch, e, q, b, f, g)
+					}
+				}
+			}
+			rF, rB := f.rates, batched.RatesInto(nil)
+			for q := range rF {
+				if rF[q] != rB[q] {
+					t.Fatalf("batch %d epoch %d: queue %d rate %v vs %v", batch, e, q, rF[q], rB[q])
+				}
 			}
 		}
 	}
@@ -102,79 +140,105 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // TestWarmIncrementalMatchesColdClone is the satellite regression test:
 // after slides, a *cold* estimator constructed over a clone of the warm
 // window's retained state produces bit-identical estimates under the same
-// RNG — the incremental path loses nothing against a cold pass.
+// RNG — the incremental path loses nothing against a cold pass. In the
+// first case the slide is large enough that both epochs run cold; in the
+// second a one-task slide makes the epoch warm, and the clone also takes
+// the carried StEM sums and the slide count, so it runs the same warm
+// schedule.
 func TestWarmIncrementalMatchesColdClone(t *testing.T) {
 	const nq = 3
-	cfg := WarmConfig{NumQueues: nq, EMIters: 30, PostSweeps: 15, Windows: 4}
-	gen := newSlideGen(19, nq, 2.0, 3.0, 0.5)
-	warmup := gen.take(60)
-	stream := gen.take(25)
+	for _, tc := range []struct {
+		name  string
+		cfg   WarmConfig
+		slide int
+		carry bool
+	}{
+		{"cold", WarmConfig{NumQueues: nq, EMIters: 30, PostSweeps: 15, Windows: 4}, 25, false},
+		{"warm", WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			gen := newSlideGen(19, nq, 2.0, 3.0, 0.5)
+			warmup := gen.take(60)
+			stream := gen.take(tc.slide)
 
-	warm := NewWarmEstimator(cfg)
-	warmFill(t, warm, warmup)
-	warm.BeginEpoch()
-	warm.Step(xrand.New(4), 0) // a full epoch of history on the warm path
+			warm := NewWarmEstimator(cfg)
+			warmFill(t, warm, warmup)
+			warm.BeginEpoch()
+			warm.Step(xrand.New(4), 0) // a full epoch of history on the warm path
 
-	for _, task := range stream { // the slide the cold path never sees
-		if err := warm.Append(task); err != nil {
-			t.Fatal(err)
-		}
-		warm.EvictOldest()
-	}
-	warm.BeginEpoch()
-
-	cold := NewWarmEstimator(cfg)
-	cold.win = warm.win.Clone()
-	cold.rates = warm.RatesInto(nil)
-	cold.haveRates = true
-	cold.BeginEpoch()
-
-	rngW, rngC := xrand.New(55), xrand.New(55)
-	for !warm.Done() {
-		warm.Step(rngW, 5)
-		cold.Step(rngC, 5)
-	}
-	if !cold.Done() {
-		t.Fatal("cold pass not done")
-	}
-
-	var sw, sc PosteriorSummary
-	warm.SnapshotInto(&sw)
-	cold.SnapshotInto(&sc)
-	for q := 0; q < nq; q++ {
-		if sw.MeanService[q] != sc.MeanService[q] {
-			t.Fatalf("queue %d mean service: warm %v cold %v", q, sw.MeanService[q], sc.MeanService[q])
-		}
-		if sw.MeanWait[q] != sc.MeanWait[q] && !(math.IsNaN(sw.MeanWait[q]) && math.IsNaN(sc.MeanWait[q])) {
-			t.Fatalf("queue %d mean wait: warm %v cold %v", q, sw.MeanWait[q], sc.MeanWait[q])
-		}
-	}
-	rw, rc := warm.RatesInto(nil), cold.RatesInto(nil)
-	for q := range rw {
-		if rw[q] != rc[q] {
-			t.Fatalf("queue %d rate: warm %v cold %v", q, rw[q], rc[q])
-		}
-	}
-
-	// The windowed summary is part of the contract too.
-	ww, err := warm.WindowsInto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := cold.WindowsInto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range ww {
-		for b := range ww[q] {
-			a, c := ww[q][b], wc[q][b]
-			if a.Events != c.Events {
-				t.Fatalf("cell %d/%d events %d vs %d", q, b, a.Events, c.Events)
+			for _, task := range stream { // the slide the cold path never sees
+				if err := warm.Append(task); err != nil {
+					t.Fatal(err)
+				}
+				warm.EvictOldest()
 			}
-			if a.MeanWait != c.MeanWait && !(math.IsNaN(a.MeanWait) && math.IsNaN(c.MeanWait)) {
-				t.Fatalf("cell %d/%d wait %v vs %v", q, b, a.MeanWait, c.MeanWait)
+
+			cold := NewWarmEstimator(cfg)
+			cold.win = warm.win.Clone()
+			cold.rates = warm.RatesInto(nil)
+			cold.haveRates = true
+			if tc.carry {
+				copy(cold.emSum, warm.emSum)
+				cold.emWeight, cold.carried, cold.appended = warm.emWeight, warm.carried, warm.appended
 			}
-		}
+			warm.BeginEpoch()
+			cold.BeginEpoch()
+			if warm.EMIters() != cold.EMIters() || (warm.EMIters() < cfg.EMIters) != tc.carry {
+				t.Fatalf("StEM iterations: warm %d, clone %d, cold schedule %d", warm.EMIters(), cold.EMIters(), cfg.EMIters)
+			}
+
+			rngW, rngC := xrand.New(55), xrand.New(55)
+			for !warm.Done() {
+				warm.Step(rngW, 5)
+				cold.Step(rngC, 5)
+			}
+			if !cold.Done() {
+				t.Fatal("cold pass not done")
+			}
+
+			var sw, sc PosteriorSummary
+			warm.SnapshotInto(&sw)
+			cold.SnapshotInto(&sc)
+			for q := 0; q < nq; q++ {
+				if sw.MeanService[q] != sc.MeanService[q] {
+					t.Fatalf("queue %d mean service: warm %v cold %v", q, sw.MeanService[q], sc.MeanService[q])
+				}
+				if sw.MeanWait[q] != sc.MeanWait[q] && !(math.IsNaN(sw.MeanWait[q]) && math.IsNaN(sc.MeanWait[q])) {
+					t.Fatalf("queue %d mean wait: warm %v cold %v", q, sw.MeanWait[q], sc.MeanWait[q])
+				}
+			}
+			rw, rc := warm.RatesInto(nil), cold.RatesInto(nil)
+			for q := range rw {
+				if rw[q] != rc[q] {
+					t.Fatalf("queue %d rate: warm %v cold %v", q, rw[q], rc[q])
+				}
+			}
+			if warm.EMWeight() != cold.EMWeight() {
+				t.Fatalf("StEM weight: warm %v cold %v", warm.EMWeight(), cold.EMWeight())
+			}
+
+			// The windowed summary is part of the contract too.
+			ww, err := warm.WindowsInto(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wc, err := cold.WindowsInto(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := range ww {
+				for b := range ww[q] {
+					a, c := ww[q][b], wc[q][b]
+					if a.Events != c.Events {
+						t.Fatalf("cell %d/%d events %d vs %d", q, b, a.Events, c.Events)
+					}
+					if a.MeanWait != c.MeanWait && !(math.IsNaN(a.MeanWait) && math.IsNaN(c.MeanWait)) {
+						t.Fatalf("cell %d/%d wait %v vs %v", q, b, a.MeanWait, c.MeanWait)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -338,6 +402,68 @@ func TestWarmResetLifecycle(t *testing.T) {
 	}
 }
 
+// TestWarmResetMatchesFresh: after Reset, the next epoch is bit-identical
+// to a fresh estimator's over the same tasks. The estimator first runs a
+// cold epoch and two warm ones, so Reset must drop the carried StEM sums,
+// the slide count and the parameters along with the window.
+func TestWarmResetMatchesFresh(t *testing.T) {
+	const nq = 3
+	cfg := WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}
+	gen := newSlideGen(47, nq, 2.0, 3.0, 0.5)
+	history, after := gen.take(62), gen.take(40)
+
+	used := NewWarmEstimator(cfg)
+	warmFill(t, used, history[:60])
+	rng := xrand.New(9)
+	for e := 0; e < 3; e++ {
+		if e > 0 {
+			warmFill(t, used, history[59+e:60+e])
+			used.EvictOldest()
+		}
+		used.BeginEpoch()
+		if e > 0 && used.EMIters() >= cfg.EMIters {
+			t.Fatalf("history epoch %d ran cold", e)
+		}
+		used.Step(rng, 0)
+	}
+	used.Reset()
+
+	fresh := NewWarmEstimator(cfg)
+	for _, we := range []*WarmEstimator{used, fresh} {
+		warmFill(t, we, after)
+		we.BeginEpoch()
+		we.Step(xrand.New(21), 0)
+	}
+	if used.EMIters() != cfg.EMIters || used.EMWeight() != fresh.EMWeight() {
+		t.Fatalf("after Reset: %d StEM iterations, weight %v; fresh: %d, %v",
+			used.EMIters(), used.EMWeight(), fresh.EMIters(), fresh.EMWeight())
+	}
+	ru, rf := used.RatesInto(nil), fresh.RatesInto(nil)
+	var su, sf PosteriorSummary
+	used.SnapshotInto(&su)
+	fresh.SnapshotInto(&sf)
+	wu, err := used.WindowsInto(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := fresh.WindowsInto(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < nq; q++ {
+		if !sameFloat(ru[q], rf[q]) || !sameFloat(su.MeanService[q], sf.MeanService[q]) || !sameFloat(su.MeanWait[q], sf.MeanWait[q]) {
+			t.Fatalf("queue %d: rate %v, means (%v, %v) after Reset; fresh %v, (%v, %v)", q,
+				ru[q], su.MeanService[q], su.MeanWait[q], rf[q], sf.MeanService[q], sf.MeanWait[q])
+		}
+		for b := range wu[q] {
+			u, f := wu[q][b], wf[q][b]
+			if u.Events != f.Events || !sameFloat(u.MeanService, f.MeanService) || !sameFloat(u.MeanWait, f.MeanWait) {
+				t.Fatalf("bucket %d/%d: %+v after Reset, fresh %+v", q, b, u, f)
+			}
+		}
+	}
+}
+
 // TestWarmEpochAcrossSlides: scratch and accumulator state is reused
 // across epochs with slides in between; each epoch starts clean.
 func TestWarmEpochAcrossSlides(t *testing.T) {
@@ -368,6 +494,42 @@ func TestWarmEpochAcrossSlides(t *testing.T) {
 		}
 		if err := we.Window().CheckInvariants(1e-7); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+	}
+}
+
+// TestWarmColdEpochGolden pins a first (cold) epoch bit for bit, at the
+// default serve schedule on a simulated three-tier window: its rates, its
+// posterior means and its windowed summary. Cold epochs run the full
+// EMIters schedule from empty sums, so these hashes, recorded at commit
+// 4712933 before warm epochs carried any state, must not move.
+func TestWarmColdEpochGolden(t *testing.T) {
+	net := must(qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4}))
+	want := map[float64][2]uint64{
+		0.1: {0x149a7170f4317536, 0x1f13ab577acf095b},
+		0.3: {0x2bf520c5f89c8bae, 0x4453756addb502b1},
+	}
+	for _, frac := range []float64{0.1, 0.3} {
+		truth, _, _ := simulateObserved(t, net, 200, frac, uint64(700+int(frac*100)))
+		we := NewWarmEstimator(WarmConfig{NumQueues: truth.NumQueues, EMIters: 300, PostSweeps: 40, Windows: 6})
+		warmFill(t, we, slideTasksOf(truth))
+		we.BeginEpoch()
+		we.Step(xrand.New(3), 0)
+		var sum PosteriorSummary
+		we.SnapshotInto(&sum)
+		ws, err := we.WindowsInto(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []float64
+		for _, qs := range ws {
+			for _, c := range qs {
+				cells = append(cells, float64(c.Events), c.MeanService, c.MeanWait)
+			}
+		}
+		got := [2]uint64{hashFloats(we.RatesInto(nil), sum.MeanService, sum.MeanWait), hashFloats(cells)}
+		if got != want[frac] {
+			t.Errorf("frac %v: cold epoch hashes %#x, want %#x", frac, got, want[frac])
 		}
 	}
 }

@@ -28,7 +28,12 @@ type StreamConfig struct {
 	// MinTasks is the number of sealed tasks required before the worker
 	// runs inference (default 40).
 	MinTasks int `json:"min_tasks,omitempty"`
-	// EMIters is the per-window StEM iteration count (default 300).
+	// EMIters is the StEM iteration count of a cold epoch (default 300),
+	// the first half of it burn-in, and the cap of a warm one. An epoch is
+	// cold on a stream's first window and after a rebuild; later epochs
+	// run warm, for a number of iterations proportional to the fraction
+	// of the window that slid since the previous epoch, and carry the
+	// previous epoch's StEM average forward (DESIGN §16).
 	EMIters int `json:"em_iters,omitempty"`
 	// PostSweeps sizes the per-window posterior pass (default 40).
 	PostSweeps int `json:"post_sweeps,omitempty"`
@@ -180,6 +185,13 @@ type Estimate struct {
 	// "meanfield" for the deterministic fast path (a cold stream's instant
 	// first answer), "gibbs" once MCMC refinement has replaced it.
 	Backend string `json:"backend"`
+	// EMIters is the number of StEM iterations this epoch ran, and
+	// EMWeight the effective number of StEM iterates behind Rates after
+	// the carried average was discounted: EMIters and its post-burn-in
+	// count on a cold epoch, fewer iterations and at least that weight on
+	// a warm one. Both are omitted on mean-field publishes.
+	EMIters  int     `json:"em_iters,omitempty"`
+	EMWeight float64 `json:"em_weight,omitempty"`
 }
 
 // Estimate backends, as reported in Estimate.Backend and on the

@@ -40,6 +40,11 @@ type serverMetrics struct {
 	// more than one window behind, a slide was infeasible, or a panic
 	// poisoned the window.
 	rebuilds *obs.Counter
+	// slideInfeasible counts the rebuilds caused by an infeasible slide
+	// (core.ErrInfeasibleSlide): the local repair gave up on the new
+	// tasks, and the window's latent state and carried StEM average were
+	// thrown away.
+	slideInfeasible *obs.Counter
 	// slideNew accumulates events appended by incremental window slides;
 	// slideWindow accumulates the live window size at each sync. Their
 	// ratio is the slide-reuse gauge: new << window means slides reuse
@@ -84,6 +89,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Streams shed from the bounded inference queue under overload."),
 		rebuilds: reg.Counter("qserved_inference_rebuilds_total",
 			"Cold window rebuilds on the incremental path (gap, infeasible slide, or poisoned window)."),
+		slideInfeasible: reg.Counter("qserved_slide_infeasible_total",
+			"Cold window rebuilds caused by an infeasible slide (also counted on qserved_inference_rebuilds_total)."),
 		slideNew: reg.Counter("qserved_slide_new_events_total",
 			"Events appended by incremental window slides."),
 		slideWindow: reg.Counter("qserved_slide_window_events_total",

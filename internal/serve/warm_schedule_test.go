@@ -1,0 +1,157 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/qnet"
+	"repro/internal/sim"
+	"repro/internal/xrand"
+)
+
+// slideBodies simulates the paper's three-tier network {1,2,4} (λ = 4,
+// µ = 5) at an observed fraction and cuts its tasks, in entry order, into
+// NDJSON bodies: one of window tasks, then slides bodies of slide tasks
+// each. Every task's events are contiguous and its last one seals it, so
+// the store seals the tasks in body order.
+func slideBodies(t *testing.T, seed uint64, frac float64, window, slides, slide int) [][]byte {
+	t.Helper()
+	net, err := qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(seed)
+	es, err := sim.Run(net, r, sim.Options{Tasks: window + slides*slide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es.ObserveTasks(r, frac)
+	body := func(lo, hi int) []byte {
+		var evs []IngestEvent
+		for k := lo; k < hi; k++ {
+			ids := es.ByTask[k]
+			for j, id := range ids[1:] {
+				e := &es.Events[id]
+				evs = append(evs, IngestEvent{Task: "t" + strconv.Itoa(k), State: e.State, Queue: e.Queue,
+					Arrival: es.Arr[id], Depart: es.Dep[id], ObsArrival: e.ObsArrival, ObsDepart: e.ObsDepart,
+					Final: j == len(ids)-2})
+			}
+		}
+		b, err := AppendEvents(nil, evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	out := [][]byte{body(0, window)}
+	for s := 0; s < slides; s++ {
+		lo := window + s*slide
+		out = append(out, body(lo, lo+slide))
+	}
+	return out
+}
+
+// postAndCover posts body to the stream through the real handler and waits
+// until a Gibbs estimate covers the stream's first `tasks` sealed tasks.
+// Posting the next body only then makes the daemon's slide sequence
+// deterministic: the worker syncs its window once per body.
+func postAndCover(t *testing.T, srv *Server, id string, body []byte, tasks uint64) *Estimate {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/streams/"+id+"/events", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s: %d: %s", id, rec.Code, rec.Body.String())
+	}
+	var est *Estimate
+	waitFor(t, 30*time.Second, "an estimate covering the body", func() bool {
+		est = srv.lookup(id).estimate.Load()
+		return est != nil && est.Epoch >= tasks && est.Backend == BackendGibbs
+	})
+	return est
+}
+
+// TestEstimateReportsStEMSchedule: a Gibbs estimate says which StEM
+// schedule made it. The first epoch is cold, so it reports EMIters
+// iterations and their post-burn-in count as its weight; after a one-task
+// slide the epoch is warm, with fewer iterations and at least that weight.
+// Mean-field estimates carry neither field.
+func TestEstimateReportsStEMSchedule(t *testing.T) {
+	srv := New(StreamConfig{}, WithInferenceWorkers(1))
+	defer srv.Close()
+	cfg := StreamConfig{NumQueues: 8, WindowTasks: 100, MinTasks: 20, EMIters: 100, PostSweeps: 10}
+	execPut(t, srv, "s", cfg)
+	bodies := slideBodies(t, 3, 0.3, 100, 2, 1)
+
+	est := postAndCover(t, srv, "s", bodies[0], 100)
+	if est.EMIters != 100 || est.EMWeight != 50 {
+		t.Fatalf("cold epoch: em_iters %d, em_weight %v; want 100 and 50", est.EMIters, est.EMWeight)
+	}
+	for i, body := range bodies[1:] {
+		est = postAndCover(t, srv, "s", body, uint64(101+i))
+		if est.EMIters >= 100 || est.EMWeight < 50 {
+			t.Fatalf("warm epoch %d: em_iters %d, em_weight %v; want < 100 and >= 50", i+1, est.EMIters, est.EMWeight)
+		}
+	}
+
+	b, err := json.Marshal(&Estimate{Backend: BackendMeanField})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(b); strings.Contains(s, "em_iters") || strings.Contains(s, "em_weight") {
+		t.Fatalf("mean-field estimate carries the StEM schedule: %s", s)
+	}
+}
+
+// TestInfeasibleSlideCounted drives a seeded slide sequence of the
+// three-tier network (a 300-task window, then twelve 10-task slides at 30%
+// observed) whose local repair gives up on exactly one slide
+// (core.ErrInfeasibleSlide). The rebuild is counted once on
+// qserved_slide_infeasible_total and once on
+// qserved_inference_rebuilds_total, and logged with the stream id.
+func TestInfeasibleSlideCounted(t *testing.T) {
+	const seed, frac, window, slides, slide = 6, 0.3, 300, 12, 10
+	srv := New(StreamConfig{}, WithInferenceWorkers(1))
+	defer srv.Close()
+	var logBuf logBuffer
+	srv.SetLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
+	execPut(t, srv, "inf", StreamConfig{NumQueues: 8, WindowTasks: window, MinTasks: 20})
+	for i, body := range slideBodies(t, seed, frac, window, slides, slide) {
+		postAndCover(t, srv, "inf", body, uint64(window+i*slide))
+	}
+	if got := srv.metrics.slideInfeasible.Value(); got != 1 {
+		t.Errorf("qserved_slide_infeasible_total = %d, want 1", got)
+	}
+	if got := srv.metrics.rebuilds.Value(); got != 1 {
+		t.Errorf("qserved_inference_rebuilds_total = %d, want 1", got)
+	}
+	if s := logBuf.String(); !strings.Contains(s, "infeasible slide") || !strings.Contains(s, "stream=inf") {
+		t.Errorf("no infeasible-slide log line naming the stream in:\n%s", s)
+	}
+}
+
+// logBuffer is a bytes.Buffer safe for the daemon's concurrent log writes.
+type logBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}

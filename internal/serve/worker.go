@@ -293,12 +293,13 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 			break
 		}
 	}
-	// Anytime publication: once EM has finalized the epoch's parameters,
-	// every visit republishes the (monotonically improving) posterior
-	// snapshot. Before that point the previous epoch's estimate keeps
-	// serving — rates mid-StEM are a single noisy iterate, not an
+	// Anytime publication: once the epoch's own StEM phase has finalized
+	// its parameters (EMIters iterations on a cold epoch, fewer on a warm
+	// one), every visit republishes the (monotonically improving)
+	// posterior snapshot. Before that point the previous epoch's estimate
+	// keeps serving — rates mid-StEM are a single noisy iterate, not an
 	// estimate.
-	if w.warm.EpochSweeps() >= cfg.EMIters && w.warm.Window().LiveTasks() > 0 {
+	if w.warm.EMFinal() && w.warm.Window().LiveTasks() > 0 {
 		if perr := w.publishWarm(); perr != nil {
 			return false, ran, perr
 		}
@@ -315,7 +316,9 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 // common case appends only the tasks sealed since the last sync and
 // evicts what slid off — O(new + expired events). A stream that fell
 // further behind than one window, a poisoned window, or an infeasible
-// slide rebuilds cold (counted on qserved_inference_rebuilds_total).
+// slide rebuilds cold (counted on qserved_inference_rebuilds_total; an
+// infeasible slide also on qserved_slide_infeasible_total). A rebuild
+// also drops the StEM average carried across epochs.
 func (w *worker) syncWindow() error {
 	var t0 int64
 	if w.visitSpan != 0 {
@@ -337,6 +340,8 @@ func (w *worker) syncWindow() error {
 		}
 		if err := w.applySlides(tasks, window); err != nil {
 			if attempt == 0 && errors.Is(err, core.ErrInfeasibleSlide) {
+				w.s.metrics.slideInfeasible.Inc()
+				w.s.log.Info("infeasible slide, rebuilding the window", "stream", w.st.id, "err", err)
 				rebuild, w.needRebuild = true, true
 				continue
 			}
@@ -415,6 +420,8 @@ func (w *worker) publishWarm() error {
 		ComputedAt:   time.Now(),
 		ElapsedMS:    float64(w.epochElapsed+time.Since(w.sliceStart)) / float64(time.Millisecond),
 		Backend:      BackendGibbs,
+		EMIters:      w.warm.EMIters(),
+		EMWeight:     w.warm.EMWeight(),
 	}
 	if ws != nil {
 		ws.Seq = w.seq

@@ -29,8 +29,10 @@ go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|M
 # Perf contracts, without -race: the allocation pins (sweep, posterior,
 # slide, mean-field solve, NDJSON decode, ingest, WAL append) and the
 # same-run timing ratios (fast ingest vs stdlib, Gibbs sweep vs window
-# sweep, slide cost flat in the window, mean-field vs the cold posterior).
-go test -count=1 -run 'Allocs|AllocFree|ZeroBytes|WorkScales|Speed' ./...
+# sweep, slide cost flat in the window, mean-field vs the cold posterior),
+# and the warm-epoch accuracy contract (served rates against a long StEM
+# reference, within 1.15x the cold schedule's error).
+go test -count=1 -run 'Allocs|AllocFree|ZeroBytes|WorkScales|Speed|Accuracy' ./...
 
 # The NDJSON decoder converts numbers itself (Eisel–Lemire with a strconv
 # fallback), so its differential contract with encoding/json is fuzzed on
