@@ -758,6 +758,10 @@ func (w *SlidingWindow) QueueMeansInto(svc, wait []float64) {
 	}
 }
 
+// queueSums returns the per-queue Σservice and Σwait over the live
+// events.
+func (w *SlidingWindow) queueSums() (svc, wait []float64) { return w.stats.svc, w.stats.wait }
+
 // rescanStats recomputes the per-queue sums by chain walk (test oracle
 // for the carried Kahan sums).
 func (w *SlidingWindow) rescanStats() (svc, wait []float64) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -261,6 +262,77 @@ func TestSlideStressInvariants(t *testing.T) {
 	}
 	if w.LiveTasks() != keep {
 		t.Fatalf("live tasks %d, want %d", w.LiveTasks(), keep)
+	}
+}
+
+// TestQueueSumsMatchRescan is the oracle of the per-queue sums the M-step
+// and the posterior means read: after every step of a randomized sequence
+// of appends, evictions and sweeps, at 10% and 30% observed, the window's
+// Σservice/Σwait equal a rescan of its EventSet copy to 1e-12 relative.
+// The offline sampler's means are held to the same rescan after each sweep.
+func TestQueueSumsMatchRescan(t *testing.T) {
+	check := func(t *testing.T, step int, gotSvc, gotWait []float64, es *trace.EventSet) {
+		t.Helper()
+		svc, wait := es.SumServiceWaitByQueue()
+		for q := range svc {
+			if d := math.Abs(gotSvc[q] - svc[q]); d > 1e-12*math.Abs(svc[q]) {
+				t.Fatalf("step %d queue %d: Σservice %v, rescan %v", step, q, gotSvc[q], svc[q])
+			}
+			if d := math.Abs(gotWait[q] - wait[q]); d > 1e-12*math.Abs(wait[q]) {
+				t.Fatalf("step %d queue %d: Σwait %v, rescan %v", step, q, gotWait[q], wait[q])
+			}
+		}
+	}
+	for _, frac := range []float64{0.1, 0.3} {
+		t.Run(fmt.Sprintf("window/obs%.0f%%", 100*frac), func(t *testing.T) {
+			const nq, keep = 4, 80
+			gen := newSlideGen(uint64(1000*frac)+3, nq, 2.0, 2.5, frac)
+			ops := xrand.New(uint64(1000*frac) + 4)
+			rng := xrand.New(6)
+			rates := []float64{2, 2.5, 5, 7.5}
+			w := NewSlidingWindow(nq)
+			for step := 0; step < 600; step++ {
+				switch u := ops.Float64(); {
+				case u < 0.45 || w.LiveTasks() < 2:
+					// An infeasible slide is rebuilt cold by the daemon;
+					// here the Reset alone is the step under test.
+					if err := w.Append(gen.next()); errors.Is(err, ErrInfeasibleSlide) {
+						w.Reset()
+					} else if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					for w.LiveTasks() > keep {
+						w.EvictOldest()
+					}
+				case u < 0.6:
+					w.EvictOldest()
+				default:
+					w.Sweep(rates, rng)
+				}
+				svc, wait := w.queueSums()
+				check(t, step, svc, wait, w.EventSet())
+			}
+		})
+		t.Run(fmt.Sprintf("gibbs/obs%.0f%%", 100*frac), func(t *testing.T) {
+			working, _, params := initializedWorking(t, [3]int{2, 1, 4}, 300, frac, 17)
+			g, err := NewGibbs(working, params, xrand.New(23))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.EnableQueueStats()
+			nq := working.NumQueues
+			svc, wait := make([]float64, nq), make([]float64, nq)
+			for sweep := 0; sweep < 30; sweep++ {
+				g.Sweep()
+				g.QueueMeansInto(svc, wait)
+				for q := range svc {
+					n := float64(len(working.ByQueue[q]))
+					svc[q] *= n
+					wait[q] *= n
+				}
+				check(t, sweep, svc, wait, working)
+			}
+		})
 	}
 }
 
@@ -544,6 +616,39 @@ func warmSlideWindow(tb testing.TB, keep int) (*SlidingWindow, *slideGen) {
 		w.EvictOldest()
 	}
 	return w, gen
+}
+
+// BenchmarkWindowSweep measures one StEM iteration's sampler work on a
+// window of 500 and 2000 tasks at 10% observed: a SlidingWindow.Sweep and
+// the M-step's read of the per-queue sums (MLERatesInto into a scratch, so
+// the rates stay fixed and every iteration does the same work). It
+// reports ns per live event next to ns/op.
+func BenchmarkWindowSweep(b *testing.B) {
+	for _, keep := range []int{500, 2000} {
+		b.Run(fmt.Sprintf("w%d", keep), func(b *testing.B) {
+			const nq = 3
+			rates := []float64{2, 3, 6}
+			gen := newSlideGen(5, nq, 2.0, 3.0, 0.1)
+			w := NewSlidingWindow(nq)
+			for i := 0; i < keep; i++ {
+				if err := w.Append(gen.next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rng := xrand.New(2)
+			mle := make([]float64, nq)
+			for i := 0; i < 5; i++ {
+				w.Sweep(rates, rng)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Sweep(rates, rng)
+				w.MLERatesInto(mle)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w.LiveEvents()), "ns/event")
+		})
+	}
 }
 
 // BenchmarkIncrementalSlide measures one steady-state slide
