@@ -465,26 +465,6 @@ func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet, rates []float64) er
 	return es.Validate(1e-6)
 }
 
-// mleInto replaces rates in place with the complete-data MLE of the current
-// (imputed) event times — MLE without its allocation; queues with no events
-// keep their previous rate.
-func mleInto(rates []float64, es *trace.EventSet) {
-	for q, ids := range es.ByQueue {
-		if len(ids) == 0 {
-			continue
-		}
-		var total float64
-		for _, id := range ids {
-			total += es.ServiceTime(id)
-		}
-		if total <= 0 {
-			rates[q] = rateCeil
-			continue
-		}
-		rates[q] = math.Min(math.Max(float64(len(ids))/total, rateFloor), rateCeil)
-	}
-}
-
 // meanFieldPass runs one deterministic coordinate pass: every latent
 // arrival and final departure is replaced by the mean of its full
 // conditional — the conditional resampleArrival and resampleFinalDeparture

@@ -71,14 +71,23 @@ const (
 // corresponding rate from prev (or 1 if prev is empty).
 func MLE(es *trace.EventSet, prev Params) Params {
 	rates := make([]float64, es.NumQueues)
-	for q := range rates {
-		ids := es.ByQueue[q]
+	if len(prev.Rates) == es.NumQueues {
+		copy(rates, prev.Rates)
+	} else {
+		for q := range rates {
+			rates[q] = 1
+		}
+	}
+	mleInto(rates, es)
+	return Params{Rates: rates}
+}
+
+// mleInto replaces rates in place with the complete-data MLE of the current
+// (imputed) event times — MLE without its allocation; queues with no events
+// keep their previous rate.
+func mleInto(rates []float64, es *trace.EventSet) {
+	for q, ids := range es.ByQueue {
 		if len(ids) == 0 {
-			if len(prev.Rates) == es.NumQueues {
-				rates[q] = prev.Rates[q]
-			} else {
-				rates[q] = 1
-			}
 			continue
 		}
 		var total float64
@@ -89,16 +98,8 @@ func MLE(es *trace.EventSet, prev Params) Params {
 			rates[q] = rateCeil
 			continue
 		}
-		r := float64(len(ids)) / total
-		if r < rateFloor {
-			r = rateFloor
-		}
-		if r > rateCeil {
-			r = rateCeil
-		}
-		rates[q] = r
+		rates[q] = math.Min(math.Max(float64(len(ids))/total, rateFloor), rateCeil)
 	}
-	return Params{Rates: rates}
 }
 
 // LogLikelihood returns the complete-data log likelihood of the service
