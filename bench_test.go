@@ -174,11 +174,11 @@ func BenchmarkGibbsSweep(b *testing.B) {
 }
 
 // BenchmarkPosterior measures the full fixed-parameter posterior pass (30
-// sweeps, incremental per-queue statistics) the way a steady-state caller
-// runs it: working copies drawn from a ClonePool, results written into a
-// reused summary via PosteriorInto, and the sampler's move lists reused
-// through a GibbsScratch — so bytes/op and allocs/op reflect the sampler
-// itself rather than per-call buffer churn.
+// sweeps, each kept sweep's per-queue sums taken in one pass) the way a
+// steady-state caller runs it: working copies drawn from a ClonePool,
+// results written into a reused summary via PosteriorInto, and the
+// sampler's move lists reused through a GibbsScratch — so bytes/op and
+// allocs/op reflect the sampler itself rather than per-call buffer churn.
 func BenchmarkPosterior(b *testing.B) {
 	truth, net := benchTraceLarge(b)
 	params, err := core.NewParams(net.ServiceRates())

@@ -114,7 +114,7 @@ func (c *condSpec) pieces(p *condPieces) {
 		peak[i] = f
 		if w := p.edges[i+1] - p.edges[i]; !math.IsInf(w, 1) {
 			mw := p.slopes[i] * w
-			p.em1[i] = math.Expm1(mw)
+			p.em1[i] = expm1(mw)
 			f += mw
 			if mw > 0 {
 				peak[i] = f
@@ -178,19 +178,19 @@ func (c *condSpec) sample(r *xrand.RNG) float64 {
 }
 
 // truncExpInv is the inverse CDF at u of the density ∝ exp(m·x) on (0, w),
-// given em1 = expm1(m·w). It computes exactly what xrand.TruncExp(−m, w)
-// does from the same u, reusing em1 instead of recomputing it; once
-// e^{mw} overflows (there TruncExp would return w) it inverts from the
-// right end instead, where e^{−mw} is 0.
+// given em1 = expm1(m·w). It computes what xrand.TruncExp(−m, w) does from
+// the same u, reusing em1 instead of recomputing it; once e^{mw} overflows
+// (there TruncExp would return w) it inverts from the right end instead,
+// where e^{−mw} is 0.
 func truncExpInv(u, m, w, em1 float64) float64 {
 	if m == 0 {
 		return u * w
 	}
 	var x float64
 	if math.IsInf(em1, 1) {
-		x = w + math.Log1p(-u)/m
+		x = w + log1p(-u)/m
 	} else {
-		x = math.Log1p(u*em1) / m // TruncExp's −log1p(u·em1)/rate, rate = −m
+		x = log1p(u*em1) / m // TruncExp's −log1p(u·em1)/rate, rate = −m
 	}
 	if x < 0 {
 		return 0
@@ -214,7 +214,7 @@ func (c *condSpec) mean() float64 {
 		w := c.hi - c.lo
 		var em1 float64
 		if mw := c.baseSlope * w; math.Abs(mw) >= truncExpSeriesMW {
-			em1 = math.Expm1(mw)
+			em1 = expm1(mw)
 		}
 		return c.lo + truncExpMean(c.baseSlope, w, em1)
 	}
@@ -271,6 +271,39 @@ func truncExpMean(m, w, em1 float64) float64 {
 
 // truncExpSeriesMW is the |m·w| below which truncExpMean uses its series.
 const truncExpSeriesMW = 1e-4
+
+// expm1 returns e^x − 1 to within 1e-11 relative of math.Expm1 for every
+// x, ±Inf included; log1p does the same for math.Log1p at y ≥ −1. They
+// replace math.Expm1 and math.Log1p in the draw: on amd64 math.Exp and
+// math.Log are assembly, while math.Expm1 and math.Log1p are Go code that
+// branches on its argument, and in a sweep, where the argument changes
+// from call to call, the swap takes about a tenth off BenchmarkWindowSweep.
+// Above the threshold the direct form loses at most ~2.2e-16/|x| (or
+// /|y|) to the cancellation of 1; below it the four-term Taylor series
+// errs by under x⁴/120 (y⁴/5) relative. TestExpLogForms checks both.
+func expm1(x float64) float64 {
+	switch {
+	case math.Abs(x) < expLogSeries:
+		return x * (1 + x*(1.0/2+x*(1.0/6+x*(1.0/24))))
+	case x > 709:
+		// math.Exp overflows from about 709.4 on amd64, short of the
+		// true edge 709.78; the draw never gets here.
+		return math.Expm1(x)
+	}
+	return math.Exp(x) - 1
+}
+
+// log1p returns log(1 + y); see expm1.
+func log1p(y float64) float64 {
+	if math.Abs(y) < expLogSeries {
+		return y * (1 - y*(1.0/2-y*(1.0/3-y*(1.0/4))))
+	}
+	return math.Log(1 + y)
+}
+
+// expLogSeries is the |argument| below which expm1 and log1p use their
+// series.
+const expLogSeries = 1e-3
 
 // ---------------------------------------------------------------------------
 // The two full conditionals.

@@ -370,3 +370,81 @@ func BenchmarkPiecewiseEquivalentSample(b *testing.B) {
 		_ = d.Sample(r)
 	}
 }
+
+// TestExpLogForms holds the draw's expm1 and log1p to math.Expm1 and
+// math.Log1p within 1e-11 relative: over dense grids of magnitudes from
+// 1e-300 to the overflow edge and of the unit range, and at the edges —
+// ±0 (sign kept), both sides of the series threshold, ±1e-300, x ≥ 709.8
+// (+Inf), x ≤ −745 (−1), and y down to −1 (−Inf).
+func TestExpLogForms(t *testing.T) {
+	agree := func(name string, f, ref func(float64) float64, x float64) {
+		t.Helper()
+		got, want := f(x), ref(x)
+		switch {
+		case math.IsNaN(want) || math.IsInf(want, 0) || want == 0:
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("%s(%v) = %v, want %v", name, x, got, want)
+			}
+		case math.Abs(got-want) > 1e-11*math.Abs(want):
+			t.Errorf("%s(%v) = %v, want %v (rel err %.3g)", name, x, got, want, math.Abs(got-want)/math.Abs(want))
+		}
+	}
+	var xs, ys []float64
+	for e := -300.0; e <= 2.86; e += 0.01 { // magnitudes 1e-300 … ~724
+		m := math.Pow(10, e)
+		xs = append(xs, m, -m)
+		ys = append(ys, m, -math.Min(m, 1))
+	}
+	for v := -3.0; v <= 3; v += 1e-4 {
+		xs = append(xs, v)
+		ys = append(ys, v)
+	}
+	for e := 1.0; e <= 17; e += 0.01 { // y → −1 from above
+		ys = append(ys, -1+math.Pow(10, -e))
+	}
+	edges := []float64{0, math.Copysign(0, -1), 1e-300, -1e-300,
+		expLogSeries, -expLogSeries,
+		math.Nextafter(expLogSeries, 0), math.Nextafter(-expLogSeries, 0),
+		math.Nextafter(expLogSeries, 1), math.Nextafter(-expLogSeries, -1),
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	xs = append(xs, edges...)
+	xs = append(xs, 709.78, 709.8, 710, 1e300, -745, -746, -1e300)
+	ys = append(ys, edges...)
+	ys = append(ys, -1, math.Nextafter(-1, 0), -1.5, 1e300)
+	for _, x := range xs {
+		agree("expm1", expm1, math.Expm1, x)
+	}
+	for _, y := range ys {
+		agree("log1p", log1p, math.Log1p, y)
+	}
+	if math.Signbit(expm1(math.Copysign(0, -1))) != true || math.Signbit(log1p(math.Copysign(0, -1))) != true {
+		t.Error("expm1/log1p drop the sign of −0")
+	}
+	if !math.IsInf(expm1(709.8), 1) || expm1(-745) != -1 || !math.IsInf(log1p(-1), -1) {
+		t.Errorf("edges: expm1(709.8) = %v, expm1(−745) = %v, log1p(−1) = %v", expm1(709.8), expm1(-745), log1p(-1))
+	}
+}
+
+var expLogSink float64
+
+// BenchmarkCondSpecExpLog times the draw's expm1 and log1p against
+// math.Expm1 and math.Log1p over arguments typical of the pieces (|x| up
+// to a few units).
+func BenchmarkCondSpecExpLog(b *testing.B) {
+	args := make([]float64, 1024)
+	r := xrand.New(3)
+	for i := range args {
+		args[i] = 6*r.Float64() - 3
+	}
+	for _, f := range []struct {
+		name string
+		fn   func(float64) float64
+	}{{"expm1", expm1}, {"math.Expm1", math.Expm1}, {"log1p", func(y float64) float64 { return log1p(y/3 + 0.5) }},
+		{"math.Log1p", func(y float64) float64 { return math.Log1p(y/3 + 0.5) }}} {
+		b.Run(f.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				expLogSink += f.fn(args[i&1023])
+			}
+		})
+	}
+}

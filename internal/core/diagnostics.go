@@ -72,9 +72,8 @@ var chainClones trace.ClonePool
 // Chains run concurrently — one goroutine each, with RNG streams split up
 // front in chain order — so wall time scales with available cores while
 // the chains themselves stay bit-identical for a fixed seed at any level
-// of parallelism. Per-sweep queue summaries come from the sampler's
-// incremental statistics (O(queues) per kept sweep, not an O(events)
-// rescan).
+// of parallelism. Each kept sweep's queue summaries are summed over the
+// chain's event set in one pass (Gibbs.QueueMeansInto).
 func DiagnosePosterior(es *trace.EventSet, params Params, rng *xrand.RNG, opts DiagnosticsOptions) (*Diagnostics, error) {
 	opts = opts.withDefaults()
 	if opts.BurnIn >= opts.Sweeps {
@@ -109,7 +108,6 @@ func DiagnosePosterior(es *trace.EventSet, params Params, rng *xrand.RNG, opts D
 				errs[c] = fmt.Errorf("core: chain %d: %w", c, err)
 				return
 			}
-			g.EnableQueueStats()
 			svc := make([]float64, nq)
 			wait := make([]float64, nq)
 			chains[c] = make([][]float64, nq)

@@ -21,10 +21,6 @@ type PosteriorOptions struct {
 	// BurnIn sweeps are discarded first. The zero value selects the
 	// default Sweeps/5; pass NoBurnIn (-1) to keep every sweep.
 	BurnIn int
-	// DebugStats cross-checks the incremental per-queue statistics
-	// against a full rescan after every sweep (slow; for tests and
-	// debugging).
-	DebugStats bool
 	// Scratch, when non-nil, donates reusable sampler construction state
 	// so a steady-state caller pays no per-call move-list allocations. The
 	// chain is bit-identical with or without a scratch. A scratch
@@ -84,9 +80,8 @@ func resizeFloats(b []float64, n int) []float64 {
 // waiting time can be obtained by running the Gibbs sampler with µ̂ fixed."
 // The event set must already be feasible (e.g. the state left by StEM).
 //
-// Per-sweep queue summaries come from the sampler's incremental sufficient
-// statistics — O(queues) per kept sweep instead of a full O(events)
-// rescan; set DebugStats to cross-check them against the rescan.
+// Each kept sweep's queue summaries are summed over the event set in one
+// pass (Gibbs.QueueMeansInto).
 func Posterior(es *trace.EventSet, params Params, rng *xrand.RNG, opts PosteriorOptions) (*PosteriorSummary, error) {
 	sum := &PosteriorSummary{}
 	if err := PosteriorInto(sum, es, params, rng, opts); err != nil {
@@ -111,7 +106,6 @@ func PosteriorInto(sum *PosteriorSummary, es *trace.EventSet, params Params, rng
 	if err != nil {
 		return err
 	}
-	g.EnableQueueStats()
 	nq := es.NumQueues
 	kept := opts.Sweeps - opts.BurnIn
 	sum.MeanService = resizeFloats(sum.MeanService, nq)
@@ -139,11 +133,6 @@ func PosteriorInto(sum *PosteriorSummary, es *trace.EventSet, params Params, rng
 	svc, wait := sum.svc, sum.wait
 	for sweep := 0; sweep < opts.Sweeps; sweep++ {
 		g.Sweep()
-		if opts.DebugStats {
-			if err := g.CheckQueueStats(1e-9); err != nil {
-				return err
-			}
-		}
 		if sweep < opts.BurnIn {
 			continue
 		}

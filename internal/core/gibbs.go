@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -22,66 +23,13 @@ type Gibbs struct {
 
 	// mc is the scan's move context; its RNG aliases the caller's.
 	mc moveCtx
-
-	// stats, when non-nil, holds incremental per-queue Σservice/Σwait kept
-	// up to date by O(1) delta hooks on every latent-time write.
-	stats *queueStats
 }
 
 // moveCtx is the state a scan needs besides the event set and rates: its
-// RNG, its diagnostics counter, and the staging area of the incremental
-// statistics delta hook. Gibbs and SlidingWindow each own one.
+// RNG and its diagnostics counter. Gibbs and SlidingWindow each own one.
 type moveCtx struct {
 	rng     *xrand.RNG
 	skipped int
-
-	// Incremental-statistics staging: dSvc/dWait are non-nil when the
-	// sampler tracks queue statistics. A move stages the service/wait of
-	// the (at most three) events it perturbs before writing, then commits
-	// the differences into the per-queue deltas, which are merged into the
-	// global sums at the end of each sweep.
-	dSvc, dWait []float64
-	nAff        int
-	affEv       [3]int
-	affSvc      [3]float64
-	affWait     [3]float64
-}
-
-// stage records the pre-write service and waiting times of the affected
-// events a, b and c (deduplicated; pass trace.None for an absent event).
-func (mc *moveCtx) stage(es *trace.EventSet, a, b, c int) {
-	mc.nAff = 0
-	mc.stage1(es, a)
-	if b != a {
-		mc.stage1(es, b)
-	}
-	if c != a && c != b {
-		mc.stage1(es, c)
-	}
-}
-
-func (mc *moveCtx) stage1(es *trace.EventSet, id int) {
-	if id == trace.None {
-		return
-	}
-	start := es.ServiceStart(id)
-	mc.affEv[mc.nAff] = id
-	mc.affSvc[mc.nAff] = es.Dep[id] - start
-	mc.affWait[mc.nAff] = start - es.Arr[id]
-	mc.nAff++
-}
-
-// commit recomputes the staged events' statistics after the write and
-// accumulates the differences into the per-queue deltas.
-func (mc *moveCtx) commit(es *trace.EventSet) {
-	for k := 0; k < mc.nAff; k++ {
-		id := mc.affEv[k]
-		start := es.ServiceStart(id)
-		q := es.Events[id].Queue
-		mc.dSvc[q] += (es.Dep[id] - start) - mc.affSvc[k]
-		mc.dWait[q] += (start - es.Arr[id]) - mc.affWait[k]
-	}
-	mc.nAff = 0
 }
 
 // NewGibbs validates inputs and prepares the move lists. The event set
@@ -146,24 +94,54 @@ func (g *Gibbs) Skipped() int { return g.mc.skipped }
 // Sweep resamples every latent arrival and departure once, alternating
 // the scan direction between calls (see latentMoves.scan).
 func (g *Gibbs) Sweep() {
-	g.moves.scan(g.sweeps%2 == 1, func(i int) {
-		resampleArrival(g.set, g.params.Rates, &g.mc, i)
-	}, func(i int) {
-		resampleFinalDeparture(g.set, g.params.Rates, &g.mc, i)
-	})
+	sweepMoves(g.set, g.params.Rates, &g.mc, &g.moves, g.sweeps%2 == 1)
 	g.sweeps++
-	if g.stats != nil {
-		g.stats.merge(&g.mc)
+}
+
+// QueueMeansInto writes the current per-queue mean service and waiting
+// times into svc and wait (length NumQueues), summed over the event set in
+// one pass; queues with no events get NaN.
+func (g *Gibbs) QueueMeansInto(svc, wait []float64) {
+	sumServiceWait(g.set, 0, svc, wait)
+	for q, ids := range g.set.ByQueue {
+		if n := len(ids); n > 0 {
+			svc[q] /= float64(n)
+			wait[q] /= float64(n)
+		} else {
+			svc[q], wait[q] = math.NaN(), math.NaN()
+		}
 	}
+}
+
+// sumServiceWait writes into svc and wait the per-queue Σservice and
+// Σwait of the events of es from index from on, in one index-order pass.
+// It is the one computation of the sums the M-step and the posterior
+// means read, for the offline sampler and the sliding window alike.
+func sumServiceWait(es *trace.EventSet, from int, svc, wait []float64) {
+	clear(svc)
+	clear(wait)
+	for i := from; i < len(es.Events); i++ {
+		start := es.ServiceStart(i)
+		q := es.Events[i].Queue
+		svc[q] += es.Dep[i] - start
+		wait[q] += start - es.Arr[i]
+	}
+}
+
+// sweepMoves runs one Gibbs sweep of the moves m over es, in the scan
+// direction backward selects. It is the sweep of both kernels: Gibbs lists
+// its moves in event-index order, SlidingWindow in chain order.
+func sweepMoves(es *trace.EventSet, rates []float64, mc *moveCtx, m *latentMoves, backward bool) {
+	m.scan(backward, func(i int) {
+		resampleArrival(es, rates, mc, i)
+	}, func(i int) {
+		resampleFinalDeparture(es, rates, mc, i)
+	})
 }
 
 // resampleArrival draws a_e (= d_{π(e)}) from its full conditional
 // (arrivalCond), keeping the current value when the support is
 // degenerate.
-//
-// The resamplers are free functions of (event set, rates, move context)
-// rather than Gibbs methods because SlidingWindow.Sweep runs the same moves
-// over its own window and move context.
 func resampleArrival(es *trace.EventSet, rates []float64, mc *moveCtx, i int) {
 	var c condSpec
 	if !arrivalCond(&c, es, rates, i) {
@@ -171,17 +149,7 @@ func resampleArrival(es *trace.EventSet, rates []float64, mc *moveCtx, i int) {
 		mc.skipped++
 		return
 	}
-	a := c.clamp(c.sample(mc.rng))
-	if mc.dSvc != nil {
-		// Writing a_e (= d_{π(e)}) perturbs exactly s_e, w_e, s_{π(e)}, and
-		// s/w of ρ⁻¹(π(e)).
-		p := es.Events[i].PrevT
-		mc.stage(es, i, p, es.Events[p].NextQ)
-		es.SetArrival(i, a)
-		mc.commit(es)
-		return
-	}
-	es.SetArrival(i, a)
+	es.SetArrival(i, c.clamp(c.sample(mc.rng)))
 }
 
 // resampleFinalDeparture draws the departure of a task's final event from
@@ -192,13 +160,5 @@ func resampleFinalDeparture(es *trace.EventSet, rates []float64, mc *moveCtx, i 
 		mc.skipped++
 		return
 	}
-	d := c.clamp(c.sample(mc.rng))
-	if mc.dSvc != nil {
-		// Writing d_e perturbs s_e and s/w of ρ⁻¹(e).
-		mc.stage(es, i, es.Events[i].NextQ, trace.None)
-		es.SetFinalDepart(i, d)
-		mc.commit(es)
-		return
-	}
-	es.SetFinalDepart(i, d)
+	es.SetFinalDepart(i, c.clamp(c.sample(mc.rng)))
 }

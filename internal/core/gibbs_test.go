@@ -301,55 +301,6 @@ func TestGibbsSkipsDegenerateWindows(t *testing.T) {
 	}
 }
 
-// TestIncrementalStatsMatchRescan is the debug cross-check of the
-// incremental sufficient statistics: the running per-queue
-// Σservice/Σwait must track a full rescan to within 1e-9 after every
-// sweep.
-func TestIncrementalStatsMatchRescan(t *testing.T) {
-	working, _, params := initializedWorking(t, [3]int{2, 1, 4}, 400, 0.1, 17)
-	g, err := NewGibbs(working, params, xrand.New(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.EnableQueueStats()
-	for sweep := 0; sweep < 40; sweep++ {
-		g.Sweep()
-		if err := g.CheckQueueStats(1e-9); err != nil {
-			t.Fatalf("sweep %d: %v", sweep, err)
-		}
-	}
-	svc, wait := working.SumServiceWaitByQueue()
-	for q := range svc {
-		if d := math.Abs(g.stats.svc[q] - svc[q]); d > 1e-9 {
-			t.Fatalf("queue %d: |incremental - rescan| service = %v > 1e-9", q, d)
-		}
-		if d := math.Abs(g.stats.wait[q] - wait[q]); d > 1e-9 {
-			t.Fatalf("queue %d: |incremental - rescan| wait = %v > 1e-9", q, d)
-		}
-	}
-}
-
-// TestPosteriorDebugStats runs the full posterior pass with the per-sweep
-// rescan cross-check enabled.
-func TestPosteriorDebugStats(t *testing.T) {
-	working, truth, params := initializedWorking(t, [3]int{1, 2, 4}, 300, 0.25, 41)
-	sum, err := Posterior(working, params, xrand.New(9), PosteriorOptions{
-		Sweeps: 40, DebugStats: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueMW := truth.MeanWaitByQueue()
-	for q := 1; q < truth.NumQueues; q++ {
-		if math.IsNaN(sum.MeanWait[q]) {
-			t.Fatalf("queue %d: NaN posterior wait", q)
-		}
-		if math.Abs(sum.MeanWait[q]-trueMW[q]) > 0.5*trueMW[q]+0.05 {
-			t.Errorf("queue %d: posterior wait %v far from truth %v", q, sum.MeanWait[q], trueMW[q])
-		}
-	}
-}
-
 // TestBurnInSentinel covers the explicit-zero-burn-in fix: BurnIn: 0 keeps
 // the documented default, NoBurnIn really disables burn-in.
 func TestBurnInSentinel(t *testing.T) {
@@ -407,7 +358,7 @@ func TestPosteriorWaitChainSkipsEmptyQueues(t *testing.T) {
 	if err := (OrderInitializer{}).Initialize(es, params); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Posterior(es, params, xrand.New(4), PosteriorOptions{Sweeps: 10, DebugStats: true})
+	sum, err := Posterior(es, params, xrand.New(4), PosteriorOptions{Sweeps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

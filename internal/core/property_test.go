@@ -64,9 +64,8 @@ func TestPipelinePropertyRandomNetworks(t *testing.T) {
 				t.Fatalf("trial %d: observed departure %d moved", trial, i)
 			}
 		}
-		// Posterior pass on the same state must also hold up, with the
-		// incremental statistics cross-checked against a rescan per sweep.
-		sum, err := Posterior(working, res.Params, r, PosteriorOptions{Sweeps: 20, DebugStats: true})
+		// Posterior pass on the same state must also hold up.
+		sum, err := Posterior(working, res.Params, r, PosteriorOptions{Sweeps: 20})
 		if err != nil {
 			t.Fatalf("trial %d posterior: %v", trial, err)
 		}

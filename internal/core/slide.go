@@ -12,8 +12,8 @@ import (
 // This file implements the incremental sliding-window state behind the
 // daemon's warm inference path: a window of tasks that slides by
 // O(new + expired events) instead of being rebuilt from scratch, carrying
-// the previous window's latent arrival/departure assignments and the
-// Kahan-merged per-queue sufficient statistics across every slide.
+// the previous window's latent arrival/departure assignments across every
+// slide.
 //
 // The event storage mirrors trace.EventSet (the free resamplers of
 // gibbs.go run on it unchanged), but the per-queue FIFO chains are
@@ -28,7 +28,7 @@ import (
 // to a cold rebuild.
 //
 // The continuation contract: after any sequence of slides, the sampler
-// state (chains, latent times, statistics, sweep parity) is exactly the
+// state (chains, latent times, sweep parity) is exactly the
 // state a cold construction over the same live tasks and latent values
 // would produce, so continuing the chain is bit-identical to a fresh
 // sampler seeded from a clone of this state given the same RNG — see
@@ -89,15 +89,21 @@ type SlidingWindow struct {
 	qHead, qTail []int // per-queue chain ends (trace.None when empty)
 	qCount       []int // live events per queue
 
-	// stats carries the per-queue Σservice/Σwait across slides and sweeps
-	// with Kahan compensation; slides fold the exact delta of every link
-	// change in, sweeps merge the resamplers' staged deltas (same
-	// machinery as Gibbs.EnableQueueStats).
-	stats queueStats
+	// svc and wait are the per-queue Σservice/Σwait of the live events.
+	// queueSums recomputes them in one pass when they are read after a
+	// change: sweep, slide, repair or Reset clear sumsValid.
+	svc, wait []float64
+	sumsValid bool
+
+	// moves lists the latent moves in chain order, the order Sweep visits
+	// them. Moves never reorder a chain, so it is rebuilt only after a
+	// relink (linkAfter, unlink), a compaction or Reset clears movesValid.
+	moves      latentMoves
+	movesValid bool
 
 	sweeps int // sweep parity (forward/backward alternation)
 
-	mc   moveCtx // staging context shared by sweeps and repairs
+	mc   moveCtx // the sweep's RNG and skip counter
 	work []int   // repair worklist (reused)
 
 	// repSets counts per-event setDep calls within one repair pass: a
@@ -127,18 +133,12 @@ func NewSlidingWindow(numQueues int) *SlidingWindow {
 	for q := range w.qHead {
 		w.qHead[q], w.qTail[q] = trace.None, trace.None
 	}
-	w.stats = queueStats{
-		svc:   make([]float64, numQueues),
-		wait:  make([]float64, numQueues),
-		cSvc:  make([]float64, numQueues),
-		cWait: make([]float64, numQueues),
-	}
-	w.mc.dSvc = make([]float64, numQueues)
-	w.mc.dWait = make([]float64, numQueues)
+	w.svc = make([]float64, numQueues)
+	w.wait = make([]float64, numQueues)
 	return w
 }
 
-// Reset drops every task and all carried state (statistics, parity),
+// Reset drops every task and all carried state (latent times, parity),
 // keeping the allocated capacity. Use after a stream gap or on a cold
 // rebuild.
 func (w *SlidingWindow) Reset() {
@@ -152,11 +152,9 @@ func (w *SlidingWindow) Reset() {
 	for q := range w.qHead {
 		w.qHead[q], w.qTail[q] = trace.None, trace.None
 		w.qCount[q] = 0
-		w.stats.svc[q], w.stats.wait[q] = 0, 0
-		w.stats.cSvc[q], w.stats.cWait[q] = 0, 0
-		w.mc.dSvc[q], w.mc.dWait[q] = 0, 0
 	}
 	w.sweeps = 0
+	w.sumsValid, w.movesValid = false, false
 }
 
 // NumQueues returns the queue count (including q0).
@@ -206,31 +204,14 @@ func (w *SlidingWindow) chainGreater(a, b int) bool {
 	return w.seq[a] > w.seq[b]
 }
 
-// addStat folds an exact (service, wait) delta for queue q into the
-// carried sums.
-func (w *SlidingWindow) addStat(q int, dSvc, dWait float64) {
-	if dSvc != 0 {
-		kahanAdd(w.stats.svc, w.stats.cSvc, q, dSvc)
-	}
-	if dWait != 0 {
-		kahanAdd(w.stats.wait, w.stats.cWait, q, dWait)
-	}
-}
-
 // linkAfter splices event i into queue q's chain after prev (trace.None
-// for the head), updating the carried statistics exactly: i's own
-// contribution is added and the successor's start-time change is folded
-// in.
+// for the head).
 func (w *SlidingWindow) linkAfter(i, prev, q int) {
 	var next int
 	if prev == trace.None {
 		next = w.qHead[q]
 	} else {
 		next = w.set.Events[prev].NextQ
-	}
-	var preSvc, preWait float64
-	if next != trace.None {
-		preSvc, preWait = w.svcWait(next)
 	}
 	w.set.Events[i].PrevQ = prev
 	w.set.Events[i].NextQ = next
@@ -245,25 +226,14 @@ func (w *SlidingWindow) linkAfter(i, prev, q int) {
 		w.set.Events[next].PrevQ = i
 	}
 	w.qCount[q]++
-	svc, wait := w.svcWait(i)
-	w.addStat(q, svc, wait)
-	if next != trace.None {
-		postSvc, postWait := w.svcWait(next)
-		w.addStat(q, postSvc-preSvc, postWait-preWait)
-	}
+	w.sumsValid, w.movesValid = false, false
 }
 
-// unlink removes event i from its queue chain, folding the exact
-// statistics delta (own contribution out, successor's start change in).
+// unlink removes event i from its queue chain.
 func (w *SlidingWindow) unlink(i int) {
 	e := &w.set.Events[i]
 	q := e.Queue
 	prev, next := e.PrevQ, e.NextQ
-	svc, wait := w.svcWait(i)
-	var preSvc, preWait float64
-	if next != trace.None {
-		preSvc, preWait = w.svcWait(next)
-	}
 	if prev == trace.None {
 		w.qHead[q] = next
 	} else {
@@ -276,11 +246,7 @@ func (w *SlidingWindow) unlink(i int) {
 	}
 	e.PrevQ, e.NextQ = trace.None, trace.None
 	w.qCount[q]--
-	w.addStat(q, -svc, -wait)
-	if next != trace.None {
-		postSvc, postWait := w.svcWait(next)
-		w.addStat(q, postSvc-preSvc, postWait-preWait)
-	}
+	w.sumsValid, w.movesValid = false, false
 }
 
 // insertEvent splices event i into its queue's chain at the position its
@@ -391,8 +357,8 @@ func (w *SlidingWindow) EvictOldest() {
 
 // compact reclaims the dead prefix in place, remapping every live index.
 // Amortized O(1) per evicted event; chain order (and therefore the chain
-// continuation) is untouched because sweeps visit events by chain walk,
-// never by index.
+// continuation) is untouched because sweeps visit events in chain order,
+// never by index. The move list holds indices, so it is rebuilt.
 func (w *SlidingWindow) compact() {
 	off := w.evHead
 	if off == 0 {
@@ -438,6 +404,7 @@ func (w *SlidingWindow) compact() {
 	}
 	w.taskHead = 0
 	w.evHead = 0
+	w.movesValid = false
 }
 
 // depLatent reports whether event i's departure is free to move: a final
@@ -446,24 +413,17 @@ func (w *SlidingWindow) compact() {
 func (w *SlidingWindow) depLatent(i int) bool { return !pinnedDepart(&w.set, i) }
 
 // setDep writes event i's departure through the coupled-storage rules
-// (SetArrival on the task successor, or SetFinalDepart), folding the
-// staged statistics deltas of the affected neighborhood.
+// (SetArrival on the task successor, or SetFinalDepart).
 func (w *SlidingWindow) setDep(i int, t float64) {
 	if w.inRepair {
 		w.noteRepSet(i)
 	}
-	e := &w.set.Events[i]
-	if e.NextT == trace.None {
-		w.mc.stage(&w.set, i, e.NextQ, trace.None)
+	if s := w.set.Events[i].NextT; s == trace.None {
 		w.set.SetFinalDepart(i, t)
-		w.mc.commit(&w.set)
 	} else {
-		s := e.NextT
-		w.mc.stage(&w.set, s, i, e.NextQ)
 		w.set.SetArrival(s, t)
-		w.mc.commit(&w.set)
 	}
-	w.stats.merge(&w.mc)
+	w.sumsValid = false
 }
 
 // misplaced reports whether event i violates its chain's (key, seq)
@@ -662,50 +622,53 @@ func (w *SlidingWindow) reorderPinned(a, b int) bool {
 	return false
 }
 
-// Sweep runs one full Gibbs sweep over the live window by chain walk:
+// Sweep runs one full Gibbs sweep over the live window in chain order:
 // the forward pass resamples latent arrivals queue by queue head→tail
 // then final departures the same way; the backward pass mirrors it
 // (departures first, tail→head), preserving the alternating-scan mixing
 // property. Chain order is invariant under the moves (the conditionals
-// are truncated to the FIFO interval), so the walk is stable while it
-// mutates.
+// are truncated to the FIFO interval), so the move list built from the
+// chains stays valid across sweeps.
 func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
+	if !w.movesValid {
+		w.buildMoves()
+	}
 	w.mc.rng = rng
+	sweepMoves(&w.set, rates, &w.mc, &w.moves, w.sweeps%2 == 1)
+	w.sweeps++
+	w.sumsValid = false
+}
+
+// buildMoves lists the window's latent moves in chain order: queue by
+// queue from 1, each chain head to tail, arrivals in one list and final
+// departures in the other. latentMoves.scan's forward pass then visits
+// them in that order and its backward pass in reverse.
+func (w *SlidingWindow) buildMoves() {
 	es := &w.set
-	nq := es.NumQueues
-	if w.sweeps%2 == 0 {
-		for q := 1; q < nq; q++ {
-			for i := w.qHead[q]; i != trace.None; i = es.Events[i].NextQ {
-				if latentArrival(&es.Events[i]) {
-					resampleArrival(es, rates, &w.mc, i)
-				}
+	m := &w.moves
+	m.arr, m.dep = m.arr[:0], m.dep[:0]
+	for q := 1; q < es.NumQueues; q++ {
+		for i := w.qHead[q]; i != trace.None; i = es.Events[i].NextQ {
+			e := &es.Events[i]
+			if latentArrival(e) {
+				m.arr = append(m.arr, int32(i))
 			}
-		}
-		for q := 1; q < nq; q++ {
-			for i := w.qHead[q]; i != trace.None; i = es.Events[i].NextQ {
-				if latentFinalDepart(&es.Events[i]) {
-					resampleFinalDeparture(es, rates, &w.mc, i)
-				}
-			}
-		}
-	} else {
-		for q := nq - 1; q >= 1; q-- {
-			for i := w.qTail[q]; i != trace.None; i = es.Events[i].PrevQ {
-				if latentFinalDepart(&es.Events[i]) {
-					resampleFinalDeparture(es, rates, &w.mc, i)
-				}
-			}
-		}
-		for q := nq - 1; q >= 1; q-- {
-			for i := w.qTail[q]; i != trace.None; i = es.Events[i].PrevQ {
-				if latentArrival(&es.Events[i]) {
-					resampleArrival(es, rates, &w.mc, i)
-				}
+			if latentFinalDepart(e) {
+				m.dep = append(m.dep, int32(i))
 			}
 		}
 	}
-	w.sweeps++
-	w.stats.merge(&w.mc)
+	w.movesValid = true
+}
+
+// queueSums returns the per-queue Σservice and Σwait of the live events,
+// summing them in one pass if the window changed since the last read.
+func (w *SlidingWindow) queueSums() (svc, wait []float64) {
+	if !w.sumsValid {
+		sumServiceWait(&w.set, w.evHead, w.svc, w.wait)
+		w.sumsValid = true
+	}
+	return w.svc, w.wait
 }
 
 // MLERatesInto writes the maximum-likelihood rates of the current latent
@@ -722,12 +685,13 @@ func (w *SlidingWindow) MLERatesInto(rates []float64) {
 			rates[0] = clampRate(float64(n-1) / span)
 		}
 	}
+	svc, _ := w.queueSums()
 	for q := 1; q < w.set.NumQueues; q++ {
 		n := w.qCount[q]
 		if n == 0 {
 			continue
 		}
-		if total := w.stats.svc[q]; total > 0 {
+		if total := svc[q]; total > 0 {
 			rates[q] = clampRate(float64(n) / total)
 		} else {
 			rates[q] = rateCeil
@@ -740,6 +704,7 @@ func (w *SlidingWindow) MLERatesInto(rates []float64) {
 // gap as its service time and NaN wait: the window keeps absolute stream
 // times, so the raw q0 sums are not meaningful summaries.
 func (w *SlidingWindow) QueueMeansInto(svc, wait []float64) {
+	sumSvc, sumWait := w.queueSums()
 	for q := 0; q < w.set.NumQueues; q++ {
 		n := w.qCount[q]
 		if n == 0 || (q == 0 && n < 2) {
@@ -753,34 +718,14 @@ func (w *SlidingWindow) QueueMeansInto(svc, wait []float64) {
 			wait[q] = math.NaN()
 			continue
 		}
-		svc[q] = w.stats.svc[q] / float64(n)
-		wait[q] = w.stats.wait[q] / float64(n)
+		svc[q] = sumSvc[q] / float64(n)
+		wait[q] = sumWait[q] / float64(n)
 	}
-}
-
-// queueSums returns the per-queue Σservice and Σwait over the live
-// events.
-func (w *SlidingWindow) queueSums() (svc, wait []float64) { return w.stats.svc, w.stats.wait }
-
-// rescanStats recomputes the per-queue sums by chain walk (test oracle
-// for the carried Kahan sums).
-func (w *SlidingWindow) rescanStats() (svc, wait []float64) {
-	nq := w.set.NumQueues
-	svc = make([]float64, nq)
-	wait = make([]float64, nq)
-	for q := 0; q < nq; q++ {
-		for i := w.qHead[q]; i != trace.None; i = w.set.Events[i].NextQ {
-			s, wt := w.svcWait(i)
-			svc[q] += s
-			wait[q] += wt
-		}
-	}
-	return svc, wait
 }
 
 // CheckInvariants verifies the full window state: chain mirroring and
-// order, task links, coupled times, non-negative service, counts, and the
-// carried statistics against a rescan. Test/debug gate — O(window).
+// order, task links, coupled times, non-negative service, and counts.
+// Test/debug gate — O(window).
 func (w *SlidingWindow) CheckInvariants(tol float64) error {
 	es := &w.set
 	nq := es.NumQueues
@@ -847,15 +792,6 @@ func (w *SlidingWindow) CheckInvariants(tol float64) error {
 			}
 		}
 	}
-	svc, wait := w.rescanStats()
-	for q := range svc {
-		if d := math.Abs(w.stats.svc[q] - svc[q]); d > tol*math.Max(1, math.Abs(svc[q])) {
-			return fmt.Errorf("core: queue %d carried Σservice %v drifted from rescan %v", q, w.stats.svc[q], svc[q])
-		}
-		if d := math.Abs(w.stats.wait[q] - wait[q]); d > tol*math.Max(1, math.Abs(wait[q])) {
-			return fmt.Errorf("core: queue %d carried Σwait %v drifted from rescan %v", q, w.stats.wait[q], wait[q])
-		}
-	}
 	return nil
 }
 
@@ -875,10 +811,6 @@ func (w *SlidingWindow) Clone() *SlidingWindow {
 	copy(c.qHead, w.qHead)
 	copy(c.qTail, w.qTail)
 	copy(c.qCount, w.qCount)
-	copy(c.stats.svc, w.stats.svc)
-	copy(c.stats.wait, w.stats.wait)
-	copy(c.stats.cSvc, w.stats.cSvc)
-	copy(c.stats.cWait, w.stats.cWait)
 	c.sweeps = w.sweeps
 	return c
 }

@@ -159,14 +159,15 @@ func TestSlidingWindowMatchesBuilder(t *testing.T) {
 		}
 	}
 
-	// Carried sums must match the flat recomputation.
+	// The window's sums must match the flat recomputation.
 	svc, wait := es.SumServiceWaitByQueue()
+	gotSvc, gotWait := w.queueSums()
 	for q := 0; q < nq; q++ {
-		if d := math.Abs(w.stats.svc[q] - svc[q]); d > 1e-9*math.Max(1, svc[q]) {
-			t.Fatalf("queue %d Σservice %v vs builder %v", q, w.stats.svc[q], svc[q])
+		if d := math.Abs(gotSvc[q] - svc[q]); d > 1e-9*math.Max(1, svc[q]) {
+			t.Fatalf("queue %d Σservice %v vs builder %v", q, gotSvc[q], svc[q])
 		}
-		if d := math.Abs(w.stats.wait[q] - wait[q]); d > 1e-9*math.Max(1, wait[q]) {
-			t.Fatalf("queue %d Σwait %v vs builder %v", q, w.stats.wait[q], wait[q])
+		if d := math.Abs(gotWait[q] - wait[q]); d > 1e-9*math.Max(1, wait[q]) {
+			t.Fatalf("queue %d Σwait %v vs builder %v", q, gotWait[q], wait[q])
 		}
 	}
 }
@@ -228,8 +229,8 @@ func TestSlideMatchesFreshBuild(t *testing.T) {
 
 // TestSlideStressInvariants interleaves slides and sweeps over a
 // partially observed stream and checks the full invariant set as it goes:
-// the carried Kahan statistics may never drift from a rescan, repairs may
-// never fail on feasible data, and every latent move stays inside FIFO.
+// repairs may never fail on feasible data, and every latent move stays
+// inside FIFO.
 func TestSlideStressInvariants(t *testing.T) {
 	const nq, total, keep = 4, 400, 60
 	gen := newSlideGen(99, nq, 2.0, 2.5, 0.5)
@@ -319,7 +320,6 @@ func TestQueueSumsMatchRescan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.EnableQueueStats()
 			nq := working.NumQueues
 			svc, wait := make([]float64, nq), make([]float64, nq)
 			for sweep := 0; sweep < 30; sweep++ {
@@ -381,10 +381,12 @@ func TestIncrementalSlideBitIdentical(t *testing.T) {
 			t.Fatalf("chain row %d differs: %v vs %v", i, da[i], db[i])
 		}
 	}
+	aSvc, aWait := a.queueSums()
+	bSvc, bWait := b.queueSums()
 	for q := 0; q < nq; q++ {
-		if a.stats.svc[q] != b.stats.svc[q] || a.stats.wait[q] != b.stats.wait[q] {
+		if aSvc[q] != bSvc[q] || aWait[q] != bWait[q] {
 			t.Fatalf("queue %d stats differ: (%v,%v) vs (%v,%v)",
-				q, a.stats.svc[q], a.stats.wait[q], b.stats.svc[q], b.stats.wait[q])
+				q, aSvc[q], aWait[q], bSvc[q], bWait[q])
 		}
 	}
 	var ra, rb [nq]float64

@@ -140,9 +140,8 @@ func (s *EventSet) SetFinalDepart(i int, t float64) {
 }
 
 // SumServiceWaitByQueue returns the per-queue totals Σ service time and
-// Σ waiting time over all events, in one pass. It is the full-rescan
-// reference for the incremental sufficient statistics kept by the Gibbs
-// engine (and their initialization).
+// Σ waiting time over all events, queue by queue. It is the reference the
+// samplers' one-pass sums are tested against.
 func (s *EventSet) SumServiceWaitByQueue() (svc, wait []float64) {
 	svc = make([]float64, s.NumQueues)
 	wait = make([]float64, s.NumQueues)
