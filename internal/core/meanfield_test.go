@@ -613,10 +613,10 @@ func TestMeanFieldGolden(t *testing.T) {
 		fix, rates uint64
 		iterations int
 	}{
-		{0.1, MeanFieldOptions{}, 0x53c03754b2fe58e0, 0xf34d21cb34dca862, 8},
-		{0.5, MeanFieldOptions{}, 0xa785d31043d3ca38, 0x0cbe5c6047f3e24d, 8},
-		{0.1, loose, 0xdc0b684b86167a19, 0x8cb37527658de2fc, 7},
-		{0.5, loose, 0xd3d9f2e2e5dcb5a3, 0xea1a5e81b6d465d9, 6},
+		{0.1, MeanFieldOptions{}, 0x0bc632887e358512, 0x9c2d6267c2227e2c, 8},
+		{0.5, MeanFieldOptions{}, 0xc4db7f9b2d28614e, 0x8d9ef8abe4702b01, 8},
+		{0.1, loose, 0x6da52d5f68a00638, 0x07dccd34fec408fd, 7},
+		{0.5, loose, 0x07b3915eebba6e10, 0xecb5e9802b50cfc6, 6},
 	}
 	for _, g := range want {
 		seed := uint64(800 + int(g.frac*100))

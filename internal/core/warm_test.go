@@ -501,13 +501,15 @@ func TestWarmEpochAcrossSlides(t *testing.T) {
 // TestWarmColdEpochGolden pins a first (cold) epoch bit for bit, at the
 // default serve schedule on a simulated three-tier window: its rates, its
 // posterior means and its windowed summary. Cold epochs run the full
-// EMIters schedule from empty sums, so these hashes, recorded at commit
-// 4712933 before warm epochs carried any state, must not move.
+// EMIters schedule from empty sums, so these hashes must not move with
+// any change to the warm schedule. They were re-recorded when the sweep
+// began summing its per-queue statistics in one pass and drawing with the
+// exp/log forms.
 func TestWarmColdEpochGolden(t *testing.T) {
 	net := must(qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4}))
 	want := map[float64][2]uint64{
-		0.1: {0x149a7170f4317536, 0x1f13ab577acf095b},
-		0.3: {0x2bf520c5f89c8bae, 0x4453756addb502b1},
+		0.1: {0xbadfb8586be20d69, 0xe869a133587f9036},
+		0.3: {0x148f3a0476142261, 0xf606aa1b91056766},
 	}
 	for _, frac := range []float64{0.1, 0.3} {
 		truth, _, _ := simulateObserved(t, net, 200, frac, uint64(700+int(frac*100)))
