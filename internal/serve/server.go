@@ -65,12 +65,21 @@ type stream struct {
 	m        *streamMetrics
 	sched    streamSched
 
-	// traceRoot hands a sampled ingest request's root span id to the
-	// inference plane: ingest stores it after sealing tasks, the next
-	// visit claims it (Swap(0)) and parents its queue-wait/visit/sweep/
-	// publish spans under it. One pending root per stream suffices — a
+	// traceRoot hands a sampled ingest request to the inference plane:
+	// ingest stores it after sealing tasks, the next visit claims it
+	// (Swap(nil)) and parents its queue-wait/visit/sweep/publish spans
+	// under its root span. One pending request per stream suffices — a
 	// newer sampled request simply replaces an unclaimed older one.
-	traceRoot atomic.Uint64
+	traceRoot atomic.Pointer[tracedIngest]
+}
+
+// tracedIngest is a sampled ingest request as the inference plane sees
+// it: its root span id, and the store epoch right after its apply. Its
+// chain closes at the first Gibbs publish of an epoch that began at or
+// after that epoch, the first estimate that covers the request's seals.
+type tracedIngest struct {
+	root  uint64
+	epoch uint64
 }
 
 // Server is the qserved daemon core, independent of the HTTP listener: it
@@ -549,6 +558,7 @@ func (s *Server) ingestTraced(st *stream, body []byte, root uint64) (sum IngestS
 		}
 	}
 	chunkBytes := 0
+	var applied uint64 // store epoch after the latest flushed batch
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -562,7 +572,8 @@ func (s *Server) ingestTraced(st *stream, body []byte, root uint64) (sum IngestS
 			wa.rec = *walBuf
 		}
 		s.metrics.batchEvents.Observe(float64(len(batch)))
-		_, lockWait, aerr := st.store.appendBatch(batch, &sum, wa)
+		epoch, lockWait, aerr := st.store.appendBatch(batch, &sum, wa)
+		applied = epoch
 		s.metrics.lockWait[shard].Add(uint64(lockWait.Nanoseconds()))
 		if aerr != nil {
 			return aerr
@@ -646,9 +657,10 @@ func (s *Server) ingestTraced(st *stream, body []byte, root uint64) (sum IngestS
 	s.metrics.ingestBytes.Add(uint64(len(body)))
 	// Hand the root to the inference plane: the next visit claims it and
 	// parents its queue-wait/visit/sweep/publish spans under it, closing
-	// the ingest→estimate chain at the next publish.
+	// the ingest→estimate chain at the first publish that covers the
+	// epoch this body's apply reached.
 	if root != 0 && sum.SealedTasks > 0 {
-		st.traceRoot.Store(root)
+		st.traceRoot.Store(&tracedIngest{root: root, epoch: applied})
 	}
 	return sum, tooLongLine, nil
 }

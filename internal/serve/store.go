@@ -155,16 +155,16 @@ type batchEvent struct {
 // — the core of the batched ingest plane: the per-event lock/unlock pair of
 // the old path dominated ingest CPU once decoding stopped allocating.
 // Results (accepted/rejected/sealed counts, per-line errors) accumulate
-// into sum exactly as the per-event path would have produced them. The
-// returned duration is how long acquiring the store lock took, which feeds
-// the per-shard lock-wait counter. Every seal of the batch is stamped with
+// into sum exactly as the per-event path would have produced them. It
+// returns the store epoch after the batch and how long acquiring the store
+// lock took, which feeds the per-shard lock-wait counter. Every seal of the batch is stamped with
 // the one clock read taken once the lock is held: no later than the true
 // seal, so freshness is overstated by at most the batch's apply time.
 // When wa is non-nil the batch's WAL record is appended INSIDE the store
 // lock, before application: the per-stream record order in the log is then
 // exactly the apply order, which is what lets replay reproduce this store
 // bit for bit. A WAL append failure aborts the batch unapplied.
-func (s *store) appendBatch(batch []batchEvent, sum *IngestSummary, wa *walAppend) (sealed int, lockWait time.Duration, err error) {
+func (s *store) appendBatch(batch []batchEvent, sum *IngestSummary, wa *walAppend) (epoch uint64, lockWait time.Duration, err error) {
 	if len(batch) == 0 {
 		return 0, 0, nil
 	}
@@ -198,12 +198,12 @@ func (s *store) appendBatch(batch []batchEvent, sum *IngestSummary, wa *walAppen
 		}
 		sum.Accepted++
 		if didSeal {
-			sealed++
 			sum.SealedTasks++
 		}
 	}
+	epoch = s.epoch
 	s.mu.Unlock()
-	return sealed, lockWait, nil
+	return epoch, lockWait, nil
 }
 
 // applyRecovered re-applies one replayed WAL batch. Rejects are recomputed

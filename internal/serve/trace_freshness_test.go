@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -190,6 +191,105 @@ func TestTraceChainE2E(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("?%s: status %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestTraceChainClosesAtCoveringEpoch drives one stream's worker by hand:
+// a traced body lands while an epoch over the earlier tasks is in flight.
+// The in-flight epoch's publishes must leave the chain open, and the
+// publish that closes it must belong to an epoch that began after the
+// traced body's apply, so the chain includes the wait for the epoch in
+// flight.
+func TestTraceChainClosesAtCoveringEpoch(t *testing.T) {
+	srv := New(StreamConfig{}, WithTraceSampleEvery(1), WithTraceRing(1024))
+	t.Cleanup(srv.Close)
+	cfg := StreamConfig{NumQueues: 3, WindowTasks: 100, MinTasks: 5,
+		EMIters: 20, PostSweeps: 4, SweepBatch: 3}.withDefaults()
+	// A stream the executor does not know: only this test visits it.
+	st := srv.buildStream("tr", cfg)
+	wk := newWorker(srv, st)
+	visit := func() {
+		wk.visit(context.Background(), time.Now().Add(time.Minute), time.Now().UnixNano())
+	}
+
+	body, _ := ingestTestBody(t, "tr", 60, 2, cfg.NumQueues)
+	lines := bytes.SplitAfter(body, []byte("\n"))
+	early, late := bytes.Join(lines[:60], nil), bytes.Join(lines[60:], nil) // 30 tasks each
+	if _, _, err := srv.ingestTraced(st, early, 0); err != nil {
+		t.Fatal(err)
+	}
+	visit()
+	if !wk.epochOpen || wk.epochStart != 30 {
+		t.Fatalf("after one visit: epoch open %v from %d, want an open epoch from 30", wk.epochOpen, wk.epochStart)
+	}
+
+	root := srv.Tracer().StartRoot()
+	if root == 0 {
+		t.Fatal("tracing is off")
+	}
+	if sum, _, err := srv.ingestTraced(st, late, root); err != nil || sum.SealedTasks != 30 {
+		t.Fatalf("traced body: %+v, %v", sum, err)
+	}
+	published := 0
+	for wk.epochOpen {
+		visit()
+		if wk.lastEpoch == 30 {
+			published++
+		}
+	}
+	if published == 0 {
+		t.Fatal("the in-flight epoch never published")
+	}
+	if wk.traceRoot != root {
+		t.Fatalf("a publish of the epoch from 30 closed the chain of an ingest that reached epoch 60")
+	}
+	for i := 0; wk.traceRoot != 0; i++ {
+		if i == 100 {
+			t.Fatal("no publish closed the chain")
+		}
+		visit()
+	}
+	// A visit publishes at most once, so the estimate now served is the
+	// publish that closed the chain.
+	if est := st.estimate.Load(); est == nil || est.Epoch < 60 {
+		t.Fatalf("chain closed by a publish of epoch %v, want >= 60", est)
+	}
+
+	// The chain's spans: one publish, after the window sync that opened
+	// its epoch, and sweeps of the in-flight epoch before that sync.
+	spans := srv.Tracer().Snapshot(0)
+	visits := map[uint64]bool{}
+	for _, sp := range spans {
+		if sp.Kind == "visit" && sp.Parent == root {
+			visits[sp.ID] = true
+		}
+	}
+	var publishes, syncs []obs.Span
+	earlySweeps := 0
+	for _, sp := range spans {
+		if !visits[sp.Parent] {
+			continue
+		}
+		switch sp.Kind {
+		case "publish":
+			publishes = append(publishes, sp)
+		case "window.slide", "window.rebuild":
+			syncs = append(syncs, sp)
+		}
+	}
+	if len(publishes) != 1 || len(syncs) != 1 {
+		t.Fatalf("chain has %d publish and %d window spans, want 1 and 1", len(publishes), len(syncs))
+	}
+	if publishes[0].StartNS < syncs[0].EndNS {
+		t.Errorf("chain's publish starts before the window sync of its epoch")
+	}
+	for _, sp := range spans {
+		if sp.Kind == "sweep" && visits[sp.Parent] && sp.EndNS <= syncs[0].StartNS {
+			earlySweeps++
+		}
+	}
+	if earlySweeps == 0 {
+		t.Errorf("chain holds no sweep of the epoch in flight")
 	}
 }
 

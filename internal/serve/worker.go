@@ -60,11 +60,14 @@ type worker struct {
 
 	// Tracing + freshness. sloNanos is the
 	// seal→publish SLO (0 = no SLO accounting). traceRoot is the claimed
-	// ingest root span whose chain this worker completes at the next
-	// publish; visitSpan/visitParent/visitStartNS frame the visit span in
-	// flight (all zero on untraced visits — the common case).
+	// ingest root span whose chain this worker completes at the first
+	// Gibbs publish of an epoch that began at or after traceEpoch, the
+	// store epoch that ingest's apply reached; visitSpan/visitParent/
+	// visitStartNS frame the visit span in flight (all zero on untraced
+	// visits — the common case).
 	sloNanos     int64
 	traceRoot    uint64
+	traceEpoch   uint64
 	visitSpan    uint64
 	visitParent  uint64
 	visitStartNS int64
@@ -184,8 +187,9 @@ func (w *worker) publishMeanField() {
 // On untraced visits (no pending or claimed root) it leaves visitSpan 0
 // and every span site in the visit path short-circuits.
 func (w *worker) beginVisitSpan(enqueuedNS int64) {
-	if r := w.st.traceRoot.Swap(0); r != 0 {
-		w.traceRoot = r // a claimed-but-unfinished older root is superseded
+	if t := w.st.traceRoot.Swap(nil); t != nil {
+		// A claimed-but-unfinished older root is superseded.
+		w.traceRoot, w.traceEpoch = t.root, t.epoch
 	}
 	if w.traceRoot == 0 {
 		w.visitSpan = 0
@@ -202,8 +206,8 @@ func (w *worker) beginVisitSpan(enqueuedNS int64) {
 }
 
 // endVisitSpan closes the visit span. The claimed root survives across
-// visits (an epoch spans many budgeted slices) until a publish completes
-// its chain and clears it.
+// visits (an epoch spans many budgeted slices) until a publish that covers
+// it completes its chain and clears it.
 func (w *worker) endVisitSpan() {
 	if w.visitSpan == 0 {
 		return
@@ -443,7 +447,10 @@ func (w *worker) publishWarm() error {
 	w.st.m.Estimates.Inc()
 	w.s.metrics.estimates.Inc()
 	w.st.m.updateQueueGauges(w.sum.MeanService, w.sum.MeanWait, w.sum.WaitChain)
-	if w.visitSpan != 0 {
+	// An epoch that began before the traced ingest's apply does not cover
+	// it: its publishes leave the chain open, so the chain includes the
+	// wait for the epoch in flight.
+	if w.visitSpan != 0 && w.epochStart >= w.traceEpoch {
 		w.s.tracer.Record(obs.Span{ID: w.s.tracer.Child(w.visitSpan), Parent: w.visitSpan,
 			Kind: spanPublish, Stream: w.st.id, StartNS: p0, EndNS: time.Now().UnixNano()})
 		w.traceRoot = 0 // the ingest→publish chain is complete
