@@ -35,7 +35,9 @@ type StreamConfig struct {
 	// of the window that slid since the previous epoch, and carry the
 	// previous epoch's StEM average forward (DESIGN §16).
 	EMIters int `json:"em_iters,omitempty"`
-	// PostSweeps sizes the per-window posterior pass (default 40).
+	// PostSweeps sizes each epoch's posterior pass: the fixed-rate sweeps
+	// that follow the epoch's StEM phase, a fifth of them burn-in, whose
+	// means the estimate reports (default 40).
 	PostSweeps int `json:"post_sweeps,omitempty"`
 	// Windows is the number of time buckets of the windowed-stats endpoint
 	// (default 6). Their per-queue means are averaged over the same kept
