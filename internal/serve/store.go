@@ -157,9 +157,10 @@ type batchEvent struct {
 // Results (accepted/rejected/sealed counts, per-line errors) accumulate
 // into sum exactly as the per-event path would have produced them. It
 // returns the store epoch after the batch and how long acquiring the store
-// lock took, which feeds the per-shard lock-wait counter. Every seal of the batch is stamped with
-// the one clock read taken once the lock is held: no later than the true
-// seal, so freshness is overstated by at most the batch's apply time.
+// lock took, which feeds the per-shard lock-wait counter. Every seal of
+// the batch is stamped with the one clock read taken once the lock is
+// held: no later than the true seal, so freshness is overstated by at most
+// the batch's apply time.
 // When wa is non-nil the batch's WAL record is appended INSIDE the store
 // lock, before application: the per-stream record order in the log is then
 // exactly the apply order, which is what lets replay reproduce this store
