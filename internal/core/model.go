@@ -84,15 +84,23 @@ func MLE(es *trace.EventSet, prev Params) Params {
 
 // mleInto replaces rates in place with the complete-data MLE of the current
 // (imputed) event times — MLE without its allocation; queues with no events
-// keep their previous rate.
+// keep their previous rate. An event's service starts at
+// max(a_e, d_{ρ(e)}), and ρ(e) is its predecessor in ByQueue, so the walk
+// reads the times alone and never the event records.
 func mleInto(rates []float64, es *trace.EventSet) {
 	for q, ids := range es.ByQueue {
 		if len(ids) == 0 {
 			continue
 		}
 		var total float64
+		prevDep := math.Inf(-1)
 		for _, id := range ids {
-			total += es.ServiceTime(id)
+			start := es.Arr[id]
+			if prevDep > start {
+				start = prevDep
+			}
+			prevDep = es.Dep[id]
+			total += prevDep - start
 		}
 		if total <= 0 {
 			rates[q] = rateCeil
