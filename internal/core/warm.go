@@ -9,15 +9,18 @@ import (
 )
 
 // WarmConfig sizes the estimation epochs of a WarmEstimator. A cold epoch
-// (the first, and the first after Reset) runs a StEM phase of EMIters
-// sweep+M-step iterations, its parameters the average of the iterates
-// after EMBurnIn. A warm epoch runs a shorter StEM phase sized by the
-// fraction of the window that slid since the previous epoch, and carries
-// that previous average forward (BeginEpoch); EMIters caps it. Every epoch
-// then runs PostSweeps fixed-parameter posterior sweeps (means accumulated
-// after PostBurnIn). Windows > 0 also accumulates, over the same kept
-// sweeps, per-queue means in that many equal time buckets of the epoch's
-// window span (WindowsInto). Zero values take the same defaults as
+// (the first, and the first after a Reset that kept no rates) runs a StEM
+// phase of EMIters sweep+M-step iterations, its parameters the average of
+// the iterates after EMBurnIn. A warm epoch runs a shorter StEM phase
+// sized by the fraction of the window that slid since the previous epoch,
+// and carries that previous average forward; EMIters caps it. A rebased
+// epoch starts from a finished StEM average without its sums, so it burns
+// in only min(warmMinIters, EMBurnIn) iterations before keeping as many as
+// a cold epoch (BeginEpoch). Every epoch then runs PostSweeps
+// fixed-parameter posterior sweeps (means accumulated after PostBurnIn).
+// Windows > 0 also accumulates, over the same kept sweeps, per-queue means
+// in that many equal time buckets of the epoch's window span
+// (WindowsInto). Zero values take the same defaults as
 // EMOptions/PosteriorOptions; NoBurnIn disables a burn-in.
 type WarmConfig struct {
 	NumQueues  int
@@ -75,11 +78,15 @@ type WarmEstimator struct {
 	emDone            int
 	emSum             []float64
 	emWeight          float64
-	// appended counts the tasks appended since the last BeginEpoch, and
+	// appended counts the tasks appended since the last BeginEpoch,
 	// carried reports that emSum/emWeight hold a finished StEM phase's
-	// average: together they decide whether the next epoch runs warm.
+	// average, and averaged that the rates do (they still do after
+	// BeginEpoch, and after a Reset that kept them, until the next StEM
+	// iteration): together they decide whether the next epoch runs warm,
+	// rebased or cold.
 	appended int
 	carried  bool
+	averaged bool
 
 	postDone int
 	svcSum   []float64
@@ -141,7 +148,7 @@ func NewWarmEstimator(cfg WarmConfig) *WarmEstimator {
 func (we *WarmEstimator) Window() *SlidingWindow { return we.win }
 
 // Append slides one task in; see SlidingWindow.Append. On
-// ErrInfeasibleSlide the caller must Reset and rebuild cold.
+// ErrInfeasibleSlide the caller must Reset and rebuild the window.
 func (we *WarmEstimator) Append(t SlideTask) error {
 	if err := we.win.Append(t); err != nil {
 		return err
@@ -153,14 +160,23 @@ func (we *WarmEstimator) Append(t SlideTask) error {
 // EvictOldest slides the oldest task out.
 func (we *WarmEstimator) EvictOldest() { we.win.EvictOldest() }
 
-// Reset drops the window and all carried state (latent times, statistics,
-// parameters): the next epoch starts cold. Use after a stream gap or an
-// infeasible slide.
+// Reset drops the window, the carried StEM sums and the posterior and
+// windowed accumulators. It keeps the rates when they are a finished StEM
+// average and every one is finite and positive, so the next epoch runs
+// rebased from them; otherwise (a Reset mid-StEM, or after a numerical
+// fault) the rates go back to 1 and the next epoch runs cold, exactly as
+// on a fresh estimator. Use after a stream gap or an infeasible slide.
 func (we *WarmEstimator) Reset() {
 	we.win.Reset()
-	we.haveRates = false
-	for q := range we.rates {
-		we.rates[q] = 1
+	keep := we.averaged
+	for _, r := range we.rates {
+		keep = keep && r > 0 && !math.IsInf(r, 1)
+	}
+	if !keep {
+		we.haveRates, we.averaged = false, false
+		for q := range we.rates {
+			we.rates[q] = 1
+		}
 	}
 	we.BeginEpoch()
 }
@@ -196,18 +212,27 @@ const (
 // The epoch runs warm when the previous epoch finished its StEM phase and
 // the warm schedule (warmMemory) is shorter than EMIters: the carried
 // StEM sums are discounted and the epoch adds its iterates to them, with
-// no burn-in. Otherwise it runs cold: EMIters iterations, EMBurnIn of
-// them burn-in, from empty sums.
+// no burn-in. It runs rebased when the rates are a finished StEM average
+// but the epoch cannot run warm (the slide was too large, or a Reset
+// dropped the sums): from empty sums, min(warmMinIters, EMBurnIn)
+// iterations of burn-in and then EMIters − EMBurnIn kept, since the start
+// is already near the answer. Otherwise it runs cold: EMIters iterations,
+// EMBurnIn of them burn-in, from empty sums.
 func (we *WarmEstimator) BeginEpoch() {
 	if !we.haveRates && we.win.LiveTasks() > 0 {
 		we.win.MLERatesInto(we.rates)
 		we.haveRates = true
 	}
 	iters, keep, warm := we.warmSchedule()
-	if warm {
+	switch {
+	case warm:
 		we.emIters, we.emBurnIn = iters, 0
 		we.emWeight *= keep
-	} else {
+	case we.averaged:
+		burnIn := min(warmMinIters, we.cfg.EMBurnIn)
+		we.emIters, we.emBurnIn = burnIn+we.cfg.EMIters-we.cfg.EMBurnIn, burnIn
+		we.emWeight = 0
+	default:
 		we.emIters, we.emBurnIn = we.cfg.EMIters, we.cfg.EMBurnIn
 		we.emWeight = 0
 	}
@@ -250,12 +275,13 @@ func (we *WarmEstimator) warmSchedule() (iters int, keep float64, ok bool) {
 func (we *WarmEstimator) EMFinal() bool { return we.emDone >= we.emIters }
 
 // EMIters returns this epoch's StEM iterations: EMIters on a cold epoch,
-// fewer on a warm one.
+// fewer on a warm or rebased one.
 func (we *WarmEstimator) EMIters() int { return we.emIters }
 
 // EMWeight returns the effective number of StEM iterates behind the rates
-// so far this epoch: the kept count on a cold epoch, and on a warm one the
-// carried weight after discounting plus this epoch's iterates.
+// so far this epoch: the kept count on a cold or rebased epoch, and on a
+// warm one the carried weight after discounting plus this epoch's
+// iterates.
 func (we *WarmEstimator) EMWeight() float64 { return we.emWeight }
 
 // EpochSweeps returns the sweeps run so far this epoch.
@@ -290,6 +316,7 @@ func (we *WarmEstimator) Step(rng *xrand.RNG, maxSweeps int) int {
 	for ran < maxSweeps && we.emDone < we.emIters {
 		we.win.Sweep(we.rates, rng)
 		we.win.MLERatesInto(we.rates)
+		we.averaged = false
 		we.emDone++
 		ran++
 		if we.emDone > we.emBurnIn {
@@ -302,7 +329,7 @@ func (we *WarmEstimator) Step(rng *xrand.RNG, maxSweeps int) int {
 			for q := range we.rates {
 				we.rates[q] = we.emSum[q] / we.emWeight
 			}
-			we.carried = true
+			we.carried, we.averaged = true, true
 		}
 	}
 	for ran < maxSweeps && we.postDone < we.cfg.PostSweeps {

@@ -157,3 +157,77 @@ func TestWarmScheduleAccuracy(t *testing.T) {
 		})
 	}
 }
+
+// TestRebasedEpochAccuracy is the accuracy contract of the rebased epoch,
+// the schedule a window rebuild runs since Reset keeps a finished StEM
+// average: 30 iterations of burn-in from the kept rates instead of 150
+// from the MLE of the rebuilt window. Per seed, an estimator runs a cold
+// StEM phase over one 300-task window of the three-tier network {1,2,4}
+// at λ = 4 and µ = µ_A, is Reset, and runs a rebased one over an
+// independent window at µ = 5. The cold epoch that rebuilds ran before, a
+// fresh estimator's StEM phase over the same window with the same RNG
+// seed, runs beside it, and both are compared with a 1200-iteration StEM
+// phase on that window. µ_A = 8 carries the rates from a different load.
+// Pooled over 72 seeds
+// (100–171), the rebased epoch's rms relative service-rate error must stay
+// within 1.15× the cold epoch's, the bound of TestWarmScheduleAccuracy.
+// The rebuilt window, and so the cold and reference phases, do not depend
+// on µ_A and are run once per seed. The two fractions run in parallel.
+func TestRebasedEpochAccuracy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("accuracy contract: skipped under -race")
+	}
+	const window, iters, refIters = 300, 300, 1200
+	muAs := []float64{5, 8}
+	for _, frac := range []float64{0.1, 0.3} {
+		t.Run(fmt.Sprintf("observed=%v", frac), func(t *testing.T) {
+			t.Parallel()
+			rebuilt := must(qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4}))
+			sqRebased := make([]float64, len(muAs))
+			var sqCold, terms float64
+			for seed := uint64(100); seed < 172; seed++ {
+				after, _, _ := simulateObserved(t, rebuilt, window, frac, seed+10000)
+				tasks, nq := slideTasksOf(after), after.NumQueues
+				// stem runs the StEM phase of we's next epoch over tasks.
+				stem := func(we *WarmEstimator, rng *xrand.RNG) []float64 {
+					warmFill(t, we, tasks)
+					we.BeginEpoch()
+					we.Step(rng, we.EMIters())
+					return we.RatesInto(nil)
+				}
+				want := stem(NewWarmEstimator(WarmConfig{NumQueues: nq, EMIters: refIters}), xrand.New(seed*1000+1))
+				cold := stem(NewWarmEstimator(WarmConfig{NumQueues: nq, EMIters: iters}), xrand.New(seed*7+3))
+				for q := 1; q < nq; q++ {
+					c := (cold[q] - want[q]) / want[q]
+					sqCold += c * c
+					terms++
+				}
+				for i, muA := range muAs {
+					first := must(qnet.PaperSynthetic(4, muA, [3]int{1, 2, 4}))
+					before, _, _ := simulateObserved(t, first, window, frac, seed)
+					we := NewWarmEstimator(WarmConfig{NumQueues: nq, EMIters: iters})
+					warmFill(t, we, slideTasksOf(before))
+					we.BeginEpoch()
+					we.Step(xrand.New(seed+1), iters)
+					we.Reset()
+					got := stem(we, xrand.New(seed*7+3))
+					if we.EMIters() != warmMinIters+iters/2 {
+						t.Fatalf("seed %d: rebased epoch ran %d StEM iterations, want %d", seed, we.EMIters(), warmMinIters+iters/2)
+					}
+					for q := 1; q < nq; q++ {
+						d := (got[q] - want[q]) / want[q]
+						sqRebased[i] += d * d
+					}
+				}
+			}
+			for i, muA := range muAs {
+				ratio := math.Sqrt(sqRebased[i] / sqCold)
+				t.Logf("µ_A = %v: pooled rms %.2f%% rebased, %.2f%% cold (%.3f×)",
+					muA, 100*math.Sqrt(sqRebased[i]/terms), 100*math.Sqrt(sqCold/terms), ratio)
+				if ratio > 1.15 {
+					t.Errorf("µ_A = %v: rebased epoch's pooled rms rate error is %.3f× the cold epoch's, want <= 1.15×", muA, ratio)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/qnet"
@@ -141,20 +142,27 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // after slides, a *cold* estimator constructed over a clone of the warm
 // window's retained state produces bit-identical estimates under the same
 // RNG — the incremental path loses nothing against a cold pass. In the
-// first case the slide is large enough that both epochs run cold; in the
-// second a one-task slide makes the epoch warm, and the clone also takes
-// the carried StEM sums and the slide count, so it runs the same warm
+// first two cases the slide is too large for the warm schedule, so the
+// epoch runs rebased from the carried rates: at EMIters 30 its burn-in,
+// min(warmMinIters, 15), is the cold one, so a plain clone runs the same
+// schedule; at EMIters 100 the clone must also know that its rates are a
+// finished average. In the third a one-task slide makes the epoch warm
+// (⌈50·(1/60)/warmMemory⌉ = 42 iterations), and the clone also takes the
+// carried StEM sums and the slide count, so it runs the same warm
 // schedule.
 func TestWarmIncrementalMatchesColdClone(t *testing.T) {
 	const nq = 3
 	for _, tc := range []struct {
-		name  string
-		cfg   WarmConfig
-		slide int
-		carry bool
+		name      string
+		cfg       WarmConfig
+		slide     int
+		averaged  bool
+		carry     bool
+		wantIters int
 	}{
-		{"cold", WarmConfig{NumQueues: nq, EMIters: 30, PostSweeps: 15, Windows: 4}, 25, false},
-		{"warm", WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}, 1, true},
+		{"cold", WarmConfig{NumQueues: nq, EMIters: 30, PostSweeps: 15, Windows: 4}, 25, false, false, 30},
+		{"rebased", WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}, 25, true, false, warmMinIters + 50},
+		{"warm", WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}, 1, false, true, 42},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -178,14 +186,15 @@ func TestWarmIncrementalMatchesColdClone(t *testing.T) {
 			cold.win = warm.win.Clone()
 			cold.rates = warm.RatesInto(nil)
 			cold.haveRates = true
+			cold.averaged = tc.averaged
 			if tc.carry {
 				copy(cold.emSum, warm.emSum)
 				cold.emWeight, cold.carried, cold.appended = warm.emWeight, warm.carried, warm.appended
 			}
 			warm.BeginEpoch()
 			cold.BeginEpoch()
-			if warm.EMIters() != cold.EMIters() || (warm.EMIters() < cfg.EMIters) != tc.carry {
-				t.Fatalf("StEM iterations: warm %d, clone %d, cold schedule %d", warm.EMIters(), cold.EMIters(), cfg.EMIters)
+			if warm.EMIters() != tc.wantIters || cold.EMIters() != tc.wantIters {
+				t.Fatalf("StEM iterations: warm %d, clone %d; want %d", warm.EMIters(), cold.EMIters(), tc.wantIters)
 			}
 
 			rngW, rngC := xrand.New(55), xrand.New(55)
@@ -358,7 +367,8 @@ func TestWarmWindowsMatchTraceBuckets(t *testing.T) {
 }
 
 // TestWarmResetLifecycle covers the stream-gap story: Reset drops the
-// estimator's window and parameters, and the engine stays usable after it.
+// estimator's window and keeps the finished epoch's rates, and the engine
+// stays usable after it.
 func TestWarmResetLifecycle(t *testing.T) {
 	const nq = 3
 	cfg := WarmConfig{NumQueues: nq, EMIters: 10, PostSweeps: 10}
@@ -373,7 +383,8 @@ func TestWarmResetLifecycle(t *testing.T) {
 	}
 	preRates := we.RatesInto(nil)
 
-	// The stream gap: Reset drops latents, stats and parameters.
+	// The stream gap: Reset drops latents and stats, and keeps the rates,
+	// which are the finished StEM average.
 	we.Reset()
 	if we.Window().LiveTasks() != 0 || we.Window().LiveEvents() != 0 {
 		t.Fatal("Reset kept window contents")
@@ -383,11 +394,10 @@ func TestWarmResetLifecycle(t *testing.T) {
 	}
 	post := we.RatesInto(nil)
 	for q := range post {
-		if post[q] != 1 {
-			t.Fatalf("queue %d rate %v after Reset, want cold 1", q, post[q])
+		if post[q] != preRates[q] {
+			t.Fatalf("queue %d rate %v after Reset, want the kept %v", q, post[q], preRates[q])
 		}
 	}
-	_ = preRates
 
 	// The engine is reusable after the gap: fresh tasks, fresh epoch,
 	// no panic from carried indices, and invariants hold.
@@ -402,16 +412,11 @@ func TestWarmResetLifecycle(t *testing.T) {
 	}
 }
 
-// TestWarmResetMatchesFresh: after Reset, the next epoch is bit-identical
-// to a fresh estimator's over the same tasks. The estimator first runs a
-// cold epoch and two warm ones, so Reset must drop the carried StEM sums,
-// the slide count and the parameters along with the window.
-func TestWarmResetMatchesFresh(t *testing.T) {
-	const nq = 3
-	cfg := WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}
-	gen := newSlideGen(47, nq, 2.0, 3.0, 0.5)
-	history, after := gen.take(62), gen.take(40)
-
+// usedEstimator returns an estimator that has run a cold epoch and two
+// warm ones over history, so that it carries StEM sums, a slide count and
+// finished rates into whatever comes next.
+func usedEstimator(t *testing.T, cfg WarmConfig, history []SlideTask) *WarmEstimator {
+	t.Helper()
 	used := NewWarmEstimator(cfg)
 	warmFill(t, used, history[:60])
 	rng := xrand.New(9)
@@ -426,41 +431,119 @@ func TestWarmResetMatchesFresh(t *testing.T) {
 		}
 		used.Step(rng, 0)
 	}
+	return used
+}
+
+// requireSameEpoch fails unless a and b ended their epochs with the same
+// StEM schedule and bit-identical rates, posterior means and windowed
+// summary.
+func requireSameEpoch(t *testing.T, a, b *WarmEstimator) {
+	t.Helper()
+	if a.EMIters() != b.EMIters() || a.EMWeight() != b.EMWeight() {
+		t.Fatalf("StEM schedule: %d iterations, weight %v; want %d, %v",
+			a.EMIters(), a.EMWeight(), b.EMIters(), b.EMWeight())
+	}
+	ra, rb := a.RatesInto(nil), b.RatesInto(nil)
+	var sa, sb PosteriorSummary
+	a.SnapshotInto(&sa)
+	b.SnapshotInto(&sb)
+	wa, err := a.WindowsInto(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := b.WindowsInto(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := range ra {
+		if !sameFloat(ra[q], rb[q]) || !sameFloat(sa.MeanService[q], sb.MeanService[q]) || !sameFloat(sa.MeanWait[q], sb.MeanWait[q]) {
+			t.Fatalf("queue %d: rate %v, means (%v, %v); want %v, (%v, %v)", q,
+				ra[q], sa.MeanService[q], sa.MeanWait[q], rb[q], sb.MeanService[q], sb.MeanWait[q])
+		}
+		for k := range wa[q] {
+			x, y := wa[q][k], wb[q][k]
+			if x.Events != y.Events || !sameFloat(x.MeanService, y.MeanService) || !sameFloat(x.MeanWait, y.MeanWait) {
+				t.Fatalf("bucket %d/%d: %+v, want %+v", q, k, x, y)
+			}
+		}
+	}
+}
+
+// TestWarmResetKeepsFinishedRates: a Reset after a finished StEM phase
+// keeps the rates, and the next epoch runs rebased: from empty sums,
+// min(warmMinIters, EMBurnIn) iterations of burn-in and then the cold
+// schedule's EMIters − EMBurnIn kept, so its weight is that kept count.
+// The epoch is bit-identical to a fresh estimator's started from the kept
+// rates, so Reset drops the carried sums, the slide count, the window and
+// the accumulators.
+func TestWarmResetKeepsFinishedRates(t *testing.T) {
+	const nq = 3
+	cfg := WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}
+	gen := newSlideGen(47, nq, 2.0, 3.0, 0.5)
+	history, after := gen.take(62), gen.take(40)
+
+	used := usedEstimator(t, cfg, history)
+	kept := used.RatesInto(nil)
 	used.Reset()
+	if got := used.RatesInto(nil); !slices.Equal(got, kept) {
+		t.Fatalf("rates %v after Reset, want the finished average %v", got, kept)
+	}
 
 	fresh := NewWarmEstimator(cfg)
+	copy(fresh.rates, kept)
+	fresh.haveRates, fresh.averaged = true, true
 	for _, we := range []*WarmEstimator{used, fresh} {
 		warmFill(t, we, after)
 		we.BeginEpoch()
 		we.Step(xrand.New(21), 0)
 	}
-	if used.EMIters() != cfg.EMIters || used.EMWeight() != fresh.EMWeight() {
-		t.Fatalf("after Reset: %d StEM iterations, weight %v; fresh: %d, %v",
-			used.EMIters(), used.EMWeight(), fresh.EMIters(), fresh.EMWeight())
+	if want := warmMinIters + 50; used.EMIters() != want || used.EMWeight() != 50 {
+		t.Fatalf("rebased epoch: %d StEM iterations, weight %v; want %d and 50", used.EMIters(), used.EMWeight(), want)
 	}
-	ru, rf := used.RatesInto(nil), fresh.RatesInto(nil)
-	var su, sf PosteriorSummary
-	used.SnapshotInto(&su)
-	fresh.SnapshotInto(&sf)
-	wu, err := used.WindowsInto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, err := fresh.WindowsInto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < nq; q++ {
-		if !sameFloat(ru[q], rf[q]) || !sameFloat(su.MeanService[q], sf.MeanService[q]) || !sameFloat(su.MeanWait[q], sf.MeanWait[q]) {
-			t.Fatalf("queue %d: rate %v, means (%v, %v) after Reset; fresh %v, (%v, %v)", q,
-				ru[q], su.MeanService[q], su.MeanWait[q], rf[q], sf.MeanService[q], sf.MeanWait[q])
-		}
-		for b := range wu[q] {
-			u, f := wu[q][b], wf[q][b]
-			if u.Events != f.Events || !sameFloat(u.MeanService, f.MeanService) || !sameFloat(u.MeanWait, f.MeanWait) {
-				t.Fatalf("bucket %d/%d: %+v after Reset, fresh %+v", q, b, u, f)
+	requireSameEpoch(t, used, fresh)
+}
+
+// TestWarmResetMatchesFresh: after a Reset that keeps no rates, the next
+// epoch is cold and bit-identical to a fresh estimator's over the same
+// tasks. That is a Reset mid-StEM, whose rates are one iterate, and a
+// Reset whose rates are not all finite and positive, the poisoned-window
+// path.
+func TestWarmResetMatchesFresh(t *testing.T) {
+	const nq = 3
+	cfg := WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15, Windows: 4}
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, we *WarmEstimator)
+	}{
+		{"midStEM", func(t *testing.T, we *WarmEstimator) {
+			warmFill(t, we, newSlideGen(48, nq, 2.0, 3.0, 0.5).take(1))
+			we.BeginEpoch()
+			we.Step(xrand.New(3), 5)
+			if we.EMFinal() {
+				t.Fatal("StEM phase finished after 5 sweeps")
 			}
-		}
+		}},
+		{"nonFinite", func(t *testing.T, we *WarmEstimator) { we.rates[1] = math.NaN() }},
+		{"infinite", func(t *testing.T, we *WarmEstimator) { we.rates[2] = math.Inf(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := newSlideGen(47, nq, 2.0, 3.0, 0.5)
+			history, after := gen.take(62), gen.take(40)
+			used := usedEstimator(t, cfg, history)
+			tc.spoil(t, used)
+			used.Reset()
+
+			fresh := NewWarmEstimator(cfg)
+			for _, we := range []*WarmEstimator{used, fresh} {
+				warmFill(t, we, after)
+				we.BeginEpoch()
+				we.Step(xrand.New(21), 0)
+			}
+			if used.EMIters() != cfg.EMIters {
+				t.Fatalf("after Reset: %d StEM iterations, want the cold %d", used.EMIters(), cfg.EMIters)
+			}
+			requireSameEpoch(t, used, fresh)
+		})
 	}
 }
 

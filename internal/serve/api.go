@@ -30,10 +30,13 @@ type StreamConfig struct {
 	MinTasks int `json:"min_tasks,omitempty"`
 	// EMIters is the StEM iteration count of a cold epoch (default 300),
 	// the first half of it burn-in, and the cap of a warm one. An epoch is
-	// cold on a stream's first window and after a rebuild; later epochs
-	// run warm, for a number of iterations proportional to the fraction
-	// of the window that slid since the previous epoch, and carry the
-	// previous epoch's StEM average forward (DESIGN §16).
+	// cold on a stream's first window. Later epochs run warm, for a number
+	// of iterations proportional to the fraction of the window that slid
+	// since the previous epoch, and carry the previous epoch's StEM average
+	// forward. An epoch after a rebuild, or after a slide too large for the
+	// warm schedule, runs rebased: it starts from that average with fresh
+	// sums, burns in min(30, EMIters/2) iterations and keeps the cold
+	// epoch's second half (DESIGN §16).
 	EMIters int `json:"em_iters,omitempty"`
 	// PostSweeps sizes each epoch's posterior pass: the fixed-rate sweeps
 	// that follow the epoch's StEM phase, a fifth of them burn-in, whose
@@ -190,8 +193,9 @@ type Estimate struct {
 	// EMIters is the number of StEM iterations this epoch ran, and
 	// EMWeight the effective number of StEM iterates behind Rates after
 	// the carried average was discounted: EMIters and its post-burn-in
-	// count on a cold epoch, fewer iterations and at least that weight on
-	// a warm one. Both are omitted on mean-field publishes.
+	// count on a cold epoch, fewer iterations and the same weight on a
+	// rebased one, fewer iterations and at least that weight on a warm one.
+	// Both are omitted on mean-field publishes.
 	EMIters  int     `json:"em_iters,omitempty"`
 	EMWeight float64 `json:"em_weight,omitempty"`
 }

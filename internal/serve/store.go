@@ -403,7 +403,7 @@ func (s *store) oldestUnpublishedSeal(published uint64) int64 {
 // the seals since `since`; when the stream sealed more tasks than the
 // window retains in the meantime (the delta can no longer be reconstructed
 // from the sealed ring), delta returns the ENTIRE current window with
-// ok=false and the caller must reset its carried state and rebuild cold.
+// ok=false and the caller must reset its window and rebuild it.
 func (s *store) delta(since uint64, dst []core.SlideTask) (tasks []core.SlideTask, epoch uint64, window int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

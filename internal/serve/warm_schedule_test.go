@@ -111,12 +111,43 @@ func TestEstimateReportsStEMSchedule(t *testing.T) {
 	}
 }
 
+// TestExecutorRebuildRebasesEpoch: a body larger than the window after a
+// first epoch, as on the ingest workload, makes the worker rebuild the
+// window (the store can no longer hand it the delta). The rebuild keeps
+// the stream's finished StEM average, so the next epoch runs rebased:
+// min(30, EMIters/2) iterations of burn-in, then the cold epoch's
+// EMIters/2 kept, which is its weight.
+func TestExecutorRebuildRebasesEpoch(t *testing.T) {
+	srv := New(StreamConfig{}, WithInferenceWorkers(1))
+	defer srv.Close()
+	const window, emIters = 100, 100
+	execPut(t, srv, "r", StreamConfig{NumQueues: 8, WindowTasks: window, MinTasks: 20, EMIters: emIters, PostSweeps: 10})
+	bodies := slideBodies(t, 3, 0.3, window, 1, window+50)
+
+	est := postAndCover(t, srv, "r", bodies[0], window)
+	if est.EMIters != emIters || est.EMWeight != emIters/2 {
+		t.Fatalf("first epoch: em_iters %d, em_weight %v; want %d and %d", est.EMIters, est.EMWeight, emIters, emIters/2)
+	}
+	est = postAndCover(t, srv, "r", bodies[1], 2*window+50)
+	if got := srv.metrics.rebuilds.Value(); got != 1 {
+		t.Fatalf("qserved_inference_rebuilds_total = %d, want 1", got)
+	}
+	if want := min(30, emIters/2) + emIters/2; est.EMIters != want || est.EMWeight != emIters/2 {
+		t.Fatalf("epoch after the rebuild: em_iters %d, em_weight %v; want %d and %d", est.EMIters, est.EMWeight, want, emIters/2)
+	}
+}
+
 // TestInfeasibleSlideCounted drives a seeded slide sequence of the
 // three-tier network (a 300-task window, then twelve 10-task slides at 30%
-// observed) whose local repair gives up on exactly one slide
-// (core.ErrInfeasibleSlide). The rebuild is counted once on
+// observed) whose local repair gives up on exactly two slides
+// (core.ErrInfeasibleSlide). Each rebuild is counted once on
 // qserved_slide_infeasible_total and once on
-// qserved_inference_rebuilds_total, and logged with the stream id.
+// qserved_inference_rebuilds_total, and logged with the stream id, and the
+// epoch after it runs rebased from the kept StEM average (30 + 150 StEM
+// iterations, weight 150, at the default EMIters of 300). The count is
+// the chain's: whether a slide's repair gives up depends on the latent
+// times the previous epochs left, so it moved from one to two when the
+// epoch after a rebuild stopped running cold.
 func TestInfeasibleSlideCounted(t *testing.T) {
 	const seed, frac, window, slides, slide = 6, 0.3, 300, 12, 10
 	srv := New(StreamConfig{}, WithInferenceWorkers(1))
@@ -125,13 +156,19 @@ func TestInfeasibleSlideCounted(t *testing.T) {
 	srv.SetLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
 	execPut(t, srv, "inf", StreamConfig{NumQueues: 8, WindowTasks: window, MinTasks: 20})
 	for i, body := range slideBodies(t, seed, frac, window, slides, slide) {
-		postAndCover(t, srv, "inf", body, uint64(window+i*slide))
+		before := srv.metrics.rebuilds.Value()
+		est := postAndCover(t, srv, "inf", body, uint64(window+i*slide))
+		if srv.metrics.rebuilds.Value() > before && (est.EMIters != 180 || est.EMWeight != 150) {
+			t.Errorf("body %d: epoch after a rebuild has em_iters %d, em_weight %v; want the rebased 180 and 150",
+				i, est.EMIters, est.EMWeight)
+		}
 	}
-	if got := srv.metrics.slideInfeasible.Value(); got != 1 {
-		t.Errorf("qserved_slide_infeasible_total = %d, want 1", got)
+	infeasible, rebuilds := srv.metrics.slideInfeasible.Value(), srv.metrics.rebuilds.Value()
+	if infeasible != 2 {
+		t.Errorf("qserved_slide_infeasible_total = %d, want 2", infeasible)
 	}
-	if got := srv.metrics.rebuilds.Value(); got != 1 {
-		t.Errorf("qserved_inference_rebuilds_total = %d, want 1", got)
+	if rebuilds != infeasible {
+		t.Errorf("qserved_inference_rebuilds_total = %d, want %d, one per infeasible slide", rebuilds, infeasible)
 	}
 	if s := logBuf.String(); !strings.Contains(s, "infeasible slide") || !strings.Contains(s, "stream=inf") {
 		t.Errorf("no infeasible-slide log line naming the stream in:\n%s", s)

@@ -299,7 +299,7 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 	}
 	// Anytime publication: once the epoch's own StEM phase has finalized
 	// its parameters (EMIters iterations on a cold epoch, fewer on a warm
-	// one), every visit republishes the (monotonically improving)
+	// or rebased one), every visit republishes the (monotonically improving)
 	// posterior snapshot. Before that point the previous epoch's estimate
 	// keeps serving — rates mid-StEM are a single noisy iterate, not an
 	// estimate.
@@ -320,9 +320,13 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 // common case appends only the tasks sealed since the last sync and
 // evicts what slid off — O(new + expired events). A stream that fell
 // further behind than one window, a poisoned window, or an infeasible
-// slide rebuilds cold (counted on qserved_inference_rebuilds_total; an
-// infeasible slide also on qserved_slide_infeasible_total). A rebuild
-// also drops the StEM average carried across epochs.
+// slide rebuilds the window from the store (counted on
+// qserved_inference_rebuilds_total; an infeasible slide also on
+// qserved_slide_infeasible_total). A rebuild drops the carried StEM sums
+// but keeps the last finished StEM average as the rates, so the next epoch
+// runs rebased, with a short burn-in. A rebuild mid-StEM, or over rates
+// that are not all finite and positive, drops the rates too, and the next
+// epoch runs cold (WarmEstimator.Reset).
 func (w *worker) syncWindow() error {
 	var t0 int64
 	if w.visitSpan != 0 {

@@ -30,8 +30,8 @@ go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|M
 # slide, mean-field solve, NDJSON decode, ingest, WAL append) and the
 # same-run timing ratios (fast ingest vs stdlib, Gibbs sweep vs window
 # sweep, slide cost flat in the window, mean-field vs the cold posterior),
-# and the warm-epoch accuracy contract (served rates against a long StEM
-# reference, within 1.15x the cold schedule's error).
+# and the accuracy contracts of the warm and rebased epochs (served rates
+# against a long StEM reference, within 1.15x the cold schedule's error).
 go test -count=1 -run 'Allocs|AllocFree|ZeroBytes|WorkScales|Speed|Accuracy' ./...
 
 # The kernel benchmarks (window sweep, slide, conditional draw) run once
