@@ -70,208 +70,113 @@ var (
 	errNDJSONNumber    = errors.New("NDJSON number out of range for its field")
 )
 
-// The fields of a WireEvent in the order AppendWireEvent writes them;
-// fieldUnknown stands for any other key.
-const (
-	fieldTask = iota
-	fieldState
-	fieldQueue
-	fieldArrival
-	fieldDepart
-	fieldObsArrival
-	fieldObsDepart
-	fieldFinal
-	fieldUnknown = -1
-)
-
-// canonicalKeys holds each field's key as a canonical line writes it: with
-// the byte before it and the colon after it. The keys from fieldObsArrival
-// on are written only when true.
-var canonicalKeys = [...]string{
-	fieldTask: `{"task":`, fieldState: `,"state":`, fieldQueue: `,"queue":`,
-	fieldArrival: `,"arrival":`, fieldDepart: `,"depart":`,
-	fieldObsArrival: `,"obs_arrival":`, fieldObsDepart: `,"obs_depart":`, fieldFinal: `,"final":`,
-}
-
-// errNDJSONSlowPath is how the member decoders say that only encoding/json
-// can decode the line; DecodeEventLine never returns it.
-var errNDJSONSlowPath = errors.New("NDJSON event needs encoding/json")
-
 // DecodeEventLine decodes one NDJSON line into ev, resetting ev first. It
 // accepts and rejects exactly as json.Unmarshal(line, &WireEvent{}) and
 // yields the same values; canonical lines are decoded with zero
 // allocations, others fall back to encoding/json. ev.Task aliases line on
 // the fast path (see RawEvent).
-//
-// A line that starts as AppendWireEvent writes one has its keys matched in
-// that order without being scanned; from the first key out of that order
-// on, the members are scanned one by one.
 func DecodeEventLine(line []byte, ev *RawEvent) error {
 	*ev = RawEvent{}
-	var i int
-	var err error
-	if hasKeyAt(line, 0, canonicalKeys[fieldTask]) {
-		i, err = decodeCanonicalMembers(line, ev)
-	} else {
-		i = skipJSONSpace(line, 0)
-		if i == len(line) {
+	i := skipJSONSpace(line, 0)
+	if i == len(line) {
+		return errNDJSONTruncated
+	}
+	switch line[i] {
+	case 'n':
+		// A top-level null leaves the target untouched, exactly like
+		// json.Unmarshal into a struct pointer.
+		return expectJSONTail(line, matchJSONLiteral(line, i, "null"))
+	case '{':
+	default:
+		// Unmarshal into a struct accepts only an object or null; every
+		// other top-level value (or malformed input) is rejected.
+		return errNDJSONType
+	}
+	i = skipJSONSpace(line, i+1)
+	if i < len(line) && line[i] == '}' {
+		return expectJSONTail(line, i+1)
+	}
+	for {
+		if i >= len(line) {
 			return errNDJSONTruncated
 		}
-		switch line[i] {
-		case 'n':
-			// A top-level null leaves the target untouched, exactly like
-			// json.Unmarshal into a struct pointer.
-			return expectJSONTail(line, matchJSONLiteral(line, i, "null"))
-		case '{':
-		default:
-			// Unmarshal into a struct accepts only an object or null; every
-			// other top-level value (or malformed input) is rejected.
-			return errNDJSONType
+		if line[i] != '"' {
+			return errNDJSONSyntax
+		}
+		key, j, simple := scanSimpleJSONString(line, i, false)
+		if !simple {
+			// Escaped, non-ASCII, or malformed key: let encoding/json
+			// decide (it also handles case-folded key matching).
+			return decodeEventStdlib(line, ev)
+		}
+		i = skipJSONSpace(line, j)
+		if i >= len(line) {
+			return errNDJSONTruncated
+		}
+		if line[i] != ':' {
+			return errNDJSONSyntax
 		}
 		i = skipJSONSpace(line, i+1)
-		if i < len(line) && line[i] == '}' {
-			return expectJSONTail(line, i+1)
+		if i >= len(line) {
+			return errNDJSONTruncated
 		}
-		i, err = decodeEventMember(line, i, ev)
-	}
-	// i is just past a member's value.
-	for err == nil {
+		if line[i] == 'n' {
+			// null is accepted for every field type and leaves the field
+			// untouched.
+			if i = matchJSONLiteral(line, i, "null"); i < 0 {
+				return errNDJSONSyntax
+			}
+		} else {
+			var err error
+			switch string(key) { // compiled to alloc-free comparisons
+			case "task":
+				if line[i] != '"' {
+					return errNDJSONType
+				}
+				s, j, simple := scanSimpleJSONString(line, i, true)
+				if !simple || !utf8.Valid(s) {
+					// Escapes need unquoting; invalid UTF-8 is coerced to
+					// U+FFFD by encoding/json. Both are slow-path cases.
+					return decodeEventStdlib(line, ev)
+				}
+				ev.Task = s
+				i = j
+			case "state":
+				ev.State, i, err = parseJSONInt(line, i)
+			case "queue":
+				ev.Queue, i, err = parseJSONInt(line, i)
+			case "arrival":
+				ev.Arrival, i, err = parseJSONFloat(line, i)
+			case "depart":
+				ev.Depart, i, err = parseJSONFloat(line, i)
+			case "obs_arrival":
+				ev.ObsArrival, i, err = parseJSONBool(line, i)
+			case "obs_depart":
+				ev.ObsDepart, i, err = parseJSONBool(line, i)
+			case "final":
+				ev.Final, i, err = parseJSONBool(line, i)
+			default:
+				// Unknown field: encoding/json skips its value whatever its
+				// shape, so the whole line goes to the slow path.
+				return decodeEventStdlib(line, ev)
+			}
+			if err != nil {
+				return err
+			}
+		}
 		i = skipJSONSpace(line, i)
 		if i >= len(line) {
 			return errNDJSONTruncated
 		}
 		switch line[i] {
 		case ',':
-			i, err = decodeEventMember(line, skipJSONSpace(line, i+1), ev)
+			i = skipJSONSpace(line, i+1)
 		case '}':
 			return expectJSONTail(line, i+1)
 		default:
 			return errNDJSONSyntax
 		}
 	}
-	if err == errNDJSONSlowPath {
-		return decodeEventStdlib(line, ev)
-	}
-	return err
-}
-
-// hasKeyAt reports whether line continues with key at i.
-func hasKeyAt(line []byte, i int, key string) bool {
-	return len(line)-i >= len(key) && string(line[i:i+len(key)]) == key
-}
-
-// decodeCanonicalMembers decodes the members at the start of line that
-// follow canonicalKeys, skipping absent optional keys, and returns the
-// index just past the last one's value.
-func decodeCanonicalMembers(line []byte, ev *RawEvent) (int, error) {
-	i := 0
-	for f, key := range canonicalKeys {
-		if !hasKeyAt(line, i, key) {
-			if f < fieldObsArrival {
-				break
-			}
-			continue
-		}
-		var err error
-		if i, err = decodeEventField(line, i+len(key), f, ev); err != nil {
-			return i, err
-		}
-	}
-	return i, nil
-}
-
-// decodeEventMember decodes the `"key": value` member at line[i] and
-// returns the index just past its value.
-func decodeEventMember(line []byte, i int, ev *RawEvent) (int, error) {
-	if i >= len(line) {
-		return i, errNDJSONTruncated
-	}
-	if line[i] != '"' {
-		return i, errNDJSONSyntax
-	}
-	key, j, simple := scanSimpleJSONString(line, i, false)
-	if !simple {
-		// Escaped, non-ASCII, or malformed key: let encoding/json decide
-		// (it also handles case-folded key matching).
-		return i, errNDJSONSlowPath
-	}
-	i = skipJSONSpace(line, j)
-	if i >= len(line) {
-		return i, errNDJSONTruncated
-	}
-	if line[i] != ':' {
-		return i, errNDJSONSyntax
-	}
-	f := fieldUnknown
-	switch string(key) { // compiled to alloc-free comparisons
-	case "task":
-		f = fieldTask
-	case "state":
-		f = fieldState
-	case "queue":
-		f = fieldQueue
-	case "arrival":
-		f = fieldArrival
-	case "depart":
-		f = fieldDepart
-	case "obs_arrival":
-		f = fieldObsArrival
-	case "obs_depart":
-		f = fieldObsDepart
-	case "final":
-		f = fieldFinal
-	}
-	return decodeEventField(line, skipJSONSpace(line, i+1), f, ev)
-}
-
-// decodeEventField decodes the value at line[i] into field f of ev and
-// returns the index just past it.
-func decodeEventField(line []byte, i, f int, ev *RawEvent) (int, error) {
-	if i >= len(line) {
-		return i, errNDJSONTruncated
-	}
-	if line[i] == 'n' {
-		// null is accepted for every field type and leaves the field
-		// untouched.
-		if i = matchJSONLiteral(line, i, "null"); i < 0 {
-			return i, errNDJSONSyntax
-		}
-		return i, nil
-	}
-	var err error
-	switch f {
-	case fieldTask:
-		if line[i] != '"' {
-			return i, errNDJSONType
-		}
-		s, j, simple := scanSimpleJSONString(line, i, true)
-		if !simple || !utf8.Valid(s) {
-			// Escapes need unquoting; invalid UTF-8 is coerced to U+FFFD
-			// by encoding/json. Both are slow-path cases.
-			return i, errNDJSONSlowPath
-		}
-		ev.Task = s
-		return j, nil
-	case fieldState:
-		ev.State, i, err = parseJSONInt(line, i)
-	case fieldQueue:
-		ev.Queue, i, err = parseJSONInt(line, i)
-	case fieldArrival:
-		ev.Arrival, i, err = parseJSONFloat(line, i)
-	case fieldDepart:
-		ev.Depart, i, err = parseJSONFloat(line, i)
-	case fieldObsArrival:
-		ev.ObsArrival, i, err = parseJSONBool(line, i)
-	case fieldObsDepart:
-		ev.ObsDepart, i, err = parseJSONBool(line, i)
-	case fieldFinal:
-		ev.Final, i, err = parseJSONBool(line, i)
-	default:
-		// Unknown field: encoding/json skips its value whatever its
-		// shape, so the whole line goes to the slow path.
-		return i, errNDJSONSlowPath
-	}
-	return i, err
 }
 
 // decodeEventStdlib is the slow path: a full encoding/json decode of the

@@ -54,6 +54,8 @@ var ndjsonSeedCorpus = []string{
 	`{"task":"x","queue":1,"arrival":-0,"depart":0.0}`,
 	`{"depart":4,"arrival":3,"queue":2,"state":1,"task":"reordered"}`,
 	`   {"task":"ws","queue":1,"arrival":0,"depart":1}   `,
+	`{"task": "t0", "state": 0, "queue": 1, "arrival": 0, "depart": 1.5}`,
+	`{"task":"a","state": 1,"queue":1}`,
 	"\t{\"task\":\"tabs\",\"queue\":1,\"arrival\":0,\"depart\":1}\r",
 	`{}`,
 	`{ }`,
