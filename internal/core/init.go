@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/lp"
 	"repro/internal/trace"
@@ -17,10 +18,49 @@ type Initializer interface {
 }
 
 // ---------------------------------------------------------------------------
-// Constraint graph shared by both initializers: MeanFieldScratch.buildGraph
-// (meanfield.go) builds it in CSR form. Node i is event i's departure d_i;
-// arrivals are their predecessors' departures (or the constant 0 for
-// initial events). Every edge u → v encodes d_u ≤ d_v.
+// The constraint graph. Node i is event i's departure d_i; arrivals are
+// their predecessors' departures (or the constant 0 for initial events).
+// Every edge u → v encodes d_u ≤ d_v, and every edge is read off the links
+// each trace.EventSet already carries:
+//
+//   - u → NextT(u): the task successor departs no earlier than it arrives;
+//   - u → NextQ(u): FIFO departure order;
+//   - u → PrevT(NextQ(NextT(u))): arrival order at the queue of u's task
+//     successor.
+//
+// There is no adjacency to build. succs and preds are the one definition
+// the mean-field setup, both initializers and the sliding window's repair
+// read, and feasPass is the one longest-path pass they run over it.
+
+// succs returns the successors of node u, trace.None in unused slots.
+// An edge may appear twice; every reader tolerates that.
+func succs(es *trace.EventSet, u int) [3]int {
+	e := &es.Events[u]
+	s := [3]int{e.NextT, e.NextQ, trace.None}
+	if e.NextT != trace.None {
+		if x := es.Events[e.NextT].NextQ; x != trace.None {
+			if v := es.Events[x].PrevT; v != u {
+				s[2] = v
+			}
+		}
+	}
+	return s
+}
+
+// preds returns the predecessors of node v, trace.None in unused slots:
+// succs read backward.
+func preds(es *trace.EventSet, v int) [3]int {
+	e := &es.Events[v]
+	p := [3]int{e.PrevT, e.PrevQ, trace.None}
+	if e.NextT != trace.None {
+		if x := es.Events[e.NextT].PrevQ; x != trace.None {
+			if u := es.Events[x].PrevT; u != v {
+				p[2] = u
+			}
+		}
+	}
+	return p
+}
 
 // pinnedDepart reports whether event i's departure is observation-fixed:
 // either the next event's arrival is observed, or i is final with an
@@ -33,6 +73,16 @@ func pinnedDepart(es *trace.EventSet, i int) bool {
 	return e.ObsDepart
 }
 
+// nodeDepart returns node i's departure as the graph reads it: the next
+// event's arrival, or a final event's own departure. For a pinned node it
+// is the observed value.
+func nodeDepart(es *trace.EventSet, i int) float64 {
+	if next := es.Events[i].NextT; next != trace.None {
+		return es.Arr[next]
+	}
+	return es.Dep[i]
+}
+
 // applyDeparture writes d as event i's departure, propagating to the next
 // event's arrival.
 func applyDeparture(es *trace.EventSet, i int, d float64) {
@@ -41,6 +91,212 @@ func applyDeparture(es *trace.EventSet, i int, d float64) {
 		es.SetArrival(e.NextT, d)
 	} else {
 		es.Dep[i] = d
+	}
+}
+
+// feasTol is how far an observed departure may sit below the bound its
+// predecessors set: raw event pairs may disagree by up to 1e-6 (the ingest
+// store's and the builder's tolerance), and every pass must accept any
+// state they accept.
+const feasTol = 1e-6
+
+// feasPass is one longest-path pass over the constraint graph, or over a
+// region of it: a topological order (order), the upper envelope of pinned
+// departures taken backward (envelope), and a forward pass that gives each
+// latent departure a value between its predecessors' maximum and that
+// envelope (settle). A node outside the region holds its current value.
+// Every value is a function of the node's graph neighbours alone, so the
+// result does not depend on which topological order Kahn picked.
+//
+// Nodes are addressed by their local index: the event index over the
+// whole graph, the position in the region list otherwise, so a region
+// pass costs O(region) whatever the event count. The buffers grow to the
+// largest pass seen and are reused in place.
+type feasPass struct {
+	indeg    []int32
+	stack    []int32
+	topo     []int32 // local indices in topological order
+	pinned   []bool
+	ub       []float64
+	assigned []float64
+
+	// region lists the events of a region pass (nil over the whole graph),
+	// and pos[v] is 1 + event v's position in it, 0 for any other event.
+	region []int32
+	pos    []int32
+}
+
+// local returns v's local index, or -1 when v is None or off the region.
+func (p *feasPass) local(v int) int {
+	switch {
+	case v == trace.None:
+		return -1
+	case p.region == nil:
+		return v
+	}
+	return int(p.pos[v]) - 1
+}
+
+// node returns the event of local index k.
+func (p *feasPass) node(k int) int {
+	if p.region == nil {
+		return k
+	}
+	return int(p.region[k])
+}
+
+// order puts the pass's nodes in topological order (Kahn, LIFO, seeded
+// in reverse so the first roots pop first) and records their pinned
+// flags. A nil region is every event; otherwise pos must map each listed
+// event to 1 + its position. It returns an error on a cyclic constraint
+// set (impossible for traces from a real FIFO execution).
+func (p *feasPass) order(es *trace.EventSet, region, pos []int32) error {
+	p.region, p.pos = region, pos
+	count := len(es.Events)
+	if region != nil {
+		count = len(region)
+	}
+	p.indeg = zeroI32(p.indeg, count)
+	p.pinned = resize(p.pinned, count)
+	for k := 0; k < count; k++ {
+		u := p.node(k)
+		p.pinned[k] = pinnedDepart(es, u)
+		for _, v := range succs(es, u) {
+			if l := p.local(v); l >= 0 {
+				p.indeg[l]++
+			}
+		}
+	}
+	p.topo = resize(p.topo, count)[:0]
+	p.stack = resize(p.stack, count)[:0]
+	for k := count - 1; k >= 0; k-- {
+		if p.indeg[k] == 0 {
+			p.stack = append(p.stack, int32(k))
+		}
+	}
+	for len(p.stack) > 0 {
+		k := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		p.topo = append(p.topo, k)
+		for _, v := range succs(es, p.node(int(k))) {
+			if l := p.local(v); l >= 0 {
+				if p.indeg[l]--; p.indeg[l] == 0 {
+					p.stack = append(p.stack, int32(l))
+				}
+			}
+		}
+	}
+	if len(p.topo) != count {
+		return fmt.Errorf("core: event constraint graph has a cycle (%d of %d ordered)", len(p.topo), count)
+	}
+	return nil
+}
+
+// envelope fills ub, backward over the order, with each node's upper
+// envelope: the earliest pinned departure at or after it, where a
+// successor outside the region counts as pinned where it stands.
+func (p *feasPass) envelope(es *trace.EventSet) {
+	p.ub = resize(p.ub, len(p.topo))
+	for t := len(p.topo) - 1; t >= 0; t-- {
+		k := int(p.topo[t])
+		u := p.node(k)
+		ub := math.Inf(1)
+		if p.pinned[k] {
+			ub = nodeDepart(es, u)
+		}
+		for _, v := range succs(es, u) {
+			if l := p.local(v); l >= 0 {
+				if p.ub[l] < ub {
+					ub = p.ub[l]
+				}
+			} else if v != trace.None {
+				if d := nodeDepart(es, v); d < ub {
+					ub = d
+				}
+			}
+		}
+		p.ub[k] = ub
+	}
+}
+
+// settle assigns every ordered node a departure, forward over the order,
+// from lo, the latest of its predecessors' departures (0 for none). A
+// pinned node keeps its observed departure, which may not lie more than
+// feasTol below lo. A latent node with rates given aims for lo plus its
+// queue's target service time 1/rates[q], capped by caps[q] and by half the
+// room up to its envelope (OrderInitializer's scheme); with rates nil it
+// keeps its current departure, clamped into [lo, envelope]. It needs
+// envelope first and writes nothing to es (apply does).
+func (p *feasPass) settle(es *trace.EventSet, rates, caps []float64) error {
+	p.assigned = resize(p.assigned, len(p.topo))
+	for _, k32 := range p.topo {
+		k := int(k32)
+		i := p.node(k)
+		lo := 0.0
+		for _, u := range preds(es, i) {
+			if l := p.local(u); l >= 0 {
+				if p.assigned[l] > lo {
+					lo = p.assigned[l]
+				}
+			} else if u != trace.None {
+				if d := nodeDepart(es, u); d > lo {
+					lo = d
+				}
+			}
+		}
+		ub := p.ub[k]
+		var d float64
+		switch {
+		case p.pinned[k]:
+			d = nodeDepart(es, i)
+			if d < lo-feasTol {
+				return fmt.Errorf("core: observed departure %v of event %d below feasible bound %v", d, i, lo)
+			}
+			d = math.Max(d, lo)
+		case rates == nil:
+			if lo > ub+feasTol {
+				return fmt.Errorf("core: infeasible bounds for event %d: lo=%v > ub=%v", i, lo, ub)
+			}
+			d = math.Max(math.Min(nodeDepart(es, i), ub), lo)
+		default:
+			q := es.Events[i].Queue
+			d = lo + math.Min(1/rates[q], caps[q])
+			if !math.IsInf(ub, 1) {
+				room := ub - lo
+				if room < 0 {
+					return fmt.Errorf("core: infeasible bounds for event %d: lo=%v > ub=%v", i, lo, ub)
+				}
+				if d > lo+room/2 {
+					d = lo + room/2
+				}
+			}
+		}
+		p.assigned[k] = d
+	}
+	return nil
+}
+
+// clamp runs the whole pass over a region, keeping each latent departure
+// where it is, clamped between its predecessors and its envelope, and
+// writes the result into es. On error es is untouched.
+func (p *feasPass) clamp(es *trace.EventSet, region, pos []int32) error {
+	if err := p.order(es, region, pos); err != nil {
+		return err
+	}
+	p.envelope(es)
+	if err := p.settle(es, nil, nil); err != nil {
+		return err
+	}
+	p.apply(es)
+	return nil
+}
+
+// apply writes every settled latent departure into es.
+func (p *feasPass) apply(es *trace.EventSet) {
+	for _, k32 := range p.topo {
+		if k := int(k32); !p.pinned[k] {
+			applyDeparture(es, p.node(k), p.assigned[k])
+		}
 	}
 }
 
@@ -75,7 +331,7 @@ func (OrderInitializer) Initialize(es *trace.EventSet, targetRates Params) error
 		return fmt.Errorf("core: %d target rates for %d queues", len(targetRates.Rates), es.NumQueues)
 	}
 	var sc MeanFieldScratch
-	if err := sc.buildGraph(es); err != nil {
+	if err := sc.order(es, nil, nil); err != nil {
 		return err
 	}
 	return sc.feasibleInit(es, targetRates.Rates)
@@ -114,8 +370,8 @@ func (ini LPInitializer) Initialize(es *trace.EventSet, targetRates Params) erro
 	if n > maxEvents {
 		return fmt.Errorf("core: LP initializer limited to %d events, trace has %d (use OrderInitializer)", maxEvents, n)
 	}
-	var g MeanFieldScratch
-	if err := g.buildGraph(es); err != nil {
+	var g feasPass
+	if err := g.order(es, nil, nil); err != nil {
 		return err
 	}
 	// Variables: d_i (n), t_i (n), u_i (n). d_i of pinned events are fixed
@@ -130,7 +386,7 @@ func (ini LPInitializer) Initialize(es *trace.EventSet, targetRates Params) erro
 	for i := 0; i < n; i++ {
 		e := &es.Events[i]
 		if g.pinned[i] {
-			p.AddEQ([]int{dVar(i)}, []float64{1}, observedDepart(es, i))
+			p.AddEQ([]int{dVar(i)}, []float64{1}, nodeDepart(es, i))
 		}
 		// t_i ≥ a_i: a_i is d_{π(i)} or the constant 0.
 		if e.PrevT != trace.None {

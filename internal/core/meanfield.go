@@ -46,10 +46,10 @@ type MeanFieldOptions struct {
 	// estimated from the observed data (per-queue mean pinned response
 	// times, λ from the observed entry span).
 	InitialParams *Params
-	// Scratch, when non-nil, donates the solver's reusable buffers
-	// (constraint graph, topological order, move lists, rate vectors) so a
-	// steady-state caller pays no per-solve allocations. The fix point is
-	// identical with or without a scratch.
+	// Scratch, when non-nil, donates the solver's reusable buffers (the
+	// feasibility pass's topological order and envelopes, move lists, rate
+	// vectors) so a steady-state caller pays no per-solve allocations. The
+	// fix point is identical with or without a scratch.
 	Scratch *MeanFieldScratch
 }
 
@@ -76,27 +76,16 @@ type MeanFieldStats struct {
 }
 
 // MeanFieldScratch is the reusable solver state, the mean-field analogue of
-// GibbsScratch: the CSR constraint graph, Kahn buffers, the feasibility
-// envelope, move lists, and rate vectors. All buffers grow to the largest
-// trace seen and are reused in place, so repeated solves perform no
-// steady-state allocations. A scratch serializes the solves built from it;
-// never share one between concurrent solves. The zero value is ready to use.
+// GibbsScratch: the feasibility pass over the constraint graph (its Kahn
+// order, pinned flags and envelopes; the graph itself is read off the
+// event links), the per-queue target caps, move lists, and rate vectors.
+// All buffers grow to the largest trace seen and are reused in place, so
+// repeated solves perform no steady-state allocations. A scratch
+// serializes the solves built from it; never share one between concurrent
+// solves. The zero value is ready to use.
 type MeanFieldScratch struct {
-	// Constraint graph in CSR form: outFlat[outOff[u]:outOff[u+1]] are the
-	// successors of node u (every edge u → v encodes d_u ≤ d_v).
-	outOff  []int32
-	outFlat []int32
-	indeg   []int32
-	cursor  []int32
-	stack   []int32
-	topo    []int32
-	pinned  []bool
-
-	// Feasible-construction buffers (see OrderInitializer for the scheme).
-	ub       []float64
-	lob      []float64
-	assigned []float64
-	caps     []float64
+	feasPass
+	caps []float64
 
 	// Deterministic coordinate-pass move lists.
 	moves latentMoves
@@ -107,27 +96,6 @@ type MeanFieldScratch struct {
 	prevRates []float64
 	respSum   []float64
 	respCnt   []int32
-}
-
-// resizeBools returns b with length n (contents unspecified), reusing its
-// backing array when capacity allows.
-func resizeBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	return b[:n]
-}
-
-// MeanFieldEstimate runs the fixed-point solve and returns freshly
-// allocated rate estimates and a posterior-shaped summary (the allocating
-// convenience over MeanFieldInto, as Posterior is over PosteriorInto).
-func MeanFieldEstimate(es *trace.EventSet, opts MeanFieldOptions) (Params, *PosteriorSummary, error) {
-	var sum PosteriorSummary
-	var params Params
-	if _, err := MeanFieldInto(&sum, &params, es, opts); err != nil {
-		return Params{}, nil, err
-	}
-	return params, &sum, nil
 }
 
 // MeanFieldInto is the zero-steady-state-allocation solve: it masks nothing
@@ -154,7 +122,7 @@ func MeanFieldInto(sum *PosteriorSummary, params *Params, es *trace.EventSet, op
 		return MeanFieldStats{}, fmt.Errorf("core: %d initial rates for %d queues", len(opts.InitialParams.Rates), nq)
 	}
 
-	if err := sc.buildGraph(es); err != nil {
+	if err := sc.order(es, nil, nil); err != nil {
 		return MeanFieldStats{}, err
 	}
 	sc.initialRates(es, opts.InitialParams)
@@ -230,98 +198,14 @@ func (ini MeanFieldInitializer) Initialize(es *trace.EventSet, targetRates Param
 }
 
 // ---------------------------------------------------------------------------
-// Constraint graph + feasible construction, allocation-free.
+// Feasible construction, allocation-free.
 //
-// The one builder of the difference-constraint graph, shared with
-// OrderInitializer and LPInitializer: CSR adjacency and grow-only buffers
-// are what let a reused scratch solve with zero steady-state allocations,
-// and the observation-only construction is what makes the fix point a
-// function of the observed data alone (incoming latent values are never
-// read).
-
-// graphEdges enumerates the difference-constraint edges of event i:
-// d_{π(i)} ≤ d_i (service after arrival), d_{ρ(i)} ≤ d_i (FIFO departure
-// order), and the arrival order d_{π(ρ(i))} ≤ d_{π(i)}.
-func graphEdges(es *trace.EventSet, i int, emit func(u, v int)) {
-	e := &es.Events[i]
-	if e.PrevT != trace.None {
-		emit(e.PrevT, i)
-	}
-	if e.PrevQ != trace.None {
-		if e.PrevQ != i {
-			emit(e.PrevQ, i)
-		}
-		pu := es.Events[e.PrevQ].PrevT
-		if pu != trace.None && e.PrevT != trace.None && pu != e.PrevT {
-			emit(pu, e.PrevT)
-		}
-	}
-}
-
-// buildGraph constructs the CSR constraint graph, its topological order,
-// and the pinned flags into the scratch, returning an error on a cyclic
-// constraint set (impossible for traces from a real FIFO execution).
-func (sc *MeanFieldScratch) buildGraph(es *trace.EventSet) error {
-	n := len(es.Events)
-	sc.outOff = resizeI32(sc.outOff, n+1)
-	sc.cursor = zeroI32(sc.cursor, n)
-	sc.indeg = zeroI32(sc.indeg, n)
-	sc.pinned = resizeBools(sc.pinned, n)
-	for i := 0; i < n; i++ {
-		sc.pinned[i] = pinnedDepart(es, i)
-		graphEdges(es, i, func(u, v int) {
-			sc.cursor[u]++
-			sc.indeg[v]++
-		})
-	}
-	sc.outOff[0] = 0
-	for i := 0; i < n; i++ {
-		sc.outOff[i+1] = sc.outOff[i] + sc.cursor[i]
-	}
-	sc.outFlat = resizeI32(sc.outFlat, int(sc.outOff[n]))
-	copy(sc.cursor, sc.outOff[:n])
-	for i := 0; i < n; i++ {
-		graphEdges(es, i, func(u, v int) {
-			sc.outFlat[sc.cursor[u]] = int32(v)
-			sc.cursor[u]++
-		})
-	}
-	// Kahn's algorithm (LIFO, seeded in reverse index order so low-indexed
-	// roots pop first); consumes indeg.
-	sc.topo = resizeI32(sc.topo, n)[:0]
-	sc.stack = resizeI32(sc.stack, n)[:0]
-	for i := n - 1; i >= 0; i-- {
-		if sc.indeg[i] == 0 {
-			sc.stack = append(sc.stack, int32(i))
-		}
-	}
-	for len(sc.stack) > 0 {
-		u := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		sc.topo = append(sc.topo, u)
-		for k := sc.outOff[u]; k < sc.outOff[u+1]; k++ {
-			v := sc.outFlat[k]
-			sc.indeg[v]--
-			if sc.indeg[v] == 0 {
-				sc.stack = append(sc.stack, v)
-			}
-		}
-	}
-	if len(sc.topo) != n {
-		return fmt.Errorf("core: event constraint graph has a cycle (%d of %d ordered)", len(sc.topo), n)
-	}
-	return nil
-}
-
-// observedDepart returns event i's observation-fixed departure value (only
-// meaningful when pinnedDepart holds): the next event's observed arrival,
-// or the final event's observed departure.
-func observedDepart(es *trace.EventSet, i int) float64 {
-	if next := es.Events[i].NextT; next != trace.None {
-		return es.Arr[next]
-	}
-	return es.Dep[i]
-}
+// The construction runs the one feasibility pass (feasPass, init.go) that
+// OrderInitializer, LPInitializer and the sliding window's repair share.
+// Grow-only buffers are what let a reused scratch solve with zero
+// steady-state allocations, and the observation-only construction is what
+// makes the fix point a function of the observed data alone (incoming
+// latent values are never read).
 
 // initialRates fills sc.rates with the starting rate vector: the caller's
 // initial params when given, else a deterministic allocation-free analogue
@@ -377,41 +261,21 @@ func (sc *MeanFieldScratch) initialRates(es *trace.EventSet, initial *Params) {
 // feasibleInit assigns every unobserved time a feasible value from the
 // observed data alone — OrderInitializer's scheme: topological assignment
 // toward the 1/rates[q] targets, capped by the per-queue compact scale and
-// half the slack to the pinned upper envelope. It needs buildGraph first.
-// Incoming latent values are never read, so the construction — and
+// half the slack to the pinned upper envelope. It needs
+// order(es, nil, nil) first. Incoming latent values are never read, so the construction — and
 // therefore the fix point — depends only on the observations and rates.
-// Every assignment is a function of the event's graph neighbours alone,
-// so the result does not depend on which topological order buildGraph
-// picked.
 func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet, rates []float64) error {
-	n := len(es.Events)
-	// Upper envelope: per event, the tightest pinned departure downstream.
-	sc.ub = resizeFloats(sc.ub, n)
-	for i := 0; i < n; i++ {
-		if sc.pinned[i] {
-			sc.ub[i] = observedDepart(es, i)
-		} else {
-			sc.ub[i] = math.Inf(1)
-		}
-	}
-	for t := n - 1; t >= 0; t-- {
-		u := sc.topo[t]
-		for k := sc.outOff[u]; k < sc.outOff[u+1]; k++ {
-			if v := sc.outFlat[k]; sc.ub[v] < sc.ub[u] {
-				sc.ub[u] = sc.ub[v]
-			}
-		}
-	}
+	sc.envelope(es)
 	// Per-queue compact scale: the latest pinned departure over the queue's
 	// event count bounds the per-event target, so the initial state stays
 	// within the observed horizon (see OrderInitializer).
 	var span float64
 	anyPinned := false
-	for i := 0; i < n; i++ {
+	for i := range es.Events {
 		if !sc.pinned[i] {
 			continue
 		}
-		if d := observedDepart(es, i); d > span {
+		if d := nodeDepart(es, i); d > span {
 			span = d
 		}
 		anyPinned = true
@@ -424,44 +288,10 @@ func (sc *MeanFieldScratch) feasibleInit(es *trace.EventSet, rates []float64) er
 		}
 		sc.caps[q] = span / float64(len(es.ByQueue[q]))
 	}
-	// Topological assignment with running lower bounds.
-	sc.lob = resizeFloats(sc.lob, n)
-	sc.assigned = resizeFloats(sc.assigned, n)
-	for _, i32 := range sc.topo {
-		i := int(i32)
-		e := &es.Events[i]
-		var d float64
-		if sc.pinned[i] {
-			d = observedDepart(es, i)
-			if d < sc.lob[i]-1e-6 {
-				return fmt.Errorf("core: observed departure %v of event %d below feasible bound %v", d, i, sc.lob[i])
-			}
-			d = math.Max(d, sc.lob[i])
-		} else {
-			target := math.Min(1/rates[e.Queue], sc.caps[e.Queue])
-			d = sc.lob[i] + target
-			if ub := sc.ub[i]; !math.IsInf(ub, 1) {
-				room := ub - sc.lob[i]
-				if room < 0 {
-					return fmt.Errorf("core: infeasible bounds for event %d: lo=%v > ub=%v", i, sc.lob[i], ub)
-				}
-				if d > sc.lob[i]+room/2 {
-					d = sc.lob[i] + room/2
-				}
-			}
-		}
-		sc.assigned[i] = d
-		for k := sc.outOff[i]; k < sc.outOff[i+1]; k++ {
-			if v := sc.outFlat[k]; d > sc.lob[v] {
-				sc.lob[v] = d
-			}
-		}
+	if err := sc.settle(es, rates, sc.caps); err != nil {
+		return err
 	}
-	for _, i32 := range sc.topo {
-		if i := int(i32); !sc.pinned[i] {
-			applyDeparture(es, i, sc.assigned[i])
-		}
-	}
+	sc.apply(es)
 	return es.Validate(1e-6)
 }
 

@@ -17,18 +17,20 @@ type GibbsScratch struct {
 	moves latentMoves
 }
 
-// resizeI32 returns b with length n (contents unspecified), reusing its
-// backing array when capacity allows.
-func resizeI32(b []int32, n int) []int32 {
+// resize returns b with length n (contents unspecified), reusing its
+// backing array when capacity allows and at least doubling it when not,
+// so a buffer sized by a varying count reallocates a logarithmic number
+// of times.
+func resize[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]int32, n)
+		return make([]T, n, max(n, 2*cap(b)))
 	}
 	return b[:n]
 }
 
 // zeroI32 returns b resized to n zeroed entries, reusing its backing array.
 func zeroI32(b []int32, n int) []int32 {
-	b = resizeI32(b, n)
+	b = resize(b, n)
 	clear(b)
 	return b
 }

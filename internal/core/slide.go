@@ -18,14 +18,19 @@ import (
 // The event storage mirrors trace.EventSet (the free resamplers of
 // gibbs.go run on it unchanged), but the per-queue FIFO chains are
 // maintained incrementally: events of an appended task are spliced into
-// each queue's arrival-ordered chain by a backward walk from the tail
-// (new tasks are recent, so the walk is short), evicted tasks are
-// unlinked from the head, and the dead prefix of the backing arrays is
-// reclaimed by an amortized compaction once it outgrows the live suffix.
-// A deterministic push-forward/pull-back repair pass restores FIFO
-// feasibility after a splice by adjusting only latent times; if a repair
-// would move an observed time, the slide fails and the caller falls back
-// to a cold rebuild.
+// each queue's chain by a backward walk from the tail (new tasks are
+// recent, so the walk is short), evicted tasks are unlinked from the head,
+// and the dead prefix of the backing arrays is reclaimed by an amortized
+// compaction once it outgrows the live suffix.
+//
+// A chain's order is declared at ingest and never changes: events sort by
+// their ingested arrival (the entry time at q0), ties by insertion. Sweeps
+// keep that order, since every latent move is truncated to its chain
+// neighbours. After a splice, the repair is the feasibility pass the
+// mean-field setup runs (feasPass, init.go) over the region the new task
+// can reach: it moves only latent times, and it fails only when the
+// observed times contradict the declared order. A failed append leaves
+// the window as it was.
 //
 // The continuation contract: after any sequence of slides, the sampler
 // state (chains, latent times, sweep parity) is exactly the
@@ -34,9 +39,10 @@ import (
 // sampler seeded from a clone of this state given the same RNG — see
 // TestIncrementalSlideBitIdentical and DESIGN.md §16.
 
-// ErrInfeasibleSlide reports that an incremental slide could not restore
-// FIFO feasibility without moving an observed time (or exceeded its repair
-// budget). The caller should rebuild the window cold.
+// ErrInfeasibleSlide reports that an appended task's observed times
+// contradict FIFO under the declared chain order, so no latent times can
+// make the window feasible. The append left the window unchanged; the
+// caller leaves the task out.
 var ErrInfeasibleSlide = errors.New("core: incremental slide infeasible")
 
 // SlideEvent is one observed event of a task entering the window, in task
@@ -61,9 +67,6 @@ type SlideTask struct {
 	Events   []SlideEvent
 }
 
-// repSetCount tracks how often one event's departure moved in a repair.
-type repSetCount struct{ idx, n int }
-
 // winTask records one task's contiguous event block.
 type winTask struct {
 	first int // index of the task's q0 event
@@ -75,9 +78,11 @@ type winTask struct {
 type SlidingWindow struct {
 	set trace.EventSet // Events/Arr/Dep storage; ByQueue/ByTask stay nil
 
-	// seq is the per-event insertion sequence number, the deterministic
-	// tie-break for equal chain keys: a fresh window built from the same
-	// tasks in the same order reproduces identical chains.
+	// key is each event's declared chain key, its ingested arrival (the
+	// entry time at q0), and seq its insertion sequence number, the
+	// deterministic tie-break for equal keys: a fresh window built from the
+	// same tasks in the same order reproduces identical chains.
+	key []float64
 	seq []uint64
 
 	tasks    []winTask
@@ -103,17 +108,15 @@ type SlidingWindow struct {
 
 	sweeps int // sweep parity (forward/backward alternation)
 
-	mc   moveCtx // the sweep's RNG and skip counter
-	work []int   // repair worklist (reused)
+	mc moveCtx // the sweep's RNG and skip counter
 
-	// repSets counts per-event setDep calls within one repair pass: a
-	// residual cross-queue ping-pong (push-forward vs pull-back fighting
-	// over one boundary) is cut off fast instead of burning the budget.
-	repSets     []repSetCount
-	inRepair    bool
-	repOverflow bool
+	// fp, region and pos are the repair's feasibility pass, the region it
+	// runs over and the events' positions in it (reused).
+	fp     feasPass
+	region []int32
+	pos    []int32
 
-	// opWork counts chain-walk steps and repair iterations of the last
+	// opWork counts chain-walk steps and repaired events of the last
 	// Append/EvictOldest — the O(new + expired) work gate measures it.
 	opWork int
 }
@@ -146,6 +149,7 @@ func (w *SlidingWindow) Reset() {
 	w.set.Arr = w.set.Arr[:0]
 	w.set.Dep = w.set.Dep[:0]
 	w.set.NumTasks = 0
+	w.key = w.key[:0]
 	w.seq = w.seq[:0]
 	w.tasks = w.tasks[:0]
 	w.taskHead, w.evHead = 0, 0
@@ -166,7 +170,7 @@ func (w *SlidingWindow) LiveTasks() int { return len(w.tasks) - w.taskHead }
 // LiveEvents returns the number of live events (including q0 events).
 func (w *SlidingWindow) LiveEvents() int { return len(w.set.Events) - w.evHead }
 
-// LastOpWork returns the chain-walk steps plus repair iterations of the
+// LastOpWork returns the chain-walk steps plus repaired events of the
 // most recent Append or EvictOldest — the slide's work, which must scale
 // with the delta, not the window.
 func (w *SlidingWindow) LastOpWork() int { return w.opWork }
@@ -186,20 +190,11 @@ func (w *SlidingWindow) svcWait(i int) (svc, wait float64) {
 	return w.set.Dep[i] - start, start - w.set.Arr[i]
 }
 
-// chainKey is the queue-chain sort key: arrival time, except at q0 where
-// every arrival is 0 and the departure (= task entry) orders the chain.
-func (w *SlidingWindow) chainKey(i int) float64 {
-	if w.set.Events[i].Queue == 0 {
-		return w.set.Dep[i]
-	}
-	return w.set.Arr[i]
-}
-
-// chainGreater reports whether a sorts after b in their queue's chain.
+// chainGreater reports whether a sorts after b in their queue's declared
+// chain order.
 func (w *SlidingWindow) chainGreater(a, b int) bool {
-	ka, kb := w.chainKey(a), w.chainKey(b)
-	if ka != kb {
-		return ka > kb
+	if w.key[a] != w.key[b] {
+		return w.key[a] > w.key[b]
 	}
 	return w.seq[a] > w.seq[b]
 }
@@ -250,7 +245,7 @@ func (w *SlidingWindow) unlink(i int) {
 }
 
 // insertEvent splices event i into its queue's chain at the position its
-// (key, seq) pair selects, walking backward from the tail.
+// declared (key, seq) pair selects, walking backward from the tail.
 func (w *SlidingWindow) insertEvent(i int) {
 	q := w.set.Events[i].Queue
 	prev := w.qTail[q]
@@ -262,11 +257,11 @@ func (w *SlidingWindow) insertEvent(i int) {
 }
 
 // Append slides one sealed task into the window: its events are appended
-// to the backing arrays, spliced into the queue chains with their raw
-// times as the latent seed, and the repair pass restores FIFO feasibility
-// against the retained (latent) state. On ErrInfeasibleSlide the window
-// must be rebuilt cold (Reset + re-Append) — its state may hold a
-// partially repaired splice.
+// to the backing arrays, spliced into the queue chains at their declared
+// keys with their raw times as the latent seed, and repair restores FIFO
+// feasibility against the retained (latent) state. Append is
+// all-or-nothing: on ErrInfeasibleSlide the task is unlinked and dropped,
+// and the window is exactly as it was before the call.
 func (w *SlidingWindow) Append(t SlideTask) error {
 	w.opWork = 0
 	nq := w.set.NumQueues
@@ -296,6 +291,7 @@ func (w *SlidingWindow) Append(t SlideTask) error {
 	})
 	w.set.Arr = append(w.set.Arr, 0)
 	w.set.Dep = append(w.set.Dep, t.Entry)
+	w.key = append(w.key, t.Entry)
 	w.nextSeq++
 	w.seq = append(w.seq, w.nextSeq)
 
@@ -313,6 +309,7 @@ func (w *SlidingWindow) Append(t SlideTask) error {
 		})
 		w.set.Arr = append(w.set.Arr, ev.Arr)
 		w.set.Dep = append(w.set.Dep, ev.Dep)
+		w.key = append(w.key, ev.Arr)
 		w.nextSeq++
 		w.seq = append(w.seq, w.nextSeq)
 	}
@@ -320,19 +317,112 @@ func (w *SlidingWindow) Append(t SlideTask) error {
 	w.tasks = append(w.tasks, winTask{first: base, n: n})
 	w.set.NumTasks++
 
-	// Splice, then repair: each new event plus its queue successor can
-	// carry a violated constraint.
-	w.work = w.work[:0]
 	for idx := base; idx < base+n; idx++ {
 		w.insertEvent(idx)
 	}
-	for idx := base; idx < base+n; idx++ {
-		w.work = append(w.work, idx)
-		if s := w.set.Events[idx].NextQ; s != trace.None {
-			w.work = append(w.work, s)
+	if err := w.settleTask(base); err != nil {
+		w.drop(base)
+		return err
+	}
+	return nil
+}
+
+// drop unlinks and discards the task appended at event base, the last
+// one: the window returns to its state before that Append.
+func (w *SlidingWindow) drop(base int) {
+	for i := base; i < len(w.set.Events); i++ {
+		w.unlink(i)
+	}
+	w.nextSeq -= uint64(len(w.set.Events) - base)
+	w.set.Events = w.set.Events[:base]
+	w.set.Arr = w.set.Arr[:base]
+	w.set.Dep = w.set.Dep[:base]
+	w.key = w.key[:base]
+	w.seq = w.seq[:base]
+	w.tasks = w.tasks[:len(w.tasks)-1]
+	w.set.NumTasks--
+	w.taskSeq--
+}
+
+// settleTask restores feasibility after the task whose events start at base
+// was spliced in. When every constraint edge touching a new event holds —
+// every fill and most slides — there is nothing to do. Otherwise it runs
+// the feasibility pass over the region the new task can reach: per queue,
+// the chain suffix that departs at or after t0, the earliest departure
+// among the new events and their graph neighbours. Departures along a
+// feasible chain are sorted, and any feasible state can be reached
+// without moving a departure before t0, so the region is enough and every
+// event outside it holds its value. The pass keeps each latent departure
+// where it is, clamped between its predecessors and the pinned envelope;
+// it fails only when the observed times contradict the declared order.
+func (w *SlidingWindow) settleTask(base int) error {
+	es := &w.set
+	if w.taskHolds(base) {
+		return nil
+	}
+	t0 := math.Inf(1)
+	for i := base; i < len(es.Events); i++ {
+		t0 = min(t0, nodeDepart(es, i))
+		for _, u := range preds(es, i) {
+			if u != trace.None {
+				t0 = min(t0, nodeDepart(es, u))
+			}
+		}
+		for _, v := range succs(es, i) {
+			if v != trace.None {
+				t0 = min(t0, nodeDepart(es, v))
+			}
 		}
 	}
-	return w.repair(256 + 64*n)
+
+	// pos maps each region event to 1 + its position in the region; it
+	// grows with the event arrays and is all zero between passes.
+	if n := len(es.Events); len(w.pos) < n {
+		w.pos = append(w.pos, make([]int32, n-len(w.pos))...)
+	}
+	w.region = w.region[:0]
+	for q := range w.qTail {
+		for i := w.qTail[q]; i != trace.None && (i >= base || nodeDepart(es, i) >= t0); i = es.Events[i].PrevQ {
+			w.region = append(w.region, int32(i))
+			w.pos[i] = int32(len(w.region))
+		}
+	}
+	w.opWork += len(w.region)
+	err := w.fp.clamp(es, w.region, w.pos)
+	for _, i := range w.region {
+		w.pos[i] = 0
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInfeasibleSlide, err)
+	}
+	w.sumsValid = false
+	return nil
+}
+
+// taskHolds reports whether every constraint edge touching a new event
+// (at or after base) holds. These are the edges of succs and preds, read
+// through each new event's chain neighbours, which needs no link chase:
+// its arrival before its departure (the edge from its task predecessor),
+// and departure and arrival order against the events before and after it
+// in its queue (the FIFO edges, and the arrival-order edges between their
+// task predecessors). An edge between two new events is checked once,
+// from the later one.
+func (w *SlidingWindow) taskHolds(base int) bool {
+	es := &w.set
+	for x := base; x < len(es.Events); x++ {
+		e := &es.Events[x]
+		a, d := es.Arr[x], nodeDepart(es, x)
+		if a > d {
+			return false
+		}
+		if p := e.PrevQ; p != trace.None && (es.Arr[p] > a || nodeDepart(es, p) > d) {
+			return false
+		}
+		if n := e.NextQ; n != trace.None && n < base && (a > es.Arr[n] || d > nodeDepart(es, n)) {
+			return false
+		}
+	}
+	return true
 }
 
 // EvictOldest slides the oldest task out of the window. Eviction only
@@ -368,10 +458,12 @@ func (w *SlidingWindow) compact() {
 	copy(w.set.Events, w.set.Events[off:])
 	copy(w.set.Arr, w.set.Arr[off:])
 	copy(w.set.Dep, w.set.Dep[off:])
+	copy(w.key, w.key[off:])
 	copy(w.seq, w.seq[off:])
 	w.set.Events = w.set.Events[:live]
 	w.set.Arr = w.set.Arr[:live]
 	w.set.Dep = w.set.Dep[:live]
+	w.key = w.key[:live]
 	w.seq = w.seq[:live]
 	for i := range w.set.Events {
 		e := &w.set.Events[i]
@@ -405,221 +497,6 @@ func (w *SlidingWindow) compact() {
 	w.taskHead = 0
 	w.evHead = 0
 	w.movesValid = false
-}
-
-// depLatent reports whether event i's departure is free to move: a final
-// event's unobserved departure, or a non-final event whose task
-// successor's arrival (the same number) is unobserved.
-func (w *SlidingWindow) depLatent(i int) bool { return !pinnedDepart(&w.set, i) }
-
-// setDep writes event i's departure through the coupled-storage rules
-// (SetArrival on the task successor, or SetFinalDepart).
-func (w *SlidingWindow) setDep(i int, t float64) {
-	if w.inRepair {
-		w.noteRepSet(i)
-	}
-	if s := w.set.Events[i].NextT; s == trace.None {
-		w.set.SetFinalDepart(i, t)
-	} else {
-		w.set.SetArrival(s, t)
-	}
-	w.sumsValid = false
-}
-
-// misplaced reports whether event i violates its chain's (key, seq)
-// order against either neighbor.
-func (w *SlidingWindow) misplaced(i int) bool {
-	e := &w.set.Events[i]
-	if p := e.PrevQ; p != trace.None && w.chainGreater(p, i) {
-		return true
-	}
-	if n := e.NextQ; n != trace.None && w.chainGreater(i, n) {
-		return true
-	}
-	return false
-}
-
-// pushWork queues i for a repair check.
-func (w *SlidingWindow) pushWork(i int) {
-	if i != trace.None {
-		w.work = append(w.work, i)
-	}
-}
-
-// repairTol matches the ingest store's time tolerance: raw event pairs
-// may disagree by up to 1e-6, and the repair pass must accept any state
-// the store accepts (the resamplers skip degenerate intervals anyway).
-const repairTol = 1e-6
-
-// noteRepSet counts a repair-pass departure move of event i; more than 8
-// moves of one event flag an oscillation.
-func (w *SlidingWindow) noteRepSet(i int) {
-	for k := range w.repSets {
-		if w.repSets[k].idx == i {
-			w.repSets[k].n++
-			if w.repSets[k].n > 8 {
-				w.repOverflow = true
-			}
-			return
-		}
-	}
-	w.repSets = append(w.repSets, repSetCount{i, 1})
-}
-
-// repair drains the feasibility worklist until every queued event is in
-// chain (key, seq) order with non-negative service. FIFO feasibility per
-// queue is exactly "departures non-decreasing in arrival order", and only
-// latent times may move, so each violation is classified by its driving
-// term: a latent predecessor departure is pulled back, a latent own
-// departure is pushed forward (but never past a pinned successor
-// departure), a latent own arrival is pulled back, and two *pinned*
-// departures that cross are reordered by moving a latent arrival so
-// service order matches departure order (sweeps drift tail arrivals
-// forward without knowing the future; an appended observed task exposes
-// that). A violation pinned on every side fails with ErrInfeasibleSlide,
-// as does exceeding the budget.
-func (w *SlidingWindow) repair(budget int) error {
-	w.repSets = w.repSets[:0]
-	w.inRepair, w.repOverflow = true, false
-	defer func() { w.inRepair = false }()
-	for len(w.work) > 0 {
-		if budget--; budget < 0 {
-			return fmt.Errorf("%w: repair budget exhausted", ErrInfeasibleSlide)
-		}
-		if w.repOverflow {
-			return fmt.Errorf("%w: repair oscillation detected", ErrInfeasibleSlide)
-		}
-		w.opWork++
-		i := w.work[len(w.work)-1]
-		w.work = w.work[:len(w.work)-1]
-		e := &w.set.Events[i]
-
-		if e.PrevQ == trace.None && e.NextQ == trace.None && w.qHead[e.Queue] != i {
-			continue // unlinked (stale entry)
-		}
-		if w.misplaced(i) {
-			oldPrev, oldNext := e.PrevQ, e.NextQ
-			w.unlink(i)
-			w.insertEvent(i)
-			w.pushWork(oldNext)
-			w.pushWork(oldPrev)
-			w.pushWork(w.set.Events[i].NextQ)
-			w.pushWork(i)
-			continue
-		}
-		start := w.set.ServiceStart(i)
-		if w.set.Dep[i] >= start-repairTol {
-			continue
-		}
-		// Service negative: departure earlier than the service start.
-		if p := e.PrevQ; p != trace.None && w.set.Dep[p] > w.set.Dep[i] {
-			// Driving term: the predecessor's departure.
-			if w.depLatent(p) {
-				w.setDep(p, w.set.Dep[i])
-				w.pushWork(p)
-				w.pushWork(i)
-				if s := w.set.Events[p].NextT; s != trace.None {
-					w.pushWork(s)
-				}
-				continue
-			}
-			// Predecessor departure pinned.
-			if w.depLatent(i) {
-				// Push the own latent departure forward — unless a pinned
-				// successor departure caps it below the start (pinned
-				// departures crossing around i): then the chain must
-				// reorder instead.
-				s := e.NextQ
-				if s != trace.None && w.set.Dep[s] < start && !w.depLatent(s) && w.set.Dep[p] > w.set.Dep[s] {
-					if !w.reorderPinned(p, s) {
-						return fmt.Errorf("%w: pinned departures cross at events %d,%d (queue %d)",
-							ErrInfeasibleSlide, p, s, e.Queue)
-					}
-					w.pushWork(p)
-					w.pushWork(s)
-					w.pushWork(i)
-					continue
-				}
-				w.pushForward(i, start)
-				continue
-			}
-			// Both departures pinned: reorder i before p.
-			if !w.reorderPinned(p, i) {
-				return fmt.Errorf("%w: pinned departures cross at events %d,%d (queue %d)",
-					ErrInfeasibleSlide, p, i, e.Queue)
-			}
-			w.pushWork(p)
-			w.pushWork(i)
-			continue
-		}
-		// Driving term: the own arrival exceeds the departure. Prefer
-		// raising the latent departure (purely local) — unless a pinned
-		// successor departure caps it below the start, in which case the
-		// arrival must come back (or, with the arrival pinned too, the
-		// successor must re-sort first: its own arrival necessarily
-		// violates arr <= dep or the chain order once visited).
-		s := e.NextQ
-		capped := s != trace.None && !w.depLatent(s) && w.set.Dep[s] < start
-		switch {
-		case w.depLatent(i) && !capped:
-			w.pushForward(i, start)
-		case e.PrevT != trace.None && !e.ObsArrival:
-			w.setDep(e.PrevT, w.set.Dep[i]) // pull the arrival back
-			w.pushWork(e.PrevT)
-			w.pushWork(i)
-		case capped:
-			w.pushWork(i)
-			w.pushWork(s)
-		default:
-			return fmt.Errorf("%w: event %d (queue %d) service %v < 0 with observed bounds",
-				ErrInfeasibleSlide, i, e.Queue, w.set.Dep[i]-start)
-		}
-		continue
-	}
-	return nil
-}
-
-// pushForward moves event i's latent departure up to its service start and
-// queues the affected neighborhood.
-func (w *SlidingWindow) pushForward(i int, start float64) {
-	e := &w.set.Events[i]
-	w.setDep(i, start)
-	w.pushWork(i)
-	w.pushWork(e.NextQ)
-	if s := e.NextT; s != trace.None {
-		w.pushWork(s) // its arrival moved: order + service
-	} else if e.Queue == 0 {
-		w.pushWork(i) // q0 key is the departure
-	}
-}
-
-// reorderPinned resolves two crossed pinned departures — a before b in
-// chain order but Dep[a] > Dep[b] — by moving one latent arrival so b
-// serves first: a's arrival forward past b's key, or b's arrival back
-// below a's. Reports whether a move was possible; the caller re-queues
-// both events (the moved one re-sorts via the misplaced check).
-func (w *SlidingWindow) reorderPinned(a, b int) bool {
-	ea, eb := &w.set.Events[a], &w.set.Events[b]
-	if ea.PrevT != trace.None && !ea.ObsArrival && w.set.Dep[b] > w.chainKey(b) {
-		// arr[a] = Dep[b]: sorts a strictly after b, and Dep[a] > Dep[b]
-		// keeps a's own service non-negative.
-		w.setDep(ea.PrevT, w.set.Dep[b])
-		w.pushWork(ea.PrevT)
-		return true
-	}
-	if eb.PrevT != trace.None && !eb.ObsArrival {
-		target := math.Min(w.set.Dep[b], w.chainKey(a))
-		if target == w.chainKey(a) && w.seq[b] > w.seq[a] {
-			// Equal keys order by insertion seq; force a strict win.
-			target = math.Nextafter(target, math.Inf(-1))
-		}
-		if target >= 0 {
-			w.setDep(eb.PrevT, target)
-			w.pushWork(eb.PrevT)
-			return true
-		}
-	}
-	return false
 }
 
 // Sweep runs one full Gibbs sweep over the live window in chain order:
@@ -723,12 +600,21 @@ func (w *SlidingWindow) QueueMeansInto(svc, wait []float64) {
 	}
 }
 
-// CheckInvariants verifies the full window state: chain mirroring and
-// order, task links, coupled times, non-negative service, and counts.
+// CheckInvariants verifies the full window state: chain mirroring, the
+// declared chain order and the latent arrival order it implies, task
+// links, coupled times, non-negative service, and counts.
 // Test/debug gate — O(window).
 func (w *SlidingWindow) CheckInvariants(tol float64) error {
 	es := &w.set
 	nq := es.NumQueues
+	// latent is the chain's latent order key: the arrival, or at q0, where
+	// every arrival is 0, the entry.
+	latent := func(i int) float64 {
+		if es.Events[i].Queue == 0 {
+			return es.Dep[i]
+		}
+		return es.Arr[i]
+	}
 	seen := 0
 	for q := 0; q < nq; q++ {
 		prev := trace.None
@@ -741,9 +627,13 @@ func (w *SlidingWindow) CheckInvariants(tol float64) error {
 			if e.PrevQ != prev {
 				return fmt.Errorf("core: event %d PrevQ %d, want %d", i, e.PrevQ, prev)
 			}
-			if prev != trace.None && w.chainKey(prev) > w.chainKey(i) {
-				return fmt.Errorf("core: queue %d chain key order violated at %d (%v > %v)",
-					q, i, w.chainKey(prev), w.chainKey(i))
+			if prev != trace.None && w.chainGreater(prev, i) {
+				return fmt.Errorf("core: queue %d declared order violated at %d (key %v after %v)",
+					q, i, w.key[i], w.key[prev])
+			}
+			if prev != trace.None && latent(prev) > latent(i) {
+				return fmt.Errorf("core: queue %d latent arrival order violated at %d (%v > %v)",
+					q, i, latent(prev), latent(i))
 			}
 			if svc, _ := w.svcWait(i); svc < -tol {
 				return fmt.Errorf("core: event %d service %v < 0", i, svc)
@@ -804,6 +694,7 @@ func (w *SlidingWindow) Clone() *SlidingWindow {
 	c.set.Arr = append(c.set.Arr, w.set.Arr...)
 	c.set.Dep = append(c.set.Dep, w.set.Dep...)
 	c.set.NumTasks = w.set.NumTasks
+	c.key = append(c.key, w.key...)
 	c.seq = append(c.seq, w.seq...)
 	c.tasks = append(c.tasks, w.tasks...)
 	c.taskHead, c.evHead = w.taskHead, w.evHead

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -227,42 +228,61 @@ func TestSlideMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestSlideStressInvariants interleaves slides and sweeps over a
-// partially observed stream and checks the full invariant set as it goes:
-// repairs may never fail on feasible data, and every latent move stays
-// inside FIFO.
+// TestSlideStressInvariants interleaves slides and sweeps over partially
+// observed tandem streams, 10⁴ slides in all: at 10, 30 and 50% observed,
+// with 1- and 10-task slides and a few sweeps between them. Every task is
+// cut from one FIFO simulation, so no append may fail, and every few
+// slides the full invariant set must hold: chains in their declared
+// order, every latent move inside FIFO.
 func TestSlideStressInvariants(t *testing.T) {
-	const nq, total, keep = 4, 400, 60
-	gen := newSlideGen(99, nq, 2.0, 2.5, 0.5)
-	rng := xrand.New(5)
-	rates := []float64{2, 2.5, 5, 7.5}
-
-	w := NewSlidingWindow(nq)
-	for i := 0; i < total; i++ {
-		if err := w.Append(gen.next()); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		for w.LiveTasks() > keep {
-			w.EvictOldest()
-		}
-		if i%7 == 0 {
-			w.Sweep(rates, rng)
-			w.Sweep(rates, rng)
-		}
-		if i%13 == 0 {
-			w.MLERatesInto(rates)
-		}
-		if i%11 == 0 {
-			if err := w.CheckInvariants(1e-7); err != nil {
-				t.Fatalf("after %d slides: %v", i, err)
+	const nq, keep = 4, 100
+	total := 0
+	for _, tc := range []struct {
+		frac                  float64
+		slide, sweeps, slides int
+	}{
+		{0.1, 1, 5, 1700}, {0.3, 1, 5, 1700}, {0.5, 1, 5, 1700},
+		{0.1, 10, 5, 1700}, {0.3, 10, 5, 1700}, {0.5, 10, 5, 1700},
+	} {
+		total += tc.slides
+		t.Run(fmt.Sprintf("obs%.0f%%/slide%d", 100*tc.frac, tc.slide), func(t *testing.T) {
+			gen := newSlideGen(uint64(100*tc.frac)+uint64(tc.slide), nq, 2.0, 2.5, tc.frac)
+			rng := xrand.New(5)
+			rates := []float64{2, 2.5, 5, 7.5}
+			w := NewSlidingWindow(nq)
+			for i := 0; i < keep; i++ {
+				if err := w.Append(gen.next()); err != nil {
+					t.Fatalf("fill %d: %v", i, err)
+				}
 			}
-		}
+			for s := 0; s < tc.slides; s++ {
+				for k := 0; k < tc.slide; k++ {
+					if err := w.Append(gen.next()); err != nil {
+						t.Fatalf("slide %d: %v", s, err)
+					}
+				}
+				for w.LiveTasks() > keep {
+					w.EvictOldest()
+				}
+				for k := 0; k < tc.sweeps; k++ {
+					w.Sweep(rates, rng)
+				}
+				if s%13 == 0 {
+					w.MLERatesInto(rates)
+				}
+				if s%50 == 0 {
+					if err := w.CheckInvariants(1e-7); err != nil {
+						t.Fatalf("after %d slides: %v", s, err)
+					}
+				}
+			}
+			if err := w.CheckInvariants(1e-7); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if err := w.CheckInvariants(1e-7); err != nil {
-		t.Fatal(err)
-	}
-	if w.LiveTasks() != keep {
-		t.Fatalf("live tasks %d, want %d", w.LiveTasks(), keep)
+	if total < 10000 {
+		t.Fatalf("%d slides in all, want at least 10⁴", total)
 	}
 }
 
@@ -397,33 +417,60 @@ func TestIncrementalSlideBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSlideInfeasibleObserved: contradictory observed times must surface
-// ErrInfeasibleSlide (the cold-rebuild signal), not a silent bad state.
+// TestSlideInfeasibleObserved: a task whose observed times contradict FIFO
+// under the declared chain order surfaces ErrInfeasibleSlide, not a silent
+// bad state, and the rejected append leaves the window exactly as it was,
+// so the next append goes on from there. One case crosses two observed
+// departures at one queue; the other appends a task cut from another
+// simulation, whose early entry sorts it before tasks it cannot precede.
 func TestSlideInfeasibleObserved(t *testing.T) {
-	w := NewSlidingWindow(2)
-	if err := w.Append(SlideTask{Entry: 0, EntryObs: true, Events: []SlideEvent{
-		{Queue: 1, State: trace.None, Arr: 0, Dep: 10, ObsArr: true, ObsDep: true},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	err := w.Append(SlideTask{Entry: 1, EntryObs: true, Events: []SlideEvent{
-		{Queue: 1, State: trace.None, Arr: 1, Dep: 5, ObsArr: true, ObsDep: true},
-	}})
-	if !errors.Is(err, ErrInfeasibleSlide) {
-		t.Fatalf("want ErrInfeasibleSlide, got %v", err)
-	}
-	// The documented recovery: Reset and rebuild cold.
-	w.Reset()
-	if w.LiveTasks() != 0 || w.LiveEvents() != 0 {
-		t.Fatalf("reset left %d tasks / %d events", w.LiveTasks(), w.LiveEvents())
-	}
-	if err := w.Append(SlideTask{Entry: 2, EntryObs: true, Events: []SlideEvent{
-		{Queue: 1, State: trace.None, Arr: 2, Dep: 3, ObsArr: true, ObsDep: true},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.CheckInvariants(1e-9); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		nq          int
+		window      []SlideTask
+		spoil, next SlideTask
+	}{
+		{"crossedDepartures", 2,
+			[]SlideTask{{Entry: 0, EntryObs: true, Events: []SlideEvent{
+				{Queue: 1, State: trace.None, Arr: 0, Dep: 10, ObsArr: true, ObsDep: true},
+			}}},
+			SlideTask{Entry: 1, EntryObs: true, Events: []SlideEvent{
+				{Queue: 1, State: trace.None, Arr: 1, Dep: 5, ObsArr: true, ObsDep: true},
+			}},
+			SlideTask{Entry: 2, EntryObs: true, Events: []SlideEvent{
+				{Queue: 1, State: trace.None, Arr: 2, Dep: 13, ObsArr: true, ObsDep: true},
+			}},
+		},
+		{"otherSimulation", 3,
+			newSlideGen(47, 3, 2.0, 3.0, 0.5).take(62),
+			newSlideGen(48, 3, 2.0, 3.0, 0.5).take(1)[0],
+			newSlideGen(47, 3, 2.0, 3.0, 0.5).take(63)[62],
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewSlidingWindow(tc.nq)
+			appendAll(t, w, tc.window)
+			before := chainDump(w)
+			ref := w.Clone()
+			if err := w.Append(tc.spoil); !errors.Is(err, ErrInfeasibleSlide) {
+				t.Fatalf("want ErrInfeasibleSlide, got %v", err)
+			}
+			if err := w.CheckInvariants(1e-9); err != nil {
+				t.Fatal(err)
+			}
+			if got := chainDump(w); !slices.Equal(got, before) || w.LiveTasks() != len(tc.window) {
+				t.Fatalf("rejected append changed the window: %d tasks, chains equal %v", w.LiveTasks(), slices.Equal(got, before))
+			}
+			// The next append lands as it would have without the rejected one.
+			appendAll(t, w, []SlideTask{tc.next})
+			appendAll(t, ref, []SlideTask{tc.next})
+			if err := w.CheckInvariants(1e-9); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(chainDump(w), chainDump(ref)) {
+				t.Fatal("append after a rejected one differs from the same append without it")
+			}
+		})
 	}
 }
 
@@ -459,6 +506,64 @@ func TestSlideRepairMovesLatents(t *testing.T) {
 	}
 	if dep0 > 5 {
 		t.Fatalf("latent departure not pulled back: %v", dep0)
+	}
+}
+
+// TestSlideRepairReadsEveryEdge: an append that violates only one kind of
+// constraint edge is repaired by moving a latent time. In mergeArrivalOrder
+// two paths meet at queue 3, and the only broken edge is arrival order
+// there: task A's latent arrival drifted past task B's observed one, which
+// no FIFO edge sees, since A and B share no other queue. In
+// insertBeforeOlder a late-sealed task sorts before an older one, and the
+// only broken edge is FIFO into that older task's latent departure.
+func TestSlideRepairReadsEveryEdge(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		a, b   SlideTask
+		drift  func(w *SlidingWindow) // moves A's latent state before B
+		latent func(w *SlidingWindow) float64
+		want   float64
+	}{
+		{"mergeArrivalOrder",
+			SlideTask{Entry: 0, EntryObs: true, Events: []SlideEvent{
+				{Queue: 1, State: trace.None, Arr: 0, Dep: 5, ObsArr: true},
+				{Queue: 3, State: trace.None, Arr: 5, Dep: 20, ObsDep: true},
+			}},
+			SlideTask{Entry: 6, EntryObs: true, Events: []SlideEvent{
+				{Queue: 2, State: trace.None, Arr: 6, Dep: 7, ObsArr: true, ObsDep: true},
+				{Queue: 3, State: trace.None, Arr: 7, Dep: 25, ObsArr: true, ObsDep: true},
+			}},
+			func(w *SlidingWindow) { w.set.SetArrival(2, 8) },
+			func(w *SlidingWindow) float64 { return w.set.Arr[2] },
+			7,
+		},
+		{"insertBeforeOlder",
+			SlideTask{Entry: 1, EntryObs: true, Events: []SlideEvent{
+				{Queue: 1, State: trace.None, Arr: 1, Dep: 10, ObsArr: true},
+			}},
+			SlideTask{Entry: 0.5, EntryObs: true, Events: []SlideEvent{
+				{Queue: 1, State: trace.None, Arr: 0.5, Dep: 12, ObsArr: true, ObsDep: true},
+			}},
+			func(*SlidingWindow) {},
+			func(w *SlidingWindow) float64 { return w.set.Dep[1] },
+			12,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewSlidingWindow(4)
+			appendAll(t, w, []SlideTask{tc.a})
+			tc.drift(w)
+			if err := w.CheckInvariants(1e-9); err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, w, []SlideTask{tc.b})
+			if err := w.CheckInvariants(1e-9); err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.latent(w); got != tc.want {
+				t.Fatalf("latent time %v after the repair, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -148,7 +148,8 @@ func NewWarmEstimator(cfg WarmConfig) *WarmEstimator {
 func (we *WarmEstimator) Window() *SlidingWindow { return we.win }
 
 // Append slides one task in; see SlidingWindow.Append. On
-// ErrInfeasibleSlide the caller must Reset and rebuild the window.
+// ErrInfeasibleSlide the window is unchanged and the task is not counted
+// as appended.
 func (we *WarmEstimator) Append(t SlideTask) error {
 	if err := we.win.Append(t); err != nil {
 		return err
@@ -165,7 +166,7 @@ func (we *WarmEstimator) EvictOldest() { we.win.EvictOldest() }
 // average and every one is finite and positive, so the next epoch runs
 // rebased from them; otherwise (a Reset mid-StEM, or after a numerical
 // fault) the rates go back to 1 and the next epoch runs cold, exactly as
-// on a fresh estimator. Use after a stream gap or an infeasible slide.
+// on a fresh estimator. Use after a stream gap or a panic.
 func (we *WarmEstimator) Reset() {
 	we.win.Reset()
 	keep := we.averaged

@@ -41,8 +41,7 @@ func (c probeCell) rms() float64 { return math.Sqrt(c.sqErr / float64(c.terms)) 
 
 // run drives every cell with the daemon's default stream schedule
 // (EMIters 300, PostSweeps 40). An infeasible slide is handled the way
-// qserved's worker handles it: Reset, then rebuild from the last window
-// of tasks.
+// qserved's worker handles it: the task is left out and counted.
 func (p scheduleProbe) run(t *testing.T) []probeCell {
 	t.Helper()
 	net := must(qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4}))
@@ -60,14 +59,7 @@ func (p scheduleProbe) run(t *testing.T) []probeCell {
 				hi := p.window
 				for e := 0; e < p.epochs; e++ {
 					if e > 0 {
-						if err := probeSlide(we, tasks[hi:hi+slide], p.window); err != nil {
-							if !errors.Is(err, ErrInfeasibleSlide) {
-								t.Fatal(err)
-							}
-							cell.infeasible++
-							we.Reset()
-							warmFill(t, we, tasks[hi+slide-p.window:hi+slide])
-						}
+						cell.infeasible += probeSlide(t, we, tasks[hi:hi+slide], p.window)
 						hi += slide
 					}
 					var ref *WarmEstimator
@@ -96,17 +88,22 @@ func (p scheduleProbe) run(t *testing.T) []probeCell {
 	return cells
 }
 
-// probeSlide appends tasks to the window, evicting the oldest past size.
-func probeSlide(we *WarmEstimator, tasks []SlideTask, size int) error {
+// probeSlide appends tasks to the window, evicting the oldest past size,
+// and returns how many it left out as infeasible.
+func probeSlide(t *testing.T, we *WarmEstimator, tasks []SlideTask, size int) (infeasible int) {
+	t.Helper()
 	for _, task := range tasks {
-		if err := we.Append(task); err != nil {
-			return err
+		if err := we.Append(task); errors.Is(err, ErrInfeasibleSlide) {
+			infeasible++
+			continue
+		} else if err != nil {
+			t.Fatal(err)
 		}
 		for we.Window().LiveTasks() > size {
 			we.EvictOldest()
 		}
 	}
-	return nil
+	return infeasible
 }
 
 // pooledRMS is the rms relative rate error over every cell at one

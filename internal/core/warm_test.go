@@ -516,7 +516,7 @@ func TestWarmResetMatchesFresh(t *testing.T) {
 		spoil func(t *testing.T, we *WarmEstimator)
 	}{
 		{"midStEM", func(t *testing.T, we *WarmEstimator) {
-			warmFill(t, we, newSlideGen(48, nq, 2.0, 3.0, 0.5).take(1))
+			warmFill(t, we, newSlideGen(47, nq, 2.0, 3.0, 0.5).take(63)[62:])
 			we.BeginEpoch()
 			we.Step(xrand.New(3), 5)
 			if we.EMFinal() {

@@ -37,13 +37,13 @@ type serverMetrics struct {
 	// (re-admitted later by the scanner).
 	overload *obs.Counter
 	// rebuilds counts cold window rebuilds: a stream fell
-	// more than one window behind, a slide was infeasible, or a panic
-	// poisoned the window.
+	// more than one window behind, or a panic poisoned the window.
 	rebuilds *obs.Counter
-	// slideInfeasible counts the rebuilds caused by an infeasible slide
-	// (core.ErrInfeasibleSlide): the local repair gave up on the new
-	// tasks, and the window's latent state and carried StEM average were
-	// thrown away.
+	// slideInfeasible counts the appends of sealed tasks left out of
+	// inference because their observed times contradict FIFO under the
+	// per-queue order of the ingested times (core.ErrInfeasibleSlide).
+	// The append left the window unchanged; nothing is rebuilt. A later
+	// rebuild re-appends the task and counts it again.
 	slideInfeasible *obs.Counter
 	// slideNew accumulates events appended by incremental window slides;
 	// slideWindow accumulates the live window size at each sync. Their
@@ -88,9 +88,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		overload: reg.Counter("qserved_inference_overload_total",
 			"Streams shed from the bounded inference queue under overload."),
 		rebuilds: reg.Counter("qserved_inference_rebuilds_total",
-			"Cold window rebuilds on the incremental path (gap, infeasible slide, or poisoned window)."),
+			"Cold window rebuilds on the incremental path (gap or poisoned window)."),
 		slideInfeasible: reg.Counter("qserved_slide_infeasible_total",
-			"Cold window rebuilds caused by an infeasible slide (also counted on qserved_inference_rebuilds_total)."),
+			"Appends of sealed tasks left out of inference because their observed times contradict FIFO."),
 		slideNew: reg.Counter("qserved_slide_new_events_total",
 			"Events appended by incremental window slides."),
 		slideWindow: reg.Counter("qserved_slide_window_events_total",

@@ -44,7 +44,7 @@ type worker struct {
 	appliedEpoch uint64 // store epoch the warm window mirrors
 	epochStart   uint64 // appliedEpoch captured at BeginEpoch
 	epochOpen    bool
-	needRebuild  bool // poisoned window (panic/infeasible): Reset before reuse
+	needRebuild  bool // poisoned window (panic): Reset before reuse
 	epochElapsed time.Duration
 	sliceStart   time.Time
 	sum          core.PosteriorSummary
@@ -319,14 +319,15 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 // syncWindow brings the warm window up to date with the store: the
 // common case appends only the tasks sealed since the last sync and
 // evicts what slid off — O(new + expired events). A stream that fell
-// further behind than one window, a poisoned window, or an infeasible
-// slide rebuilds the window from the store (counted on
-// qserved_inference_rebuilds_total; an infeasible slide also on
-// qserved_slide_infeasible_total). A rebuild drops the carried StEM sums
+// further behind than one window, or a window poisoned by a panic,
+// rebuilds the window from the store (counted on
+// qserved_inference_rebuilds_total). A rebuild drops the carried StEM sums
 // but keeps the last finished StEM average as the rates, so the next epoch
 // runs rebased, with a short burn-in. A rebuild mid-StEM, or over rates
 // that are not all finite and positive, drops the rates too, and the next
-// epoch runs cold (WarmEstimator.Reset).
+// epoch runs cold (WarmEstimator.Reset). A task whose observed times
+// contradict FIFO is left out (applySlides); a rebuild would re-append the
+// same tasks in the same order and reject it again.
 func (w *worker) syncWindow() error {
 	var t0 int64
 	if w.visitSpan != 0 {
@@ -336,27 +337,18 @@ func (w *worker) syncWindow() error {
 	tasks, epoch, window, ok := w.st.store.delta(w.appliedEpoch, w.deltaBuf)
 	w.deltaBuf = tasks
 	rebuild := !ok || w.needRebuild
-	for attempt := 0; ; attempt++ {
-		if rebuild {
-			if win.LiveTasks() > 0 || w.needRebuild {
-				w.s.metrics.rebuilds.Inc()
-			}
-			w.warm.Reset()
-			w.needRebuild = false
-			tasks, epoch, window, _ = w.st.store.delta(0, w.deltaBuf)
-			w.deltaBuf = tasks
+	if rebuild {
+		if win.LiveTasks() > 0 || w.needRebuild {
+			w.s.metrics.rebuilds.Inc()
 		}
-		if err := w.applySlides(tasks, window); err != nil {
-			if attempt == 0 && errors.Is(err, core.ErrInfeasibleSlide) {
-				w.s.metrics.slideInfeasible.Inc()
-				w.s.log.Info("infeasible slide, rebuilding the window", "stream", w.st.id, "err", err)
-				rebuild, w.needRebuild = true, true
-				continue
-			}
-			w.needRebuild = true
-			return err
-		}
-		break
+		w.warm.Reset()
+		w.needRebuild = false
+		tasks, epoch, window, _ = w.st.store.delta(0, w.deltaBuf)
+		w.deltaBuf = tasks
+	}
+	if err := w.applySlides(tasks, window); err != nil {
+		w.needRebuild = true
+		return err
 	}
 	w.appliedEpoch = epoch
 	newEv := 0
@@ -376,10 +368,19 @@ func (w *worker) syncWindow() error {
 	return nil
 }
 
+// applySlides appends tasks to the warm window, evicting past window
+// tasks. A task whose observed times contradict FIFO under the per-queue
+// order of the ingested times (core.ErrInfeasibleSlide) leaves the window
+// unchanged: it is counted on qserved_slide_infeasible_total, logged with
+// the stream, and left out of inference.
 func (w *worker) applySlides(tasks []core.SlideTask, window int) error {
 	win := w.warm.Window()
 	for i := range tasks {
-		if err := w.warm.Append(tasks[i]); err != nil {
+		if err := w.warm.Append(tasks[i]); errors.Is(err, core.ErrInfeasibleSlide) {
+			w.s.metrics.slideInfeasible.Inc()
+			w.s.log.Info("infeasible slide, task left out of inference", "stream", w.st.id, "err", err)
+			continue
+		} else if err != nil {
 			return err
 		}
 		for win.LiveTasks() > window {

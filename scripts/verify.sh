@@ -34,9 +34,9 @@ go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|M
 # against a long StEM reference, within 1.15x the cold schedule's error).
 go test -count=1 -run 'Allocs|AllocFree|ZeroBytes|WorkScales|Speed|Accuracy' ./...
 
-# The kernel benchmarks (window sweep, slide, conditional draw) run once
-# each, so their fixtures keep compiling and running.
-go test -run '^$' -bench 'WindowSweep|IncrementalSlide|CondSpec' -benchtime 1x ./internal/core
+# The kernel benchmarks (window sweep, slide, conditional draw, mean-field
+# solve) run once each, so their fixtures keep compiling and running.
+go test -run '^$' -bench 'WindowSweep|IncrementalSlide|CondSpec|MeanFieldSolve' -benchtime 1x ./internal/core
 
 # The NDJSON decoder converts numbers itself (Eisel–Lemire with a strconv
 # fallback), so its differential contract with encoding/json is fuzzed on
