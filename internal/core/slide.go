@@ -24,13 +24,13 @@ import (
 // compaction once it outgrows the live suffix.
 //
 // A chain's order is declared at ingest and never changes: events sort by
-// their ingested arrival (the entry time at q0), ties by insertion. Sweeps
-// keep that order, since every latent move is truncated to its chain
-// neighbours. After a splice, the repair is the feasibility pass the
-// mean-field setup runs (feasPass, init.go) over the region the new task
-// can reach: it moves only latent times, and it fails only when the
-// observed times contradict the declared order. A failed append leaves
-// the window as it was.
+// their ingested arrival (the entry time at q0), ties by FIFO upstream
+// (chainGreater). Sweeps keep that order, since every latent move is
+// truncated to its chain neighbours. After a splice, the repair is the
+// feasibility pass the mean-field setup runs (feasPass, init.go) over the
+// region the new task can reach: it moves only latent times, and it fails
+// only when the observed times contradict the declared order. A failed
+// append leaves the window as it was.
 //
 // The continuation contract: after any sequence of slides, the sampler
 // state (chains, latent times, sweep parity) is exactly the
@@ -80,8 +80,9 @@ type SlidingWindow struct {
 
 	// key is each event's declared chain key, its ingested arrival (the
 	// entry time at q0), and seq its insertion sequence number, the
-	// deterministic tie-break for equal keys: a fresh window built from the
-	// same tasks in the same order reproduces identical chains.
+	// deterministic tie-break for equal entry times (chainGreater): a fresh
+	// window built from the same tasks in the same order reproduces
+	// identical chains.
 	key []float64
 	seq []uint64
 
@@ -191,12 +192,28 @@ func (w *SlidingWindow) svcWait(i int) (svc, wait float64) {
 }
 
 // chainGreater reports whether a sorts after b in their queue's declared
-// chain order.
+// chain order: by key, and equal keys by FIFO upstream. Two events that
+// arrive together from one queue take the order in which they left it,
+// which is their task predecessors' chain order there, applied
+// recursively; two q0 events, which have no predecessor, take insertion
+// order. Equal keys from different upstream queues order by the queue
+// index, so the order stays total and transitive: a fresh window over the
+// same tasks, and trace.Builder, declare the same chains whatever the
+// insertion order (ties at the entry aside). Distinct continuous times
+// never tie, so this only matters on coarse clocks.
 func (w *SlidingWindow) chainGreater(a, b int) bool {
-	if w.key[a] != w.key[b] {
-		return w.key[a] > w.key[b]
+	ev := w.set.Events
+	for w.key[a] == w.key[b] {
+		pa, pb := ev[a].PrevT, ev[b].PrevT
+		if pa == trace.None || pb == trace.None {
+			return w.seq[a] > w.seq[b]
+		}
+		if qa, qb := ev[pa].Queue, ev[pb].Queue; qa != qb {
+			return qa > qb
+		}
+		a, b = pa, pb
 	}
-	return w.seq[a] > w.seq[b]
+	return w.key[a] > w.key[b]
 }
 
 // linkAfter splices event i into queue q's chain after prev (trace.None
@@ -245,7 +262,7 @@ func (w *SlidingWindow) unlink(i int) {
 }
 
 // insertEvent splices event i into its queue's chain at the position its
-// declared (key, seq) pair selects, walking backward from the tail.
+// declared order (chainGreater) selects, walking backward from the tail.
 func (w *SlidingWindow) insertEvent(i int) {
 	q := w.set.Events[i].Queue
 	prev := w.qTail[q]

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/qnet"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -229,37 +230,73 @@ func TestSlideMatchesFreshBuild(t *testing.T) {
 }
 
 // TestSlideStressInvariants interleaves slides and sweeps over partially
-// observed tandem streams, 10⁴ slides in all: at 10, 30 and 50% observed,
-// with 1- and 10-task slides and a few sweeps between them. Every task is
-// cut from one FIFO simulation, so no append may fail, and every few
+// observed streams, 10⁴ slides in all: at 10, 30 and 50% observed, with
+// 1- and 10-task slides and a few sweeps between them, and every few
 // slides the full invariant set must hold: chains in their declared
-// order, every latent move inside FIFO.
+// order, every latent move inside FIFO. The exact-clock cells cut every
+// task from one FIFO tandem simulation, so no append may fail. The
+// coarse-clock cells round every time of the paper's three-tier network
+// {1,2,4} (λ = 4, µ = 5) to 1 ms and append in seal order, the order of
+// the rounded final departures, as the daemon's store seals them: ties
+// there must order by FIFO upstream (chainGreater), and every rejected
+// task must tie another at the entry or arrive together with one from a
+// different queue, the ties chainGreater leaves to insertion and queue
+// order.
 func TestSlideStressInvariants(t *testing.T) {
-	const nq, keep = 4, 100
+	const keep = 100
 	total := 0
 	for _, tc := range []struct {
 		frac                  float64
 		slide, sweeps, slides int
+		clock                 float64 // rounding of every time; 0 keeps them exact
 	}{
-		{0.1, 1, 5, 1700}, {0.3, 1, 5, 1700}, {0.5, 1, 5, 1700},
-		{0.1, 10, 5, 1700}, {0.3, 10, 5, 1700}, {0.5, 10, 5, 1700},
+		{0.1, 1, 5, 1700, 0}, {0.3, 1, 5, 1700, 0}, {0.5, 1, 5, 1700, 0},
+		{0.1, 10, 5, 1700, 0}, {0.3, 10, 5, 1700, 0}, {0.5, 10, 5, 1700, 0},
+		{0.1, 10, 5, 1700, 0.001}, {0.3, 10, 5, 1700, 0.001},
 	} {
 		total += tc.slides
-		t.Run(fmt.Sprintf("obs%.0f%%/slide%d", 100*tc.frac, tc.slide), func(t *testing.T) {
-			gen := newSlideGen(uint64(100*tc.frac)+uint64(tc.slide), nq, 2.0, 2.5, tc.frac)
+		name := fmt.Sprintf("obs%.0f%%/slide%d", 100*tc.frac, tc.slide)
+		if tc.clock > 0 {
+			name += fmt.Sprintf("/clock%gms", 1000*tc.clock)
+		}
+		t.Run(name, func(t *testing.T) {
+			seed := uint64(100*tc.frac) + uint64(tc.slide)
+			var next func() SlideTask
+			var rates []float64
+			if tc.clock == 0 {
+				gen := newSlideGen(seed, 4, 2.0, 2.5, tc.frac)
+				next, rates = gen.next, []float64{2, 2.5, 5, 7.5}
+			} else {
+				net := must(qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4}))
+				working, _, _ := simulateObserved(t, net, keep+tc.slides*tc.slide, tc.frac, seed)
+				tasks := coarseClockTasks(slideTasksOf(working), tc.clock)
+				next = func() SlideTask { task := tasks[0]; tasks = tasks[1:]; return task }
+				rates = net.ServiceRates()
+			}
 			rng := xrand.New(5)
-			rates := []float64{2, 2.5, 5, 7.5}
-			w := NewSlidingWindow(nq)
-			for i := 0; i < keep; i++ {
-				if err := w.Append(gen.next()); err != nil {
-					t.Fatalf("fill %d: %v", i, err)
+			w := NewSlidingWindow(len(rates))
+			rejected := 0
+			add := func(what string, i int) {
+				task := next()
+				err := w.Append(task)
+				if tc.clock > 0 && errors.Is(err, ErrInfeasibleSlide) {
+					rejected++
+					t.Logf("%s %d rejected: %v", what, i, err)
+					if !tiesUnordered(w, task) {
+						t.Errorf("%s %d rejected with no tie at the entry or across queues", what, i)
+					}
+					return
 				}
+				if err != nil {
+					t.Fatalf("%s %d: %v", what, i, err)
+				}
+			}
+			for i := 0; i < keep; i++ {
+				add("fill", i)
 			}
 			for s := 0; s < tc.slides; s++ {
 				for k := 0; k < tc.slide; k++ {
-					if err := w.Append(gen.next()); err != nil {
-						t.Fatalf("slide %d: %v", s, err)
-					}
+					add("slide", s)
 				}
 				for w.LiveTasks() > keep {
 					w.EvictOldest()
@@ -279,11 +316,59 @@ func TestSlideStressInvariants(t *testing.T) {
 			if err := w.CheckInvariants(1e-7); err != nil {
 				t.Fatal(err)
 			}
+			if tc.clock > 0 {
+				t.Logf("%d of %d tasks rejected", rejected, keep+tc.slides*tc.slide)
+			}
 		})
 	}
 	if total < 10000 {
 		t.Fatalf("%d slides in all, want at least 10⁴", total)
 	}
+}
+
+// tiesUnordered reports whether task, about to be appended to w, ties a
+// live task at the entry or arrives at a queue together with a live event
+// from a different queue: the ties chainGreater cannot order by FIFO
+// upstream.
+func tiesUnordered(w *SlidingWindow, task SlideTask) bool {
+	es := &w.set
+	for i := w.qHead[0]; i != trace.None; i = es.Events[i].NextQ {
+		if w.key[i] == task.Entry {
+			return true
+		}
+	}
+	for k, ev := range task.Events {
+		from := 0
+		if k > 0 {
+			from = task.Events[k-1].Queue
+		}
+		for i := w.qHead[ev.Queue]; i != trace.None; i = es.Events[i].NextQ {
+			if w.key[i] == ev.Arr && es.Events[es.Events[i].PrevT].Queue != from {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// coarseClockTasks rounds every time of tasks to a multiple of clock and
+// returns them in seal order, by rounded final departure (ties in entry
+// order).
+func coarseClockTasks(tasks []SlideTask, clock float64) []SlideTask {
+	round := func(x float64) float64 { return math.Round(x/clock) * clock }
+	out := make([]SlideTask, len(tasks))
+	for i, task := range tasks {
+		task.Entry = round(task.Entry)
+		task.Events = slices.Clone(task.Events)
+		for k := range task.Events {
+			ev := &task.Events[k]
+			ev.Arr, ev.Dep = round(ev.Arr), round(ev.Dep)
+		}
+		out[i] = task
+	}
+	final := func(task SlideTask) float64 { return task.Events[len(task.Events)-1].Dep }
+	sort.SliceStable(out, func(i, j int) bool { return final(out[i]) < final(out[j]) })
+	return out
 }
 
 // TestQueueSumsMatchRescan is the oracle of the per-queue sums the M-step
@@ -774,5 +859,133 @@ func BenchmarkIncrementalSlide(b *testing.B) {
 				w.EvictOldest()
 			}
 		})
+	}
+}
+
+// TestCoarseClockSameQueueTie is the two-task reproduction of a coarse
+// clock: x enters at 0 and y at 1, both leave queue 1 at 5 and so arrive
+// together at queue 2, and y seals first. Ordering the tie at queue 2 by
+// insertion put y first there while FIFO at queue 1 put x first: a cycle
+// of equalities that every append's edge check accepts, but that fails
+// the mean-field solve, the order initializer, and the repair of any later
+// task whose region reaches it. FIFO upstream orders x first at both.
+func TestCoarseClockSameQueueTie(t *testing.T) {
+	task := func(entry, dep1, dep2 float64, obsDep2 bool) SlideTask {
+		return SlideTask{Entry: entry, EntryObs: true, Events: []SlideEvent{
+			{Queue: 1, State: trace.None, Arr: entry, Dep: dep1, ObsArr: true, ObsDep: true},
+			{Queue: 2, State: trace.None, Arr: dep1, Dep: dep2, ObsArr: true, ObsDep: obsDep2},
+		}}
+	}
+	w := NewSlidingWindow(3)
+	for _, tk := range []SlideTask{task(1, 5, 7, true), task(0, 5, 7, true)} { // y, then x
+		if err := w.Append(tk); err != nil {
+			t.Fatalf("append entering at %v: %v", tk.Entry, err)
+		}
+	}
+	if err := w.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+	var entries []float64
+	for i := w.qHead[2]; i != trace.None; i = w.set.Events[i].NextQ {
+		entries = append(entries, w.set.Dep[w.tasks[w.set.Events[i].Task].first])
+	}
+	if !slices.Equal(entries, []float64{0, 1}) {
+		t.Fatalf("queue 2 holds the tasks entering at %v, want [0 1] (FIFO from queue 1)", entries)
+	}
+
+	var sum PosteriorSummary
+	var params Params
+	if _, err := MeanFieldInto(&sum, &params, w.EventSet(), MeanFieldOptions{}); err != nil {
+		t.Fatalf("mean-field solve: %v", err)
+	}
+	if err := (OrderInitializer{}).Initialize(w.EventSet(), must(NewParams([]float64{1, 1, 1}))); err != nil {
+		t.Fatalf("order initializer: %v", err)
+	}
+
+	// A third task whose latent departure at queue 2 breaks FIFO behind
+	// both: the repair's region reaches the tied pair.
+	if err := w.Append(task(2, 6, 6.5, false)); err != nil {
+		t.Fatalf("third task: %v", err)
+	}
+	if err := w.CheckInvariants(1e-9); err != nil {
+		t.Fatal(err)
+	}
+
+	// trace.Builder declares the same chain offline, with y's events
+	// added first.
+	b := trace.NewBuilder(3)
+	x, y := b.StartTask(0), b.StartTask(1)
+	for _, k := range []struct {
+		task  int
+		entry float64
+	}{{y, 1}, {x, 0}} {
+		must(b.AddEvent(k.task, trace.None, 1, k.entry, 5))
+		must(b.AddEvent(k.task, trace.None, 2, 5, 7))
+	}
+	es := must(b.Build())
+	if ids := es.ByQueue[2]; es.Events[ids[0]].Task != x || es.Events[ids[1]].Task != y {
+		t.Fatalf("builder's queue 2 holds tasks %d, %d; want x (%d) first", es.Events[ids[0]].Task, es.Events[ids[1]].Task, x)
+	}
+}
+
+// TestCoarseClockMixedUpstreamTie: three tasks arrive at queue 3 in the
+// same tick, a and b from queue 1 (a left it first) and c from queue 2,
+// and seal in the order b, c, a. Ordering ties from different queues by
+// insertion would make the order intransitive (a before b upstream, b
+// before c and c before a by insertion) and splice a behind both, closing
+// a cycle through c. Ordering them by queue index keeps the order total:
+// a, b, c in the window and in trace.Builder.
+func TestCoarseClockMixedUpstreamTie(t *testing.T) {
+	type hop struct {
+		queue int
+		dep   float64
+	}
+	task := func(entry float64, hops ...hop) SlideTask {
+		tk := SlideTask{Entry: entry, EntryObs: true}
+		at := entry
+		for _, h := range hops {
+			tk.Events = append(tk.Events, SlideEvent{Queue: h.queue, State: trace.None, Arr: at, Dep: h.dep, ObsArr: true, ObsDep: true})
+			at = h.dep
+		}
+		return tk
+	}
+	a := task(0, hop{1, 2}, hop{3, 4})
+	b := task(1, hop{1, 2}, hop{3, 4})
+	c := task(0.5, hop{2, 2}, hop{3, 4})
+	w := NewSlidingWindow(4)
+	appendAll(t, w, []SlideTask{b, c, a})
+	if err := w.CheckInvariants(0); err != nil {
+		t.Fatal(err)
+	}
+	var entries []float64
+	for i := w.qHead[3]; i != trace.None; i = w.set.Events[i].NextQ {
+		entries = append(entries, w.set.Dep[w.tasks[w.set.Events[i].Task].first])
+	}
+	if want := []float64{0, 1, 0.5}; !slices.Equal(entries, want) {
+		t.Fatalf("queue 3 holds the tasks entering at %v, want %v", entries, want)
+	}
+	var sum PosteriorSummary
+	var params Params
+	if _, err := MeanFieldInto(&sum, &params, w.EventSet(), MeanFieldOptions{}); err != nil {
+		t.Fatalf("mean-field solve: %v", err)
+	}
+
+	bld := trace.NewBuilder(4)
+	ids := map[float64]int{}
+	for _, tk := range []SlideTask{a, c, b} { // entry order
+		ids[tk.Entry] = bld.StartTask(tk.Entry)
+	}
+	for _, tk := range []SlideTask{b, c, a} { // seal order
+		for _, ev := range tk.Events {
+			must(bld.AddEvent(ids[tk.Entry], ev.State, ev.Queue, ev.Arr, ev.Dep))
+		}
+	}
+	es := must(bld.Build())
+	var got []float64
+	for _, id := range es.ByQueue[3] {
+		got = append(got, es.Dep[es.ByTask[es.Events[id].Task][0]])
+	}
+	if !slices.Equal(got, entries) {
+		t.Fatalf("builder's queue 3 holds the tasks entering at %v, want the window's %v", got, entries)
 	}
 }

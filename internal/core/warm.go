@@ -74,10 +74,14 @@ type WarmEstimator struct {
 	// This epoch's StEM schedule, and its progress. emSum is the weighted
 	// sum of the kept rate iterates and emWeight its total weight: on a
 	// warm epoch both start from the previous epoch's, discounted.
-	emIters, emBurnIn int
-	emDone            int
-	emSum             []float64
-	emWeight          float64
+	// emSvcSum and emWaitSum sum the per-queue means of the same kept
+	// iterates' latent states, carried and discounted exactly like emSum
+	// and weighed by emWeight (SnapshotInto).
+	emIters, emBurnIn   int
+	emDone              int
+	emSum               []float64
+	emSvcSum, emWaitSum []float64
+	emWeight            float64
 	// appended counts the tasks appended since the last BeginEpoch,
 	// carried reports that emSum/emWeight hold a finished StEM phase's
 	// average, and averaged that the rates do (they still do after
@@ -121,6 +125,8 @@ func NewWarmEstimator(cfg WarmConfig) *WarmEstimator {
 		emBurnIn:    cfg.EMBurnIn,
 		rates:       make([]float64, nq),
 		emSum:       make([]float64, nq),
+		emSvcSum:    make([]float64, nq),
+		emWaitSum:   make([]float64, nq),
 		svcSum:      make([]float64, nq),
 		waitSum:     make([]float64, nq),
 		waitChain:   make([][]float64, nq),
@@ -244,8 +250,10 @@ func (we *WarmEstimator) BeginEpoch() {
 	for q := range we.emSum {
 		if warm {
 			we.emSum[q] *= keep
+			we.emSvcSum[q] *= keep
+			we.emWaitSum[q] *= keep
 		} else {
-			we.emSum[q] = 0
+			we.emSum[q], we.emSvcSum[q], we.emWaitSum[q] = 0, 0, 0
 		}
 		we.svcSum[q] = 0
 		we.waitSum[q] = 0
@@ -321,8 +329,13 @@ func (we *WarmEstimator) Step(rng *xrand.RNG, maxSweeps int) int {
 		we.emDone++
 		ran++
 		if we.emDone > we.emBurnIn {
+			// The M-step left the window's per-queue sums valid, so the
+			// means cost O(queues) and draw nothing.
+			we.win.QueueMeansInto(we.scratchSvc, we.scratchWait)
 			for q := range we.emSum {
 				we.emSum[q] += we.rates[q]
+				we.emSvcSum[q] += we.scratchSvc[q]
+				we.emWaitSum[q] += we.scratchWait[q]
 			}
 			we.emWeight++
 		}
@@ -362,24 +375,42 @@ func (we *WarmEstimator) RatesInto(dst []float64) []float64 {
 	return dst
 }
 
-// SnapshotInto writes the epoch's best-so-far posterior summary into sum:
-// the accumulated posterior means when posterior sweeps have been kept,
-// otherwise the one-shot means of the current latent state. The summary's
-// slices are owned by sum and reused across calls.
+// SnapshotInto writes the epoch's best-so-far posterior summary into sum,
+// and sum.Sweeps the kept posterior sweeps behind it. The means are, in
+// order of precedence:
+//   - the accumulated posterior means once a posterior sweep is kept;
+//   - otherwise, once emWeight > 0, the means of the kept StEM iterates'
+//     latent states, on the rates' own carried schedule: at EMFinal they
+//     are the average behind the finalized rates, which is the estimate a
+//     publish at the finalizing sweep serves;
+//   - otherwise the one-shot means of the current latent state.
+//
+// q0's service is the window's interarrival gap in every case, and a
+// queue with no events in the window is NaN. A queue whose carried means
+// are NaN (it had no events in an epoch they still carry) falls back to
+// the one-shot means. The summary's slices are owned by sum and reused
+// across calls.
 func (we *WarmEstimator) SnapshotInto(sum *PosteriorSummary) {
 	nq := we.cfg.NumQueues
 	sum.MeanService = resizeFloats(sum.MeanService, nq)
 	sum.MeanWait = resizeFloats(sum.MeanWait, nq)
-	if we.postKept > 0 {
+	sum.Sweeps = we.postKept
+	switch {
+	case we.postKept > 0:
 		k := float64(we.postKept)
 		for q := 0; q < nq; q++ {
 			sum.MeanService[q] = we.svcSum[q] / k
 			sum.MeanWait[q] = we.waitSum[q] / k
 		}
-		sum.Sweeps = we.postKept
-	} else {
+	case we.emWeight > 0:
 		we.win.QueueMeansInto(sum.MeanService, sum.MeanWait)
-		sum.Sweeps = 0
+		for q := 1; q < nq; q++ {
+			if svc := we.emSvcSum[q] / we.emWeight; we.win.qCount[q] > 0 && !math.IsNaN(svc) {
+				sum.MeanService[q], sum.MeanWait[q] = svc, we.emWaitSum[q]/we.emWeight
+			}
+		}
+	default:
+		we.win.QueueMeansInto(sum.MeanService, sum.MeanWait)
 	}
 	if cap(sum.WaitChain) < nq {
 		sum.WaitChain = make([][]float64, nq)

@@ -228,3 +228,102 @@ func TestRebasedEpochAccuracy(t *testing.T) {
 		})
 	}
 }
+
+// TestFinalizeSnapshotAccuracy is the accuracy contract of the means an
+// epoch publishes at the sweep that finalizes its StEM phase: per-queue
+// means averaged over the StEM iterates on the rates' carried schedule
+// (WarmEstimator.SnapshotInto), served before any posterior sweep. Per
+// seed, a 500-task window of the paper's three-tier network {1,2,4}
+// (λ = 4, µ = 5) runs a cold epoch and then five warm ones after 2- or
+// 10-task slides, on the daemon's default schedule (EMIters 300,
+// PostSweeps 40). Each warm epoch's carried mean waits at EMFinal and its
+// posterior mean waits at the epoch's end are compared with the window's
+// realized waits, read off a window that holds the same tasks at their
+// true times. Pooled over seeds 1–6 and both slides, the carried means'
+// rms relative wait error must stay within 1.10× the posterior means'.
+// The tasks seed the latent state with their true times, as in the other
+// probes, which flatters both estimates alike. The two fractions run in
+// parallel.
+func TestFinalizeSnapshotAccuracy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("accuracy contract: skipped under -race")
+	}
+	const window, warmEpochs = 500, 5
+	net := must(qnet.PaperSynthetic(4, 5, [3]int{1, 2, 4}))
+	for _, frac := range []float64{0.1, 0.3} {
+		t.Run(fmt.Sprintf("observed=%v", frac), func(t *testing.T) {
+			t.Parallel()
+			var sqCarried, sqPost, sqCarriedSvc, sqPostSvc float64
+			terms, infeasible := 0, 0
+			for _, slide := range []int{2, 10} {
+				for seed := uint64(1); seed <= 6; seed++ {
+					working, _, _ := simulateObserved(t, net, window+warmEpochs*slide, frac, seed)
+					tasks, nq := slideTasksOf(working), working.NumQueues
+					we := NewWarmEstimator(WarmConfig{NumQueues: nq, EMIters: 300, PostSweeps: 40})
+					// truth holds the same tasks at their true times and
+					// never sweeps.
+					truth := NewSlidingWindow(nq)
+					add := func(task SlideTask) {
+						if err := we.Append(task); errors.Is(err, ErrInfeasibleSlide) {
+							infeasible++
+							return
+						} else if err != nil {
+							t.Fatal(err)
+						}
+						if err := truth.Append(task); err != nil {
+							t.Fatal(err)
+						}
+						for we.Window().LiveTasks() > window {
+							we.EvictOldest()
+							truth.EvictOldest()
+						}
+					}
+					for _, task := range tasks[:window] {
+						add(task)
+					}
+					rng := xrand.New(seed + 1)
+					var carried, post PosteriorSummary
+					realSvc, realWait := make([]float64, nq), make([]float64, nq)
+					for e := 0; e <= warmEpochs; e++ {
+						if e > 0 {
+							for _, task := range tasks[window+(e-1)*slide : window+e*slide] {
+								add(task)
+							}
+						}
+						we.BeginEpoch()
+						we.Step(rng, we.EMIters())
+						if !we.EMFinal() {
+							t.Fatalf("seed %d epoch %d: StEM phase not final after %d sweeps", seed, e, we.EpochSweeps())
+						}
+						we.SnapshotInto(&carried)
+						we.Step(rng, 0)
+						we.SnapshotInto(&post)
+						if e == 0 {
+							continue
+						}
+						truth.QueueMeansInto(realSvc, realWait)
+						for q := 1; q < nq; q++ {
+							if truth.qCount[q] == 0 {
+								continue
+							}
+							c, p := carried.MeanWait[q]/realWait[q]-1, post.MeanWait[q]/realWait[q]-1
+							sqCarried += c * c
+							sqPost += p * p
+							c, p = carried.MeanService[q]/realSvc[q]-1, post.MeanService[q]/realSvc[q]-1
+							sqCarriedSvc += c * c
+							sqPostSvc += p * p
+							terms++
+						}
+					}
+				}
+			}
+			n := float64(terms)
+			got, ref := math.Sqrt(sqCarried/n), math.Sqrt(sqPost/n)
+			t.Logf("pooled rms wait error: carried StEM means %.2f%%, posterior means %.2f%% (%.3f×); service %.2f%% and %.2f%%; %d terms, %d infeasible",
+				100*got, 100*ref, got/ref, 100*math.Sqrt(sqCarriedSvc/n), 100*math.Sqrt(sqPostSvc/n), terms, infeasible)
+			if got > 1.10*ref {
+				t.Errorf("carried StEM means' pooled rms wait error %.2f%% exceeds 1.10× the posterior means' %.2f%%", 100*got, 100*ref)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -252,7 +253,10 @@ func TestWarmIncrementalMatchesColdClone(t *testing.T) {
 }
 
 // TestWarmAnytimeSnapshots: estimates must be available (and sane) after
-// every partial Step, improving monotonically in kept-sweep count.
+// every partial Step, improving monotonically in kept-sweep count, and
+// follow SnapshotInto's precedence: the one-shot means of the current
+// state before a StEM iterate is kept, then the carried StEM means, then
+// the posterior means once a posterior sweep is kept.
 func TestWarmAnytimeSnapshots(t *testing.T) {
 	const nq = 3
 	cfg := WarmConfig{NumQueues: nq, EMIters: 20, PostSweeps: 20, PostBurnIn: 4}
@@ -262,25 +266,221 @@ func TestWarmAnytimeSnapshots(t *testing.T) {
 	we.BeginEpoch()
 	rng := xrand.New(2)
 	var sum PosteriorSummary
+	oneShotSvc, oneShotWait := make([]float64, nq), make([]float64, nq)
 	lastKept := -1
+	rules := map[string]int{}
 	for !we.Done() {
 		we.Step(rng, 3)
 		we.SnapshotInto(&sum)
-		for q := 1; q < nq; q++ {
+		we.Window().QueueMeansInto(oneShotSvc, oneShotWait)
+		rule := "posterior"
+		switch {
+		case we.postKept > 0:
+		case we.EMWeight() > 0:
+			rule = "carried"
+		default:
+			rule = "one-shot"
+		}
+		rules[rule]++
+		for q := 0; q < nq; q++ {
 			if math.IsNaN(sum.MeanService[q]) || sum.MeanService[q] <= 0 {
 				t.Fatalf("snapshot at %d sweeps: queue %d mean service %v", we.EpochSweeps(), q, sum.MeanService[q])
 			}
+			// q0's service is the window's interarrival gap, never carried.
+			var svc, wait float64
+			switch {
+			case rule == "posterior":
+				svc, wait = we.svcSum[q]/float64(we.postKept), we.waitSum[q]/float64(we.postKept)
+			case rule == "carried" && q > 0:
+				svc, wait = we.emSvcSum[q]/we.EMWeight(), we.emWaitSum[q]/we.EMWeight()
+			default:
+				svc, wait = oneShotSvc[q], oneShotWait[q]
+			}
+			if !sameFloat(sum.MeanService[q], svc) || !sameFloat(sum.MeanWait[q], wait) {
+				t.Fatalf("snapshot at %d sweeps (%s): queue %d means (%v, %v), want (%v, %v)",
+					we.EpochSweeps(), rule, q, sum.MeanService[q], sum.MeanWait[q], svc, wait)
+			}
+		}
+		if sum.Sweeps != we.postKept {
+			t.Fatalf("snapshot at %d sweeps: Sweeps %d, want the kept %d", we.EpochSweeps(), sum.Sweeps, we.postKept)
 		}
 		if sum.Sweeps < lastKept {
 			t.Fatalf("kept sweeps went backward: %d -> %d", lastKept, sum.Sweeps)
 		}
 		lastKept = sum.Sweeps
 	}
+	// Steps of 3: sweeps 3–9 precede the first kept StEM iterate (burn-in
+	// 10), 12–24 read the carry (the posterior burns in to 24), 27–39 and
+	// the last, 40, the posterior.
+	if want := map[string]int{"one-shot": 3, "carried": 5, "posterior": 6}; !maps.Equal(rules, want) {
+		t.Fatalf("snapshots by rule %v, want %v", rules, want)
+	}
 	if lastKept != cfg.PostSweeps-cfg.PostBurnIn {
 		t.Fatalf("final kept sweeps %d, want %d", lastKept, cfg.PostSweeps-cfg.PostBurnIn)
 	}
 	if got := we.EpochSweeps(); got != 40 {
 		t.Fatalf("epoch sweeps %d, want 40", got)
+	}
+}
+
+// TestWarmFinalizeMeansAverageKeptIterates: at the sweep that finalizes a
+// cold epoch's StEM phase, the snapshot is the plain average of the
+// per-queue means of the kept iterates' latent states, read after each
+// M-step.
+func TestWarmFinalizeMeansAverageKeptIterates(t *testing.T) {
+	const nq = 4
+	cfg := WarmConfig{NumQueues: nq, EMIters: 30, PostSweeps: 10}
+	we := NewWarmEstimator(cfg)
+	warmFill(t, we, newSlideGen(33, nq, 2.0, 3.0, 0.3).take(60))
+	we.BeginEpoch()
+	rng := xrand.New(4)
+	svc, wait := make([]float64, nq), make([]float64, nq)
+	sumSvc, sumWait := make([]float64, nq), make([]float64, nq)
+	kept := 0
+	for !we.EMFinal() {
+		we.Step(rng, 1)
+		if we.EpochSweeps() <= cfg.EMIters/2 {
+			continue
+		}
+		we.Window().QueueMeansInto(svc, wait)
+		for q := 0; q < nq; q++ {
+			sumSvc[q] += svc[q]
+			sumWait[q] += wait[q]
+		}
+		kept++
+	}
+	if kept != cfg.EMIters/2 || we.EMWeight() != float64(kept) {
+		t.Fatalf("kept %d iterates, weight %v; want %d", kept, we.EMWeight(), cfg.EMIters/2)
+	}
+	var sum PosteriorSummary
+	we.SnapshotInto(&sum)
+	we.Window().QueueMeansInto(svc, wait)
+	if sum.Sweeps != 0 || !sameFloat(sum.MeanService[0], svc[0]) {
+		t.Fatalf("finalizing snapshot: %d kept sweeps, q0 service %v; want 0, the window's gap %v", sum.Sweeps, sum.MeanService[0], svc[0])
+	}
+	for q := 1; q < nq; q++ {
+		k := float64(kept)
+		if !sameFloat(sum.MeanService[q], sumSvc[q]/k) || !sameFloat(sum.MeanWait[q], sumWait[q]/k) {
+			t.Fatalf("queue %d: finalizing means (%v, %v), want the kept iterates' average (%v, %v)",
+				q, sum.MeanService[q], sum.MeanWait[q], sumSvc[q]/k, sumWait[q]/k)
+		}
+	}
+}
+
+// TestWarmCarriedMeansFollowRates: the carried StEM means follow the rate
+// sums through every kind of epoch start. A warm epoch discounts them by
+// the same keep as emSum and emWeight, so until its own iterates land the
+// snapshot still reads the previous epoch's carried means; a cold epoch,
+// a rebased one (a slide too large for the warm schedule) and Reset start
+// them empty.
+func TestWarmCarriedMeansFollowRates(t *testing.T) {
+	const nq = 3
+	cfg := WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 15}
+	gen := newSlideGen(47, nq, 2.0, 3.0, 0.5)
+	history := gen.take(62)
+	requireEmpty := func(what string, we *WarmEstimator) {
+		t.Helper()
+		for q := 0; q < nq; q++ {
+			if we.emSum[q] != 0 || we.emSvcSum[q] != 0 || we.emWaitSum[q] != 0 || we.EMWeight() != 0 {
+				t.Fatalf("%s: queue %d carries rate sum %v, means (%v, %v), weight %v; want all 0",
+					what, q, we.emSum[q], we.emSvcSum[q], we.emWaitSum[q], we.EMWeight())
+			}
+		}
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
+
+	cold := NewWarmEstimator(cfg)
+	warmFill(t, cold, history[:60])
+	cold.BeginEpoch()
+	requireEmpty("cold epoch", cold)
+
+	used := usedEstimator(t, cfg, history)
+	var before PosteriorSummary
+	used.SnapshotInto(&before)
+	rateSum := slices.Clone(used.emSum)
+	svcSum, waitSum, weight := slices.Clone(used.emSvcSum), slices.Clone(used.emWaitSum), used.EMWeight()
+	warmFill(t, used, gen.take(1))
+	used.EvictOldest()
+	used.BeginEpoch()
+	if used.EMIters() >= cfg.EMIters {
+		t.Fatalf("one-task slide ran %d StEM iterations, want a warm epoch", used.EMIters())
+	}
+	keep := used.EMWeight() / weight
+	if !(keep > 0 && keep < 1) {
+		t.Fatalf("warm discount %v, want in (0, 1)", keep)
+	}
+	var carried PosteriorSummary
+	used.SnapshotInto(&carried)
+	for q := 1; q < nq; q++ {
+		if !near(used.emSum[q], keep*rateSum[q]) || !near(used.emSvcSum[q], keep*svcSum[q]) || !near(used.emWaitSum[q], keep*waitSum[q]) {
+			t.Fatalf("queue %d: warm epoch carries rate sum %v, means (%v, %v); want %v× (%v, %v, %v)", q,
+				used.emSum[q], used.emSvcSum[q], used.emWaitSum[q], keep, rateSum[q], svcSum[q], waitSum[q])
+		}
+		if want := svcSum[q] / weight; carried.Sweeps != 0 || !near(carried.MeanService[q], want) {
+			t.Fatalf("queue %d: snapshot before the warm epoch's first iterate serves %v from %d sweeps, want the carried %v",
+				q, carried.MeanService[q], carried.Sweeps, want)
+		}
+		if before.Sweeps == 0 || sameFloat(before.MeanService[q], carried.MeanService[q]) {
+			t.Fatalf("queue %d: the finished epoch served %v from %d posterior sweeps, the carry %v", q,
+				before.MeanService[q], before.Sweeps, carried.MeanService[q])
+		}
+	}
+
+	rng := xrand.New(5)
+	used.Step(rng, 0)
+	warmFill(t, used, gen.take(30))
+	for used.Window().LiveTasks() > 60 {
+		used.EvictOldest()
+	}
+	used.BeginEpoch()
+	if want := warmMinIters + cfg.EMIters/2; used.EMIters() != want {
+		t.Fatalf("30-task slide ran %d StEM iterations, want the rebased %d", used.EMIters(), want)
+	}
+	requireEmpty("rebased epoch", used)
+
+	used.Step(rng, 0)
+	used.Reset()
+	requireEmpty("Reset", used)
+}
+
+// TestWarmCarriedMeansEmptyQueue: a queue with no events through an
+// epoch carries NaN means into the warm epochs after it. Once events reach
+// the queue again, the snapshot serves their one-shot means until a
+// posterior sweep is kept, not the NaN carry.
+func TestWarmCarriedMeansEmptyQueue(t *testing.T) {
+	const nq, window = 3, 100
+	task := func(i int, queues ...int) SlideTask {
+		entry := float64(i)
+		tk := SlideTask{Entry: entry, EntryObs: true}
+		at := entry
+		for _, q := range queues {
+			dep := at + 0.1 + 0.01*float64(i%7)
+			tk.Events = append(tk.Events, SlideEvent{Queue: q, State: trace.None, Arr: at, Dep: dep, ObsArr: true, ObsDep: true})
+			at = dep
+		}
+		return tk
+	}
+	we := NewWarmEstimator(WarmConfig{NumQueues: nq, EMIters: 100, PostSweeps: 10})
+	for i := 0; i < window; i++ {
+		warmFill(t, we, []SlideTask{task(i, 1)})
+	}
+	rng := xrand.New(3)
+	we.BeginEpoch()
+	we.Step(rng, 0)
+	warmFill(t, we, []SlideTask{task(window, 1, 2)})
+	we.EvictOldest()
+	we.BeginEpoch()
+	if we.EMIters() >= 100 || !math.IsNaN(we.emSvcSum[2]) {
+		t.Fatalf("epoch after the queue's first event: %d StEM iterations, carried service sum %v; want a warm epoch carrying NaN",
+			we.EMIters(), we.emSvcSum[2])
+	}
+	we.Step(rng, we.EMIters())
+	var sum PosteriorSummary
+	we.SnapshotInto(&sum)
+	svc, wait := make([]float64, nq), make([]float64, nq)
+	we.Window().QueueMeansInto(svc, wait)
+	if !we.EMFinal() || math.IsNaN(sum.MeanService[2]) || sum.MeanService[2] != svc[2] || sum.MeanWait[2] != wait[2] {
+		t.Fatalf("finalizing snapshot of queue 2: (%v, %v), want the one-shot (%v, %v)", sum.MeanService[2], sum.MeanWait[2], svc[2], wait[2])
 	}
 }
 
@@ -435,8 +635,8 @@ func usedEstimator(t *testing.T, cfg WarmConfig, history []SlideTask) *WarmEstim
 }
 
 // requireSameEpoch fails unless a and b ended their epochs with the same
-// StEM schedule and bit-identical rates, posterior means and windowed
-// summary.
+// StEM schedule and bit-identical rates, carried StEM means, posterior
+// means and windowed summary.
 func requireSameEpoch(t *testing.T, a, b *WarmEstimator) {
 	t.Helper()
 	if a.EMIters() != b.EMIters() || a.EMWeight() != b.EMWeight() {
@@ -456,6 +656,10 @@ func requireSameEpoch(t *testing.T, a, b *WarmEstimator) {
 		t.Fatal(err)
 	}
 	for q := range ra {
+		if !sameFloat(a.emSvcSum[q], b.emSvcSum[q]) || !sameFloat(a.emWaitSum[q], b.emWaitSum[q]) {
+			t.Fatalf("queue %d: carried StEM means sum to (%v, %v); want (%v, %v)", q,
+				a.emSvcSum[q], a.emWaitSum[q], b.emSvcSum[q], b.emWaitSum[q])
+		}
 		if !sameFloat(ra[q], rb[q]) || !sameFloat(sa.MeanService[q], sb.MeanService[q]) || !sameFloat(sa.MeanWait[q], sb.MeanWait[q]) {
 			t.Fatalf("queue %d: rate %v, means (%v, %v); want %v, (%v, %v)", q,
 				ra[q], sa.MeanService[q], sa.MeanWait[q], rb[q], sb.MeanService[q], sb.MeanWait[q])

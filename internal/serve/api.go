@@ -39,8 +39,11 @@ type StreamConfig struct {
 	// epoch's second half (DESIGN §16).
 	EMIters int `json:"em_iters,omitempty"`
 	// PostSweeps sizes each epoch's posterior pass: the fixed-rate sweeps
-	// that follow the epoch's StEM phase, a fifth of them burn-in, whose
-	// means the estimate reports (default 40).
+	// that follow the epoch's StEM phase, a fifth of them burn-in (default
+	// 40). The epoch's first estimate is published before them, at the
+	// sweep that finalizes the StEM phase, with means averaged over the
+	// StEM iterates; each later publish of the epoch reports the means of
+	// the kept posterior sweeps so far (Estimate.PostSweeps).
 	PostSweeps int `json:"post_sweeps,omitempty"`
 	// Windows is the number of time buckets of the windowed-stats endpoint
 	// (default 6). Their per-queue means are averaged over the same kept
@@ -198,6 +201,11 @@ type Estimate struct {
 	// Both are omitted on mean-field publishes.
 	EMIters  int     `json:"em_iters,omitempty"`
 	EMWeight float64 `json:"em_weight,omitempty"`
+	// PostSweeps is the number of kept posterior sweeps behind MeanService
+	// and MeanWait. It is 0 on an epoch's first Gibbs publish, made at the
+	// sweep that finalizes the StEM phase, whose means average the StEM
+	// iterates instead, and on mean-field publishes.
+	PostSweeps int `json:"post_sweeps"`
 }
 
 // Estimate backends, as reported in Estimate.Backend and on the

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -259,5 +262,118 @@ func BenchmarkManyStreams(b *testing.B) {
 			srv.exec.notify(st)
 		}
 		waitAll(uint64(4 + i + 1))
+	}
+}
+
+// TestExecutorPublishAtFinalize drives two workers over the same sealed
+// tasks, a cold epoch and three warm ones. One visits one sweep at a
+// time, so every publish is observed and none repeats the sweep before
+// it; the other spends a whole epoch per visit.
+// An epoch's first Gibbs publish comes at the sweep that finalizes its
+// StEM phase: it carries em_iters as scheduled and post_sweeps 0, and its
+// rates equal the epoch's last republish, and the rates of the whole-epoch
+// visit, bit for bit. The whole-epoch visit publishes twice, at the
+// finalizing sweep and at its end. Each sealed task's freshness is
+// recorded exactly once, and the ESS gauges keep the previous epoch's
+// values across a finalizing publish.
+func TestExecutorPublishAtFinalize(t *testing.T) {
+	srv := New(StreamConfig{})
+	t.Cleanup(srv.Close)
+	cfg := StreamConfig{NumQueues: 3, WindowTasks: 100, MinTasks: 5,
+		EMIters: 20, PostSweeps: 10}.withDefaults()
+	stepCfg := cfg
+	stepCfg.SweepBatch = 1
+	step, whole := srv.buildStream("step", stepCfg), srv.buildStream("whole", cfg)
+	wStep, wWhole := newWorker(srv, step), newWorker(srv, whole)
+	visit := func(w *worker) {
+		w.visit(context.Background(), time.Now().Add(time.Minute), 0)
+	}
+	const kept = 10 - 10/5 // PostSweeps less its burn-in
+
+	body, _ := ingestTestBody(t, "pf", 80, 2, cfg.NumQueues)
+	lines := bytes.SplitAfter(body, []byte("\n"))
+	sealed := 0
+	for e, n := range []int{50, 10, 10, 10} {
+		chunk := bytes.Join(lines[2*sealed:2*(sealed+n)], nil)
+		sealed += n
+		for _, st := range []*stream{step, whole} {
+			if sum, _, err := srv.ingestTraced(st, chunk, 0); err != nil || sum.SealedTasks != n {
+				t.Fatalf("epoch %d: ingest %+v, %v", e, sum, err)
+			}
+		}
+
+		var first, last *Estimate
+		prevSeq := uint64(0)
+		if est := step.estimate.Load(); est != nil {
+			prevSeq = est.Seq
+		}
+		for visit(wStep); wStep.epochOpen; visit(wStep) {
+			est := step.estimate.Load()
+			if est == nil || est.Seq == prevSeq {
+				if wStep.warm.EMFinal() {
+					t.Fatalf("epoch %d: StEM phase final after %d sweeps with no Gibbs publish", e, wStep.warm.EpochSweeps())
+				}
+				continue
+			}
+			if est.Seq != prevSeq+1 {
+				t.Fatalf("epoch %d: a one-sweep visit published %d times", e, est.Seq-prevSeq)
+			}
+			prevSeq = est.Seq
+			if est.Backend != BackendGibbs {
+				continue
+			}
+			if first == nil {
+				first = est
+				if got := wStep.warm.EpochSweeps(); got != est.EMIters {
+					t.Fatalf("epoch %d: first Gibbs publish after %d sweeps, want at the finalizing sweep %d", e, got, est.EMIters)
+				}
+				if est.PostSweeps != 0 || est.EMIters != wStep.warm.EMIters() || est.Epoch != uint64(sealed) {
+					t.Fatalf("epoch %d: first Gibbs publish post_sweeps %d, em_iters %d, epoch %d; want 0, %d, %d",
+						e, est.PostSweeps, est.EMIters, est.Epoch, wStep.warm.EMIters(), sealed)
+				}
+				if e > 0 {
+					for q, g := range step.m.ess {
+						if math.IsNaN(g.Value()) {
+							t.Fatalf("epoch %d: queue %d ESS gauge NaN after the finalizing publish", e, q+1)
+						}
+					}
+				}
+			}
+		}
+		last = step.estimate.Load()
+		if first == nil || last.Epoch != uint64(sealed) || last.PostSweeps != kept {
+			t.Fatalf("epoch %d: first publish %v, last post_sweeps %d epoch %d; want a publish, %d and %d",
+				e, first, last.PostSweeps, last.Epoch, kept, sealed)
+		}
+		if !slices.Equal(first.Rates, last.Rates) || first.EMWeight != last.EMWeight {
+			t.Fatalf("epoch %d: finalizing rates %v (weight %v), last republish %v (weight %v)",
+				e, first.Rates, first.EMWeight, last.Rates, last.EMWeight)
+		}
+
+		seq0 := uint64(0)
+		if est := whole.estimate.Load(); est != nil {
+			seq0 = est.Seq
+		}
+		visit(wWhole)
+		est := whole.estimate.Load()
+		if wWhole.epochOpen || est.Epoch != uint64(sealed) {
+			t.Fatalf("epoch %d: whole-epoch visit left the epoch open (estimate %+v)", e, est)
+		}
+		publishes := uint64(2)
+		if e == 0 {
+			publishes++ // the mean-field first answer
+		}
+		if est.Seq-seq0 != publishes {
+			t.Fatalf("epoch %d: whole-epoch visit published %d times, want %d", e, est.Seq-seq0, publishes)
+		}
+		if !slices.Equal(est.Rates, first.Rates) || est.PostSweeps != kept {
+			t.Fatalf("epoch %d: whole-epoch rates %v, post_sweeps %d; want %v, %d", e, est.Rates, est.PostSweeps, first.Rates, kept)
+		}
+		for _, st := range []*stream{step, whole} {
+			if got := st.m.Freshness.Count(); got != uint64(sealed) || st.m.FreshnessLost.Value() != 0 {
+				t.Fatalf("epoch %d, stream %s: %d freshness observations, %d lost; want %d, 0",
+					e, st.id, got, st.m.FreshnessLost.Value(), sealed)
+			}
+		}
 	}
 }

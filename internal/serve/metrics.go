@@ -302,12 +302,17 @@ func newStreamMetrics(s *Server, st *stream) *streamMetrics {
 	return m
 }
 
-// updateQueueGauges publishes the per-queue posterior chain diagnostics
-// after a successful estimation pass.
+// updateQueueGauges publishes the per-queue means and posterior chain
+// diagnostics after a successful estimation pass. A nil waitChain (a
+// publish with no posterior chain yet) leaves the ESS and R̂ gauges as
+// they were.
 func (m *streamMetrics) updateQueueGauges(meanService, meanWait []float64, waitChain [][]float64) {
 	for q := 1; q < len(meanService) && q-1 < len(m.meanWait); q++ {
 		m.meanService[q-1].Set(meanService[q])
 		m.meanWait[q-1].Set(meanWait[q])
+		if waitChain == nil {
+			continue
+		}
 		chain := waitChain[q]
 		if len(chain) == 0 {
 			m.ess[q-1].Set(math.NaN())

@@ -243,10 +243,12 @@ func (w *worker) recordFreshness(from, to uint64, publishNS int64) {
 // is in flight (sync the window incrementally, check MinTasks on the
 // synced window, publish the mean-field first answer when the stream has
 // none yet), spend sweeps until the deadline or the stream's SweepBatch
-// cap, publish the best-so-far snapshot once the StEM phase has finalized
-// its parameters, and close the epoch when its schedule is exhausted.
-// Panics from the numerical stack poison the window (rebuilt on the next
-// visit) instead of killing the daemon.
+// cap, and close the epoch when its schedule is exhausted. The epoch's
+// first Gibbs estimate is published at the sweep that finalizes its StEM
+// phase, with the rates and the means averaged over the StEM iterates;
+// every visit after that republishes at its end, the means refined by
+// the kept posterior sweeps. Panics from the numerical stack poison the
+// window (rebuilt on the next visit) instead of killing the daemon.
 func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published bool, ran int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -276,7 +278,18 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 	// for the sweep histograms and the deadline is honored between sweeps.
 	// At least one sweep always runs — a visit must make progress even
 	// when it arrives with its budget already spent.
+	//
+	// Anytime publication: the sweep that finalizes the epoch's StEM phase
+	// (EMIters iterations on a cold epoch, fewer on a warm or rebased one)
+	// publishes at once, after it is counted and timed, so the first
+	// estimate of an epoch does not wait for the deadline. After that,
+	// every visit that ran a sweep since the last publish republishes the
+	// (monotonically improving) posterior snapshot at its end. Before the
+	// StEM phase finalizes, the previous epoch's estimate keeps serving —
+	// rates mid-StEM are a single noisy iterate, not an estimate.
+	pubRan := -1 // ran at this visit's last publish
 	for !w.warm.Done() {
+		final := w.warm.EMFinal()
 		t0 := time.Now()
 		n := w.warm.Step(w.rng, 1)
 		if n == 0 {
@@ -290,6 +303,12 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 		ran += n
 		w.st.m.SweepsRun.Add(uint64(n))
 		w.s.metrics.sweeps.Add(uint64(n))
+		if !final && w.warm.EMFinal() {
+			if perr := w.publishWarm(); perr != nil {
+				return false, ran, perr
+			}
+			published, pubRan = true, ran
+		}
 		if cfg.SweepBatch > 0 && ran >= cfg.SweepBatch {
 			break
 		}
@@ -297,13 +316,7 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 			break
 		}
 	}
-	// Anytime publication: once the epoch's own StEM phase has finalized
-	// its parameters (EMIters iterations on a cold epoch, fewer on a warm
-	// or rebased one), every visit republishes the (monotonically improving)
-	// posterior snapshot. Before that point the previous epoch's estimate
-	// keeps serving — rates mid-StEM are a single noisy iterate, not an
-	// estimate.
-	if w.warm.EMFinal() && w.warm.Window().LiveTasks() > 0 {
+	if w.warm.EMFinal() && ran != pubRan && w.warm.Window().LiveTasks() > 0 {
 		if perr := w.publishWarm(); perr != nil {
 			return false, ran, perr
 		}
@@ -391,7 +404,9 @@ func (w *worker) applySlides(tasks []core.SlideTask, window int) error {
 }
 
 // publishWarm stores the epoch's best-so-far snapshots, both read from
-// the epoch's own posterior sweeps without running any. The windowed
+// the estimator without running a sweep: at the finalizing sweep the
+// means carried over the StEM iterates, after it the epoch's own kept
+// posterior sweeps (core.WarmEstimator.SnapshotInto). The windowed
 // snapshot is stored before the estimate so a reader that observes the
 // new estimate epoch is guaranteed a windowed snapshot at least as new.
 func (w *worker) publishWarm() error {
@@ -431,6 +446,7 @@ func (w *worker) publishWarm() error {
 		Backend:      BackendGibbs,
 		EMIters:      w.warm.EMIters(),
 		EMWeight:     w.warm.EMWeight(),
+		PostSweeps:   w.sum.Sweeps,
 	}
 	if ws != nil {
 		ws.Seq = w.seq
@@ -451,11 +467,19 @@ func (w *worker) publishWarm() error {
 	w.lastEpoch = w.epochStart
 	w.st.m.Estimates.Inc()
 	w.s.metrics.estimates.Inc()
-	w.st.m.updateQueueGauges(w.sum.MeanService, w.sum.MeanWait, w.sum.WaitChain)
-	// An epoch that began before the traced ingest's apply does not cover
-	// it: its publishes leave the chain open, so the chain includes the
-	// wait for the epoch in flight.
-	if w.visitSpan != 0 && w.epochStart >= w.traceEpoch {
+	// Before a posterior sweep is kept there is no chain to diagnose: the
+	// ESS and R̂ gauges keep the last epoch's values.
+	chain := w.sum.WaitChain
+	if w.sum.Sweeps == 0 {
+		chain = nil
+	}
+	w.st.m.updateQueueGauges(w.sum.MeanService, w.sum.MeanWait, chain)
+	// The first publish of an epoch that began at or after the traced
+	// ingest's apply closes the chain; later republishes record no second
+	// publish span under it. An epoch that began before the apply does not
+	// cover it: its publishes leave the chain open, so the chain includes
+	// the wait for the epoch in flight.
+	if w.visitSpan != 0 && w.traceRoot != 0 && w.epochStart >= w.traceEpoch {
 		w.s.tracer.Record(obs.Span{ID: w.s.tracer.Child(w.visitSpan), Parent: w.visitSpan,
 			Kind: spanPublish, Stream: w.st.id, StartNS: p0, EndNS: time.Now().UnixNano()})
 		w.traceRoot = 0 // the ingest→publish chain is complete

@@ -609,8 +609,8 @@ func (b *Builder) AddEvent(task, state, queue int, arrival, depart float64) (int
 	return id, nil
 }
 
-// Build links per-queue orderings (sorting arrivals, breaking ties by event
-// id) and returns the validated EventSet.
+// Build links per-queue orderings (sorting arrivals, breaking ties by FIFO
+// upstream) and returns the validated EventSet.
 func (b *Builder) Build() (*EventSet, error) {
 	s := &EventSet{
 		Events:    b.events,
@@ -626,15 +626,27 @@ func (b *Builder) Build() (*EventSet, error) {
 		s.ByQueue[e.Queue] = append(s.ByQueue[e.Queue], i)
 		s.ByTask[e.Task] = append(s.ByTask[e.Task], i)
 	}
+	// Equal arrivals order by FIFO upstream: two events that arrive
+	// together from one queue take the order in which they left it, their
+	// task predecessors' order there, recursively. Equal arrivals from
+	// different queues order by queue index and q0 events by id, so the
+	// order is total (core.SlidingWindow declares the same chains).
+	less := func(a, b int) bool {
+		for s.Arr[a] == s.Arr[b] {
+			pa, pb := s.Events[a].PrevT, s.Events[b].PrevT
+			if pa == None || pb == None {
+				return a < b
+			}
+			if qa, qb := s.Events[pa].Queue, s.Events[pb].Queue; qa != qb {
+				return qa < qb
+			}
+			a, b = pa, pb
+		}
+		return s.Arr[a] < s.Arr[b]
+	}
 	for q := range s.ByQueue {
 		ids := s.ByQueue[q]
-		sort.SliceStable(ids, func(x, y int) bool {
-			ax, ay := s.Arr[ids[x]], s.Arr[ids[y]]
-			if ax != ay {
-				return ax < ay
-			}
-			return ids[x] < ids[y]
-		})
+		sort.SliceStable(ids, func(x, y int) bool { return less(ids[x], ids[y]) })
 		for j, id := range ids {
 			if j > 0 {
 				s.Events[id].PrevQ = ids[j-1]

@@ -21,7 +21,8 @@ go test -race ./...
 # chain and freshness/readiness endpoints, the WAL's group-commit writers,
 # the crash-recovery e2e oracles, and the mean-field fast path (its
 # determinism-across-GOMAXPROCS contract, the window copy it solves over,
-# and the worker-visit publish path), with a fresh -count=1 run so
+# and the worker-visit publish path, including the publish at the sweep
+# that finalizes an epoch's StEM phase), with a fresh -count=1 run so
 # schedule/sharding races can't hide behind the test cache.
 go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|MeanField' \
     ./internal/core ./internal/serve ./internal/obs ./internal/wal
@@ -31,7 +32,9 @@ go test -race -count=1 -run 'Parallel|Recovery|Executor|Trace|Readyz|Freshness|M
 # same-run timing ratios (fast ingest vs stdlib, Gibbs sweep vs window
 # sweep, slide cost flat in the window, mean-field vs the cold posterior),
 # and the accuracy contracts of the warm and rebased epochs (served rates
-# against a long StEM reference, within 1.15x the cold schedule's error).
+# against a long StEM reference, within 1.15x the cold schedule's error)
+# and of the finalizing publish's means (carried StEM means against the
+# window's realized waits, within 1.10x the epoch-end posterior means').
 go test -count=1 -run 'Allocs|AllocFree|ZeroBytes|WorkScales|Speed|Accuracy' ./...
 
 # The kernel benchmarks (window sweep, slide, conditional draw, mean-field
